@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
 
@@ -69,11 +69,6 @@ class Dag:
             self.__dict__["_children"] = cached
         return cached
 
-    def edges(self) -> Iterator[tuple[str, str]]:
-        for child in self.construction_order:
-            for parent in sorted(self.parents[child]):
-                yield parent, child
-
     def neighbors(self, v: str) -> frozenset[str]:
         return self.parents[v] | self.children(v)
 
@@ -87,6 +82,9 @@ class Dag:
     def from_json_dict(cls, data: dict) -> "Dag":
         order = tuple(data["order"])
         universe = Universe.binary(*order)
+        unknown = set(data["parents"]) - set(order)
+        if unknown:
+            raise ValueError(f"parents given for variables not in order: {sorted(unknown)}")
         parents = {v: frozenset(data["parents"].get(v, ())) for v in order}
         return cls(universe, parents, order)
 
@@ -100,13 +98,6 @@ class Trail:
     def __post_init__(self) -> None:
         if len(self.nodes) < 2 or len(set(self.nodes)) != len(self.nodes):
             raise ValueError("a trail is a simple path between distinct nodes")
-
-    def links(self, dag: Dag) -> tuple[tuple[str, str], ...]:
-        """The traversed edges in their graph orientation (parent, child)."""
-        out = []
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            out.append((a, b) if b in dag.children(a) else (b, a))
-        return tuple(out)
 
 
 @dataclass(frozen=True)

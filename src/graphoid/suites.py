@@ -414,8 +414,10 @@ def run_suite(
     n_vars: int | None = None,
     samples: int | None = None,
 ) -> SuiteReport:
-    """Run a named suite; unknown names raise KeyError."""
+    """Run a named suite; unknown names raise KeyError, ``samples < 1`` ValueError."""
     fn = SUITES[name]
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     kwargs: dict = {"seed": seed}
     if n_vars is not None:
         kwargs["n_vars"] = n_vars

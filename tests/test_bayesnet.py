@@ -229,6 +229,12 @@ def test_dag_json_round_trip():
     assert again.construction_order == dag.construction_order
 
 
+def test_dag_json_rejects_parents_of_unknown_variables():
+    data = {"order": ["a", "b"], "parents": {"b": ["a"], "zz": ["a"]}}
+    with pytest.raises(ValueError, match="zz"):
+        Dag.from_json_dict(data)
+
+
 def test_dsep_soundness_spot_check():
     # any separation read off the network must be an independence of the table
     for seed in range(5):

@@ -78,6 +78,14 @@ class TestDsep:
         )
         assert code == 1
 
+    def test_unknown_parent_key_exits_2(self, tmp_path, capsys):
+        dag_path = tmp_path / "net.json"
+        dag_path.write_text(
+            json.dumps({"order": ["a", "b"], "parents": {"b": ["a"], "zz": ["a"]}})
+        )
+        assert main(["dsep", str(dag_path), "a", "b"]) == 2
+        assert "zz" in capsys.readouterr().err
+
 
 class TestRelationsAndTransitive:
     def test_relations_json(self, tmp_path, capsys):
@@ -178,6 +186,14 @@ class TestSuite:
         assert data["seed"] == 3
         assert data["cases"] == 4
         assert data["failures"] == []
+
+    def test_non_positive_samples_exit_2(self, tmp_path, capsys):
+        for samples in ("0", "-3"):
+            path = tmp_path / f"r{samples}.json"
+            args = ["suite", "clean", "--samples", samples, "--report", str(path)]
+            assert main(args) == 2
+            assert not path.exists()
+        assert "samples" in capsys.readouterr().err
 
     def test_usage_error_without_args(self, capsys):
         assert main([]) == 2

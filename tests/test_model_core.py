@@ -1,4 +1,6 @@
+import itertools
 import json
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,15 @@ from graphoid import (
     restrict,
 )
 from graphoid.errors import InvalidTriplet, UniverseTooLarge, UnknownVariable
-from graphoid.model_core import AXIOM_SYMMETRY
+from graphoid.model_core import (
+    AXIOM_CONTRACTION,
+    AXIOM_DECOMPOSITION,
+    AXIOM_SYMMETRY,
+    AXIOM_TRIVIAL,
+    AXIOM_WEAK_UNION,
+    AxiomViolation,
+    subsets,
+)
 
 
 def t(x, y, z=()):
@@ -75,8 +85,33 @@ class TestClosure:
         closed = graphoid_closure(model(t("x", "y"), t("x", "w", "y")))
         assert t("x", {"y", "w"}) in closed.triplets
 
+    def test_contraction_with_derived_second_premise(self):
+        # (a, c | b) follows from (ab, c | {}) by symmetry and weak union, so it
+        # may be derived after (a, b | {}) was expanded; contraction must still
+        # join the two.  Which comes first depends on set iteration order, so
+        # try many labellings.
+        for a, b, c in itertools.permutations("pqrst", 3):
+            closed = graphoid_closure(model(t({a, b}, c), t(a, b), names=tuple("pqrst")))
+            assert t(a, {b, c}) in closed.triplets
+
     def test_closure_is_a_graphoid(self):
         closed = graphoid_closure(model(t("x", "y"), t("x", "w", "y")))
+        assert check_graphoid_axioms(closed) == []
+
+    def test_dense_model_at_the_bound(self):
+        # Every singleton pair independent under every Z closes to all 4^8
+        # disjoint triples at n = 8, the largest universe the bound admits.
+        names = tuple(f"v{i}" for i in range(8))
+        dense = DependencyModel.of(
+            Universe.binary(*names),
+            (
+                t({a}, {b}, z)
+                for a, b in itertools.combinations(names, 2)
+                for z in subsets(set(names) - {a, b})
+            ),
+        )
+        closed = graphoid_closure(dense)
+        assert len(closed.triplets) == 4**8
         assert check_graphoid_axioms(closed) == []
 
     def test_bound_enforced(self):
@@ -169,3 +204,124 @@ def test_model_json_round_trip():
     again = DependencyModel.from_json_dict(json.loads(json.dumps(m.to_json_dict())))
     assert again.triplets == m.triplets
     assert again.universe.variables == m.universe.variables
+
+
+# Reference implementations: the definitional frozenset closure and axiom
+# check, kept here to test the mask-based ones against.  They scan every
+# triplet with the same x-set for contraction, so keep them to n <= 5.
+
+
+def _reference_disjoint_pairs(names):
+    pool = sorted(names)
+    for codes in itertools.product((0, 1, 2), repeat=len(pool)):
+        first = frozenset(n for n, c in zip(pool, codes) if c == 1)
+        second = frozenset(n for n, c in zip(pool, codes) if c == 2)
+        yield first, second
+
+
+def reference_closure(model):
+    closed = set()
+    queue = deque()
+    by_x = {}
+
+    def add(trip):
+        if trip not in closed:
+            closed.add(trip)
+            by_x.setdefault(trip.x_set, []).append(trip)
+            queue.append(trip)
+
+    for x_set, z_set in _reference_disjoint_pairs(model.universe.variables):
+        add(Triplet(x_set, frozenset(), z_set))
+    for trip in model.triplets:
+        add(trip)
+
+    while queue:
+        trip = queue.popleft()
+        add(trip.symmetric())
+        for kept in subsets(trip.y_set):
+            if kept == trip.y_set:
+                continue
+            add(Triplet(trip.x_set, kept, trip.z_set))
+            add(Triplet(trip.x_set, kept, trip.z_set | (trip.y_set - kept)))
+        zy = trip.z_set | trip.y_set
+        for other in list(by_x.get(trip.x_set, ())):
+            if other.z_set == zy:
+                add(Triplet(trip.x_set, trip.y_set | other.y_set, trip.z_set))
+            if trip.z_set == other.z_set | other.y_set:
+                add(Triplet(trip.x_set, other.y_set | trip.y_set, other.z_set))
+
+    return DependencyModel(model.universe, frozenset(closed))
+
+
+def reference_check(model):
+    present = model.triplets
+    out = []
+
+    for x_set, z_set in _reference_disjoint_pairs(model.universe.variables):
+        trip = Triplet(x_set, frozenset(), z_set)
+        if trip not in present:
+            out.append(AxiomViolation(AXIOM_TRIVIAL, (), trip))
+
+    by_x = {}
+    for trip in present:
+        by_x.setdefault(trip.x_set, []).append(trip)
+
+    for trip in present:
+        sym = trip.symmetric()
+        if sym not in present:
+            out.append(AxiomViolation(AXIOM_SYMMETRY, (trip,), sym))
+        for kept in subsets(trip.y_set):
+            if not kept or kept == trip.y_set:
+                continue
+            dec = Triplet(trip.x_set, kept, trip.z_set)
+            if dec not in present:
+                out.append(AxiomViolation(AXIOM_DECOMPOSITION, (trip,), dec))
+            weak = Triplet(trip.x_set, kept, trip.z_set | (trip.y_set - kept))
+            if weak not in present:
+                out.append(AxiomViolation(AXIOM_WEAK_UNION, (trip,), weak))
+
+    for t1 in present:
+        if not t1.y_set:
+            continue
+        zy = t1.z_set | t1.y_set
+        for t2 in by_x.get(t1.x_set, ()):
+            if not t2.y_set or t2.z_set != zy:
+                continue
+            joined = Triplet(t1.x_set, t1.y_set | t2.y_set, t1.z_set)
+            if joined not in present:
+                out.append(AxiomViolation(AXIOM_CONTRACTION, (t1, t2), joined))
+
+    out.sort(key=AxiomViolation.sort_key)
+    return out
+
+
+# Universe order differs from name order, so that mask bits and the sorted
+# witness order disagree.
+_wide_names = ("e", "b", "d", "a", "c")
+
+
+@st.composite
+def wide_models(draw):
+    """A 4- or 5-variable model: raw generators, their closure, or a thinned closure."""
+    names = _wide_names[: draw(st.sampled_from((4, 5)))]
+    triplets = set()
+    for _ in range(draw(st.integers(0, 6))):
+        codes = draw(st.lists(st.integers(0, 3), min_size=len(names), max_size=len(names)))
+        x, y, z = (frozenset(n for n, c in zip(names, codes) if c == k) for k in (1, 2, 3))
+        triplets.add(Triplet(x, y, z))
+    m = DependencyModel.of(Universe.binary(*names), triplets)
+    form = draw(st.sampled_from(("raw", "closed", "thinned")))
+    if form == "raw":
+        return m
+    closed = reference_closure(m).sorted_triplets()
+    if form == "thinned":
+        rnd = draw(st.randoms(use_true_random=False))
+        closed = [trip for trip in closed if rnd.random() < 0.9]
+    return DependencyModel.of(m.universe, closed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_models())
+def test_mask_closure_and_check_match_reference(m):
+    assert graphoid_closure(m).triplets == reference_closure(m).triplets
+    assert check_graphoid_axioms(m) == reference_check(m)
