@@ -82,10 +82,16 @@ class Dag:
     def from_json_dict(cls, data: dict) -> "Dag":
         order = tuple(data["order"])
         universe = Universe.binary(*order)
-        unknown = set(data["parents"]) - set(order)
+        given = data["parents"]
+        if not isinstance(given, dict):
+            raise ValueError("parents must be an object mapping variables to parent lists")
+        unknown = set(given) - set(order)
         if unknown:
             raise ValueError(f"parents given for variables not in order: {sorted(unknown)}")
-        parents = {v: frozenset(data["parents"].get(v, ())) for v in order}
+        for v, pars in given.items():
+            if not isinstance(pars, list) or not all(isinstance(p, str) for p in pars):
+                raise ValueError(f"parents of {v} must be a list of variable names")
+        parents = {v: frozenset(given.get(v, ())) for v in order}
         return cls(universe, parents, order)
 
 

@@ -8,6 +8,8 @@ back the oracle, answering by set membership after graphoid closure.
 
 from __future__ import annotations
 
+import functools
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -24,6 +26,7 @@ from .model_core import (
     DependencyModel,
     Triplet,
     Universe,
+    _as_name_set,
     graphoid_closure,
     iter_disjoint_triples,
 )
@@ -80,6 +83,7 @@ class JointTable:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "_marginals", {})  # sorted axis tuple -> summed array
 
     @property
     def strictly_positive(self) -> bool:
@@ -89,11 +93,19 @@ class JointTable:
         return len(self.universe.domain(name))
 
     def marginal(self, names: tuple[str, ...]) -> np.ndarray:
-        """Marginal array over ``names``, axes in the requested order."""
+        """Read-only marginal array over ``names``, axes in the requested order.
+
+        The sum over the dropped axes is computed once per variable subset and
+        kept on the table; each call returns a transposed view of it.
+        """
         keep = [self.universe.index(n) for n in names]
-        drop = tuple(i for i in range(self.probs.ndim) if i not in set(keep))
-        m = self.probs.sum(axis=drop) if drop else self.probs
-        ordered = sorted(keep)
+        ordered = tuple(sorted(keep))
+        m = self._marginals.get(ordered)
+        if m is None:
+            drop = tuple(i for i in range(self.probs.ndim) if i not in ordered)
+            m = self.probs.sum(axis=drop) if drop else self.probs
+            m.setflags(write=False)
+            self._marginals[ordered] = m
         return m.transpose([ordered.index(k) for k in keep])
 
     def to_json_dict(self) -> dict:
@@ -192,9 +204,10 @@ def ci_discrepancy_discrete(
     """
     xs, ys, zs = _validate_sets(table.universe, x_set, y_set, z_set)
     m = table.marginal(xs + ys + zs)
-    d_x = int(np.prod([table.domain_size(v) for v in xs])) if xs else 1
-    d_y = int(np.prod([table.domain_size(v) for v in ys])) if ys else 1
-    d_z = int(np.prod([table.domain_size(v) for v in zs])) if zs else 1
+    n_x, n_xy = len(xs), len(xs) + len(ys)
+    d_x = math.prod(m.shape[:n_x])
+    d_y = math.prod(m.shape[n_x:n_xy])
+    d_z = math.prod(m.shape[n_xy:])
     p_xyz = m.reshape(d_x, d_y, d_z)
     p_yz = p_xyz.sum(axis=0)
     p_xz = p_xyz.sum(axis=1)
@@ -262,35 +275,55 @@ def ci_holds_gaussian(
     return ci_residual_gaussian(g, x_set, y_set, z_set) <= tol
 
 
-@dataclass
+@dataclass(frozen=True)
 class CiOracle:
     """Uniform conditional-independence query surface over any backend.
 
     The backend is a JointTable, a GaussianModel, or a DependencyModel; a
-    model backend answers by set membership after graphoid closure.  Queries
-    are pure functions of the inputs, safe for parallel fan-out.
+    model backend answers by set membership after graphoid closure.  Each
+    oracle memoizes its verdicts, keyed on the unordered pair {x_set, y_set}
+    and z_set, and answers a miss in one canonical orientation (the smaller
+    sorted tuple first), so ``ci(x, y, z) == ci(y, x, z)`` whichever was
+    asked first.  The oracle and its backends are immutable, which keeps the
+    memo valid for the oracle's lifetime.
     """
 
     backend: JointTable | GaussianModel | DependencyModel
     tolerance: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tolerance is None:
-            if isinstance(self.backend, JointTable):
-                self.tolerance = DISCRETE_TOL
-            elif isinstance(self.backend, GaussianModel):
-                self.tolerance = GAUSSIAN_TOL
-            elif isinstance(self.backend, DependencyModel):
-                self.tolerance = 0.0
-            else:
-                raise TypeError(f"unsupported backend {type(self.backend).__name__}")
-        if self.tolerance < 0.0:
+        backend, tol = self.backend, self.tolerance
+        if tol is not None and tol < 0.0:
             raise ValueError("tolerance must be non-negative")
-        self._closed: DependencyModel | None = None
+        if isinstance(backend, JointTable):
+            tol = DISCRETE_TOL if tol is None else tol
+            holds = functools.partial(ci_holds_discrete, backend, tol=tol)
+            gap = functools.partial(ci_discrepancy_discrete, backend, tol=tol)
+        elif isinstance(backend, GaussianModel):
+            tol = GAUSSIAN_TOL if tol is None else tol
+            holds = functools.partial(ci_holds_gaussian, backend, tol=tol)
+            gap = functools.partial(ci_residual_gaussian, backend)
+        elif isinstance(backend, DependencyModel):
+            tol = 0.0 if tol is None else tol
+            # Neither callable refers back to the oracle: a cycle would keep
+            # the oracle and its closure alive until the cycle collector runs.
+            closed = functools.cache(lambda: graphoid_closure(backend).triplets)
+            holds, gap = (lambda xs, ys, zs: Triplet.make(xs, ys, zs) in closed()), None
+        else:
+            raise TypeError(f"unsupported backend {type(backend).__name__}")
+        object.__setattr__(self, "tolerance", tol)
+        object.__setattr__(self, "_holds", holds)
+        object.__setattr__(self, "_gap", gap)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def universe(self) -> Universe:
         return self.backend.universe
+
+    def _canonical(self, x_set, y_set, z_set) -> tuple[tuple[str, ...], ...]:
+        """The validated query as sorted tuples, the smaller of x and y first."""
+        xs, ys, zs = _validate_sets(self.universe, x_set, y_set, z_set)
+        return (ys, xs, zs) if ys < xs else (xs, ys, zs)
 
     def ci(
         self,
@@ -298,14 +331,13 @@ class CiOracle:
         y_set: Iterable[str] | str,
         z_set: Iterable[str] | str = (),
     ) -> bool:
-        if isinstance(self.backend, JointTable):
-            return ci_holds_discrete(self.backend, x_set, y_set, z_set, self.tolerance)
-        if isinstance(self.backend, GaussianModel):
-            return ci_holds_gaussian(self.backend, x_set, y_set, z_set, self.tolerance)
-        xs, ys, zs = _validate_sets(self.universe, x_set, y_set, z_set)
-        if self._closed is None:
-            self._closed = graphoid_closure(self.backend)
-        return Triplet.make(xs, ys, zs) in self._closed.triplets
+        x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
+        key = (frozenset((x, y)), z)
+        verdict = self._memo.get(key)
+        if verdict is None:
+            # Only validated queries enter the memo, so a hit needs no check.
+            verdict = self._memo[key] = self._holds(*self._canonical(x, y, z))
+        return verdict
 
     def discrepancy(
         self,
@@ -313,12 +345,13 @@ class CiOracle:
         y_set: Iterable[str] | str,
         z_set: Iterable[str] | str = (),
     ) -> float:
-        """Numeric gap behind the verdict; defined for table and Gaussian backends."""
-        if isinstance(self.backend, JointTable):
-            return ci_discrepancy_discrete(self.backend, x_set, y_set, z_set, self.tolerance)
-        if isinstance(self.backend, GaussianModel):
-            return ci_residual_gaussian(self.backend, x_set, y_set, z_set)
-        raise TypeError("discrepancy is undefined for a dependency-model backend")
+        """Numeric gap behind the verdict, taken in the orientation ``ci`` answers in.
+
+        Defined for table and Gaussian backends.
+        """
+        if self._gap is None:
+            raise TypeError("discrepancy is undefined for a dependency-model backend")
+        return self._gap(*self._canonical(x_set, y_set, z_set))
 
 
 def extract_model(oracle: CiOracle) -> DependencyModel:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidTriplet, UniverseTooLarge, UnknownVariable
 
@@ -43,10 +43,15 @@ class Universe:
 
     variables: tuple[VariableId, ...]
     domains: tuple[tuple[str, ...], ...]
+    # The variables as a set, built once; it takes no part in equality,
+    # hashing or repr.
+    names: frozenset[VariableId] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.variables)) != len(self.variables):
+        names = frozenset(self.variables)
+        if len(names) != len(self.variables):
             raise ValueError("duplicate variable names")
+        object.__setattr__(self, "names", names)
         if any(not name for name in self.variables):
             raise ValueError("variable names must be non-empty")
         if len(self.domains) != len(self.variables):
@@ -63,10 +68,6 @@ class Universe:
     def reals(cls, *names: str) -> "Universe":
         """Universe for real-valued variables; the domain label is a placeholder."""
         return cls(tuple(names), tuple(("real",) for _ in names))
-
-    @property
-    def names(self) -> frozenset[str]:
-        return frozenset(self.variables)
 
     def index(self, name: str) -> int:
         try:

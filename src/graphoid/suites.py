@@ -86,6 +86,12 @@ class SuiteReport:
         )
 
 
+def _require_n_vars(suite: str, n_vars: int, low: int, high: int) -> None:
+    """Reject an ``n_vars`` the suite would not run at, rather than clamp it."""
+    if not low <= n_vars <= high:
+        raise ValueError(f"suite {suite} runs at n_vars {low}..{high}, got {n_vars}")
+
+
 def _sizes(count: int, n_max: int, n_min: int = 2) -> list[int]:
     span = list(range(n_min, n_max + 1))
     return [span[i % len(span)] for i in range(count)]
@@ -97,8 +103,9 @@ def _fail(report: SuiteReport, **record) -> None:
 
 def suite_axioms(seed: int = 0, n_vars: int = 4, samples: int = 200) -> SuiteReport:
     """Models extracted from random tables must satisfy all five axioms."""
+    _require_n_vars("axioms", n_vars, 2, 4)
     report = SuiteReport("axioms", seed, {"n_vars": n_vars, "samples": samples})
-    for i, n in enumerate(_sizes(samples, min(n_vars, 4))):
+    for i, n in enumerate(_sizes(samples, n_vars)):
         table = random_spb(n, seed + i)
         violations = check_graphoid_axioms(extract_model(CiOracle(table)))
         report.cases += 1
@@ -115,9 +122,10 @@ def suite_axioms(seed: int = 0, n_vars: int = 4, samples: int = 200) -> SuiteRep
 
 def suite_dsep_soundness(seed: int = 0, n_vars: int = 5, samples: int = 200) -> SuiteReport:
     """Every separation read off a constructed network must hold in the table."""
+    _require_n_vars("dsep-soundness", n_vars, 2, 5)
     report = SuiteReport("dsep-soundness", seed, {"n_vars": n_vars, "samples": samples})
     rng = np.random.default_rng(seed)
-    for i, n in enumerate(_sizes(samples, min(n_vars, 5))):
+    for i, n in enumerate(_sizes(samples, n_vars)):
         table = random_spb(n, seed + i)
         oracle = CiOracle(table)
         names = list(table.universe.variables)
@@ -143,6 +151,7 @@ def suite_dsep_soundness(seed: int = 0, n_vars: int = 5, samples: int = 200) -> 
 
 def suite_components(seed: int = 0, n_vars: int = 4, samples: int = 100) -> SuiteReport:
     """Component structure must not depend on the construction order."""
+    _require_n_vars("components", n_vars, 2, 6)
     report = SuiteReport("components", seed, {"n_vars": n_vars, "samples": samples})
     for i in range(samples):
         table = random_spb(n_vars, seed + i)
@@ -182,6 +191,7 @@ def suite_relations(seed: int = 0, n_vars: int = 4, samples: int = 100) -> Suite
     The paired-coin fixture must show the strict gap between irrelevance and
     uncoupling, with the known non-transitivity witness.
     """
+    _require_n_vars("relations", n_vars, 2, 5)
     report = SuiteReport("relations", seed, {"n_vars": n_vars, "samples": samples})
 
     xor = CiOracle(xor_table())
@@ -197,10 +207,10 @@ def suite_relations(seed: int = 0, n_vars: int = 4, samples: int = 100) -> Suite
               transitive=trans.holds, witness=list(trans.witness or ()))
 
     for i in range(samples):
-        table = random_spb(min(n_vars, 5), seed + i)
+        table = random_spb(n_vars, seed + i)
         _relation_checks(report, CiOracle(table), f"spb:{seed + i}")
     for i in range(max(1, samples // 4)):
-        g = random_gaussian(min(n_vars, 5), seed + 10_000 + i)
+        g = random_gaussian(n_vars, seed + 10_000 + i)
         _relation_checks(report, CiOracle(g), f"gaussian:{seed + 10_000 + i}")
     return report
 
@@ -250,11 +260,12 @@ def suite_clean(seed: int = 0, n_vars: int = 5, samples: int = 500) -> SuiteRepo
     Exhaustive partition triples through four variables, 200 sampled triples
     at five; run over both random binary tables and random Gaussians.
     """
+    _require_n_vars("clean", n_vars, 3, 5)
     report = SuiteReport("clean", seed, {"n_vars": n_vars, "samples": samples})
     rng = np.random.default_rng(seed)
-    for i, n in enumerate(_sizes(samples, min(n_vars, 5), n_min=3)):
+    for i, n in enumerate(_sizes(samples, n_vars, n_min=3)):
         _clean_sweep(report, random_spb(n, seed + i), f"spb:{seed + i}", rng)
-    for i, n in enumerate(_sizes(samples, min(n_vars, 5), n_min=3)):
+    for i, n in enumerate(_sizes(samples, n_vars, n_min=3)):
         g_seed = seed + 100_000 + i
         _clean_sweep(report, random_gaussian(n, g_seed), f"gaussian:{g_seed}", rng)
     return report
@@ -276,9 +287,10 @@ def suite_pt_bin(seed: int = 0, n_vars: int = 5, samples: int = 200) -> SuiteRep
     are non-empty (the partition form requires non-empty intersection cells),
     and no sweep may produce a violation.
     """
+    _require_n_vars("pt-bin", n_vars, 3, 5)
     report = SuiteReport("pt-bin", seed, {"n_vars": n_vars, "samples": samples})
     rng = np.random.default_rng(seed)
-    for i, n in enumerate(_sizes(samples, min(n_vars, 5), n_min=3)):
+    for i, n in enumerate(_sizes(samples, n_vars, n_min=3)):
         table = random_spb(n, seed + i)
         names = sorted(table.universe.variables)
         e_var = names[int(rng.integers(len(names)))]
@@ -304,12 +316,13 @@ def suite_pt_bin(seed: int = 0, n_vars: int = 5, samples: int = 200) -> SuiteRep
 
 def suite_gaussian_props(seed: int = 0, n_vars: int = 5, samples: int = 100) -> SuiteReport:
     """Composition and marginal weak transitivity must hold for Gaussians."""
+    _require_n_vars("gaussian-props", n_vars, 3, 6)
     report = SuiteReport(
         "gaussian-props",
         seed,
         {"n_vars": n_vars, "samples": samples, "unification": "structurally_satisfied"},
     )
-    for i, n in enumerate(_sizes(samples, min(n_vars, 6), n_min=3)):
+    for i, n in enumerate(_sizes(samples, n_vars, n_min=3)):
         g = random_gaussian(n, seed + i)
         violations = gaussian_axioms_check(g)
         report.cases += 1
@@ -322,6 +335,7 @@ def suite_gaussian_props(seed: int = 0, n_vars: int = 5, samples: int = 100) -> 
 def suite_transitivity(seed: int = 0, n_vars: int = 5, samples: int = 200) -> SuiteReport:
     """Random binary tables and Gaussians must be transitive; the paired-coin
     fixture must not be."""
+    _require_n_vars("transitivity", n_vars, 2, 5)
     report = SuiteReport("transitivity", seed, {"n_vars": n_vars, "samples": samples})
 
     report.cases += 1
@@ -330,13 +344,13 @@ def suite_transitivity(seed: int = 0, n_vars: int = 5, samples: int = 200) -> Su
         _fail(report, kind="xor_fixture", holds=xor_result.holds,
               witness=list(xor_result.witness or ()))
 
-    for i, n in enumerate(_sizes(samples, min(n_vars, 5))):
+    for i, n in enumerate(_sizes(samples, n_vars)):
         report.cases += 1
         result = is_transitive(CiOracle(random_spb(n, seed + i)))
         if not result.holds:
             _fail(report, kind="spb", table_seed=seed + i,
                   witness=list(result.witness))
-    for i, n in enumerate(_sizes(max(1, samples // 2), min(n_vars, 5))):
+    for i, n in enumerate(_sizes(max(1, samples // 2), n_vars)):
         g_seed = seed + 100_000 + i
         report.cases += 1
         result = is_transitive(CiOracle(random_gaussian(n, g_seed)))
@@ -367,6 +381,7 @@ def suite_simnet_equiv(seed: int = 0, n_vars: int = 5, samples: int = 50) -> Sui
     The paired-coin hypothesis fixture must diverge exactly on the second
     coin, and every local network must reconstruct its restricted joint.
     """
+    _require_n_vars("simnet-equiv", n_vars, 2, 5)
     report = SuiteReport("simnet-equiv", seed, {"n_vars": n_vars, "samples": samples})
 
     fixture = xor_hypothesis_table()
@@ -376,7 +391,7 @@ def suite_simnet_equiv(seed: int = 0, n_vars: int = 5, samples: int = 50) -> Sui
     if outcome.equivalent or [d.only_related for d in outcome.divergences] != [("y",)]:
         _fail(report, kind="xor_fixture", report=outcome.to_json_dict())
 
-    for i, n in enumerate(_sizes(samples, min(n_vars, 5))):
+    for i, n in enumerate(_sizes(samples, n_vars)):
         table = random_spb(n, seed + i)
         h = table.universe.variables[0]
         cover = HypothesisCover(h, ((0, 1),))
@@ -414,7 +429,11 @@ def run_suite(
     n_vars: int | None = None,
     samples: int | None = None,
 ) -> SuiteReport:
-    """Run a named suite; unknown names raise KeyError, ``samples < 1`` ValueError."""
+    """Run a named suite.
+
+    Unknown names raise KeyError; ``samples < 1`` and an ``n_vars`` outside
+    the sizes the suite runs at raise ValueError.
+    """
     fn = SUITES[name]
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")

@@ -235,6 +235,14 @@ def test_dag_json_rejects_parents_of_unknown_variables():
         Dag.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "parents", [[["a"]], "b", {"b": "a"}, {"b": [["a"]]}, {"b": None}]
+)
+def test_dag_json_rejects_malformed_parents(parents):
+    with pytest.raises(ValueError, match="parents"):
+        Dag.from_json_dict({"order": ["a", "b"], "parents": parents})
+
+
 def test_dsep_soundness_spot_check():
     # any separation read off the network must be an independence of the table
     for seed in range(5):

@@ -86,6 +86,12 @@ class TestDsep:
         assert main(["dsep", str(dag_path), "a", "b"]) == 2
         assert "zz" in capsys.readouterr().err
 
+    def test_non_object_parents_exit_2(self, tmp_path, capsys):
+        dag_path = tmp_path / "net.json"
+        dag_path.write_text(json.dumps({"order": ["a", "b"], "parents": [["a"]]}))
+        assert main(["dsep", str(dag_path), "a", "b"]) == 2
+        assert "parents" in capsys.readouterr().err
+
 
 class TestRelationsAndTransitive:
     def test_relations_json(self, tmp_path, capsys):
@@ -194,6 +200,22 @@ class TestSuite:
             assert main(args) == 2
             assert not path.exists()
         assert "samples" in capsys.readouterr().err
+
+    def test_n_vars_outside_suite_range_exit_2(self, tmp_path, capsys):
+        # axioms runs at 2..4 variables: 0 used to divide by zero, and 9 ran
+        # at n <= 4 while the report claimed 9.
+        for n_vars in ("0", "9"):
+            path = tmp_path / f"r{n_vars}.json"
+            args = ["suite", "axioms", "--n-vars", n_vars, "--report", str(path)]
+            assert main(args) == 2
+            assert not path.exists()
+        assert "n_vars" in capsys.readouterr().err
+
+    def test_n_vars_at_suite_bound_recorded(self, tmp_path):
+        path = tmp_path / "r.json"
+        args = ["suite", "axioms", "--n-vars", "4", "--samples", "3", "--report", str(path)]
+        assert main(args) == 0
+        assert json.loads(path.read_text())["params"]["n_vars"] == 4
 
     def test_usage_error_without_args(self, capsys):
         assert main([]) == 2

@@ -1,4 +1,8 @@
+import dataclasses
+import gc
+import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from graphoid.errors import (
     UniverseTooLarge,
     ZeroProbabilityEvidence,
 )
-from graphoid.model_core import iter_disjoint_triples
+from graphoid.model_core import DependencyModel, graphoid_closure, iter_disjoint_triples
 
 
 def factorization_gap(table, x, y, z, tol=1e-9):
@@ -294,3 +298,113 @@ def test_gaussian_json_round_trip_bit_exact(seed, n):
 def test_product_table_blocks_independent(blocks_table):
     assert ci_holds_discrete(blocks_table, {"x", "w"}, {"y", "v"})
     assert not ci_holds_discrete(blocks_table, {"x"}, {"w"})
+
+
+def _canonical(x, y, z):
+    xs, ys, zs = tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(z))
+    return (ys, xs, zs) if ys < xs else (xs, ys, zs)
+
+
+def _uncached_verdict(backend, closed):
+    """The oracle's answer computed without a memo, in canonical orientation."""
+    if isinstance(backend, JointTable):
+        return lambda x, y, z: ci_holds_discrete(backend, *_canonical(x, y, z))
+    if isinstance(backend, GaussianModel):
+        return lambda x, y, z: ci_holds_gaussian(backend, *_canonical(x, y, z))
+    return lambda x, y, z: Triplet.make(*_canonical(x, y, z)) in closed
+
+
+@st.composite
+def _oracle_backends(draw):
+    kind = draw(st.sampled_from(("table", "gaussian", "model")))
+    n = draw(st.integers(3, 5) if kind != "model" else st.integers(3, 4))
+    seed = draw(st.integers(0, 10_000))
+    if kind == "table":
+        return random_spb(n, seed)
+    if kind == "gaussian":
+        return random_gaussian(n, seed)
+    universe = Universe.binary(*(f"u{i + 1}" for i in range(n)))
+    pool = [t for t in iter_disjoint_triples(universe.variables) if t[0] and t[1]]
+    picks = draw(st.lists(st.sampled_from(pool), max_size=4))
+    return DependencyModel.of(universe, (Triplet(*t) for t in picks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_oracle_backends())
+def test_memoized_oracle_matches_uncached_verdicts(backend):
+    queries = list(iter_disjoint_triples(backend.universe.variables))
+    closed = (
+        graphoid_closure(backend).triplets if isinstance(backend, DependencyModel) else None
+    )
+    reference = _uncached_verdict(backend, closed)
+    forward, backward = CiOracle(backend), CiOracle(backend)
+    asked_forward = [forward.ci(x, y, z) for x, y, z in queries]
+    asked_backward = [backward.ci(x, y, z) for x, y, z in reversed(queries)][::-1]
+    assert asked_forward == asked_backward
+    for (x, y, z), verdict in zip(queries, asked_forward):
+        assert verdict == reference(x, y, z)
+        assert forward.ci(y, x, z) == verdict
+        # String, list and tuple forms key onto the same memo entry.
+        x_arg = next(iter(x)) if len(x) == 1 else sorted(x)
+        assert backward.ci(x_arg, list(y), tuple(z)) == verdict
+        if closed is None:  # the gap is read in the orientation the verdict used
+            gap = forward.discrepancy(x, y, z)
+            assert gap == forward.discrepancy(y, x, z)
+            assert (gap <= forward.tolerance) == verdict
+
+    name = backend.universe.variables[0]
+    other = backend.universe.variables[1]
+    invalid = [({name}, {name, other}, ()), ({name}, {"nope"}, ()), ({name}, {other}, {other})]
+    for oracle in (forward, backward):
+        for x, y, z in invalid:
+            for _ in range(3):
+                with pytest.raises(InvalidSets):
+                    oracle.ci(x, y, z)
+
+
+def test_oracle_is_frozen(xor):
+    oracle = CiOracle(xor)
+    assert oracle.tolerance == 1e-9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        oracle.tolerance = 0.5
+
+
+def test_oracle_is_freed_without_the_cycle_collector(xor):
+    # An oracle that refers to itself would hold its memo and closure until
+    # the cycle collector ran, raising peak memory over many short-lived oracles.
+    model = DependencyModel.of(xor.universe, [Triplet.make("x", "y")])
+    gc.disable()
+    try:
+        for backend in (xor, random_gaussian(3, 0), model):
+            oracle = CiOracle(backend)
+            first, second = backend.universe.variables[:2]
+            oracle.ci(first, second)
+            ref = weakref.ref(oracle)
+            del oracle
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_cached_marginals_are_exact_and_read_only():
+    universe = Universe(
+        ("a", "b", "c", "d"),
+        (("0", "1"), ("0", "1", "2"), ("0", "1"), ("0", "1", "2", "3")),
+    )
+    rng = np.random.default_rng(5)
+    raw = rng.uniform(0.01, 1.0, size=48)
+    table = JointTable(universe, raw / raw.sum())
+    names = universe.variables
+    for size in range(len(names) + 1):
+        for order in itertools.permutations(names, size):
+            keep = [names.index(v) for v in order]
+            drop = tuple(i for i in range(len(names)) if i not in keep)
+            fresh = table.probs.sum(axis=drop) if drop else table.probs
+            ordered = sorted(keep)
+            fresh = np.transpose(fresh, [ordered.index(k) for k in keep])
+            for _ in range(2):  # the first call fills the cache, the second reads it
+                got = table.marginal(order)
+                assert np.array_equal(got, fresh)
+                assert np.shape(got) == np.shape(fresh)
+                if order:  # the empty marginal is a numpy scalar, immutable anyway
+                    assert not got.flags.writeable

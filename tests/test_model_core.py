@@ -37,6 +37,15 @@ def model(*triplets, names=("x", "y", "w")):
     return DependencyModel.of(Universe.binary(*names), triplets)
 
 
+def test_universe_names_stored_once_without_changing_equality():
+    a, b = Universe.binary("x", "y"), Universe.binary("x", "y")
+    assert a.names is a.names
+    assert a.names == frozenset({"x", "y"})
+    assert a == b and hash(a) == hash(b)
+    assert a != Universe.binary("y", "x")
+    assert {a: 1}[b] == 1
+
+
 class TestTriplet:
     def test_overlap_rejected(self):
         with pytest.raises(InvalidTriplet):
