@@ -285,7 +285,9 @@ class CiOracle:
     and z_set, and answers a miss in one canonical orientation (the smaller
     sorted tuple first), so ``ci(x, y, z) == ci(y, x, z)`` whichever was
     asked first.  The oracle and its backends are immutable, which keeps the
-    memo valid for the oracle's lifetime.
+    memo valid for the oracle's lifetime.  ``ci_given_value`` answers
+    value-specific statements about a table through conditioned oracles kept
+    on this one.
     """
 
     backend: JointTable | GaussianModel | DependencyModel
@@ -308,13 +310,21 @@ class CiOracle:
             # Neither callable refers back to the oracle: a cycle would keep
             # the oracle and its closure alive until the cycle collector runs.
             closed = functools.cache(lambda: graphoid_closure(backend).triplets)
-            holds, gap = (lambda xs, ys, zs: Triplet.make(xs, ys, zs) in closed()), None
+
+            def holds(xs, ys, zs) -> bool:
+                _validate_sets(backend.universe, xs, ys, zs)
+                return Triplet.make(xs, ys, zs) in closed()
+
+            gap = None
         else:
             raise TypeError(f"unsupported backend {type(backend).__name__}")
         object.__setattr__(self, "tolerance", tol)
         object.__setattr__(self, "_holds", holds)
         object.__setattr__(self, "_gap", gap)
         object.__setattr__(self, "_memo", {})
+        # (pivot, value index) -> oracle over the table conditioned on that
+        # value, or None when the value has no usable mass; tables only.
+        object.__setattr__(self, "_given", {})
 
     @property
     def universe(self) -> Universe:
@@ -335,9 +345,45 @@ class CiOracle:
         key = (frozenset((x, y)), z)
         verdict = self._memo.get(key)
         if verdict is None:
-            # Only validated queries enter the memo, so a hit needs no check.
-            verdict = self._memo[key] = self._holds(*self._canonical(x, y, z))
+            # The backend validates the query and raises before the store, so
+            # only valid queries enter the memo and a hit needs no check.
+            xs, ys = tuple(sorted(x)), tuple(sorted(y))
+            canonical = (ys, xs, z) if ys < xs else (xs, ys, z)
+            verdict = self._memo[key] = self._holds(*canonical)
         return verdict
+
+    def ci_given_value(
+        self,
+        x_set: Iterable[str] | str,
+        y_set: Iterable[str] | str,
+        e_var: str,
+        value: int,
+    ) -> bool:
+        """Whether (x_set, y_set) holds given the pivot ``e_var`` at one value index.
+
+        A table answers through one memoized oracle per (pivot, value) over the
+        conditioned table, at this oracle's tolerance; the statement holds
+        vacuously when the value has probability at most the tolerance.
+        Conditioning a Gaussian on a pivot value shifts only the mean, so its
+        answer is ``ci(x_set, y_set, {e_var})`` for every value.  Undefined for
+        a dependency-model backend.
+        """
+        backend = self.backend
+        if isinstance(backend, GaussianModel):
+            return self.ci(x_set, y_set, (e_var,))
+        if not isinstance(backend, JointTable):
+            raise TypeError("value-specific independence needs a table or Gaussian backend")
+        key = (e_var, value)
+        if key not in self._given:
+            if not 0 <= value < len(backend.universe.domain(e_var)):
+                raise ValueError(f"value index {value} out of range for {e_var}")
+            mass = float(backend.marginal((e_var,))[value])
+            self._given[key] = (
+                None if mass <= self.tolerance
+                else CiOracle(condition_on(backend, e_var, value), self.tolerance)
+            )
+        given = self._given[key]
+        return given is None or given.ci(x_set, y_set)
 
     def discrepancy(
         self,

@@ -17,20 +17,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bayesnet import build_network, connecting_trail
-from .dist_oracle import (
-    DISCRETE_TOL,
-    GAUSSIAN_TOL,
-    CiOracle,
-    GaussianModel,
-    JointTable,
-    ci_holds_discrete,
-    ci_holds_gaussian,
-    condition_on,
-    marginalize,
-)
+from .dist_oracle import CiOracle, GaussianModel, JointTable
 from .errors import InvalidPartition, UniverseTooLarge
 from .model_core import subsets_lex
 
@@ -183,7 +173,7 @@ class PartitionTriple:
     """Three two-way partitions of the same variable set, plus a pivot variable.
 
     Each side must be non-empty, the pivot is excluded from the partitioned
-    set, and the two pivot values must differ.
+    set, and there are exactly two pivot values, which must differ.
     """
 
     x1: frozenset[str]
@@ -194,24 +184,25 @@ class PartitionTriple:
     z2: frozenset[str]
     e_var: str
     e_values: tuple[int, int] = (0, 1)
+    # The partitioned set, built once; it takes no part in equality or repr.
+    ground: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ground = self.x1 | self.x2
-        for one, two in ((self.x1, self.x2), (self.y1, self.y2), (self.z1, self.z2)):
-            if not one or not two:
-                raise InvalidPartition("partition sides must be non-empty")
-            if one & two:
-                raise InvalidPartition("partition sides must be disjoint")
-            if one | two != ground:
-                raise InvalidPartition("all three partitions must cover the same set")
+        x1, x2, y1, y2, z1, z2 = self.x1, self.x2, self.y1, self.y2, self.z1, self.z2
+        if not (x1 and x2 and y1 and y2 and z1 and z2):
+            raise InvalidPartition("partition sides must be non-empty")
+        if x1 & x2 or y1 & y2 or z1 & z2:
+            raise InvalidPartition("partition sides must be disjoint")
+        ground = x1 | x2
+        if y1 | y2 != ground or z1 | z2 != ground:
+            raise InvalidPartition("all three partitions must cover the same set")
         if self.e_var in ground:
             raise InvalidPartition("the pivot variable cannot be partitioned")
+        if len(self.e_values) != 2:
+            raise InvalidPartition("exactly two pivot values are required")
         if self.e_values[0] == self.e_values[1]:
             raise InvalidPartition("the two pivot values must differ")
-
-    @property
-    def ground(self) -> frozenset[str]:
-        return self.x1 | self.x2
+        object.__setattr__(self, "ground", ground)
 
     @property
     def r1(self) -> frozenset[str]:
@@ -246,22 +237,61 @@ class CheckResult:
         }
 
 
-def _ci_given_value(
-    table: JointTable, a: frozenset[str], b: frozenset[str], e_var: str, value: int, tol: float
-) -> bool:
-    """Independence of a and b given one specific value of the pivot.
+EMPTY_R1 = CheckResult(ANTECEDENT_FAILS, detail="empty_r1")
+EMPTY_R2 = CheckResult(ANTECEDENT_FAILS, detail="empty_r2")
 
-    Holds vacuously when the conditioning value has no probability mass.
+
+def _as_oracle(
+    dist_or_oracle: CiOracle | JointTable | GaussianModel, tol: float | None
+) -> CiOracle:
+    if isinstance(dist_or_oracle, CiOracle):
+        if tol is not None:
+            raise ValueError("give the tolerance to the oracle, not alongside it")
+        return dist_or_oracle
+    return CiOracle(dist_or_oracle, tol)
+
+
+def _unmet_premise(
+    oracle: CiOracle,
+    x: tuple[frozenset[str], frozenset[str]],
+    y: tuple[frozenset[str], frozenset[str]],
+    z: tuple[frozenset[str], frozenset[str]],
+    e_var: str,
+    e_values: tuple[int, int],
+) -> str | None:
+    """Name of the first premise that fails, or None when all three hold.
+
+    i1 asks the first partition with the pivot summed out, i2 the second
+    given the first pivot value, i3 the third given the other.
     """
-    axis = table.universe.index(e_var)
-    mass = float(table.probs.sum(axis=tuple(i for i in range(table.probs.ndim) if i != axis))[value])
-    if mass <= tol:
-        return True
-    return ci_holds_discrete(condition_on(table, e_var, value), a, b, (), tol)
+    if not oracle.ci(*x):
+        return "i1"
+    if not oracle.ci_given_value(*y, e_var, e_values[0]):
+        return "i2"
+    if not oracle.ci_given_value(*z, e_var, e_values[1]):
+        return "i3"
+    return None
+
+
+def _conclusion(
+    oracle: CiOracle,
+    first: frozenset[str],
+    second: frozenset[str],
+    e_var: str,
+    ground: frozenset[str],
+) -> CheckResult:
+    """Whether ``first`` or ``second`` is independent of everything else and the pivot."""
+    c1 = oracle.ci(first, {e_var} | (ground - first))
+    c2 = oracle.ci(second, {e_var} | (ground - second))
+    if c1 or c2:
+        return CheckResult(CONSEQUENT_HOLDS, c1, c2)
+    return CheckResult(VIOLATION, False, False)
 
 
 def check_clean(
-    dist: JointTable | GaussianModel, pt: PartitionTriple, tol: float | None = None
+    dist_or_oracle: CiOracle | JointTable | GaussianModel,
+    pt: PartitionTriple,
+    tol: float | None = None,
 ) -> CheckResult:
     """Partition-triple implication behind transitivity of the distribution family.
 
@@ -269,77 +299,36 @@ def check_clean(
     the second given one pivot value, the third given the other.  Conclusion:
     one of the two triple-intersection cells is independent of everything
     else including the pivot.
+
+    A table or Gaussian is wrapped in ``CiOracle(dist, tol)``; pass one oracle
+    (and no ``tol``) to share its memo across many checks.
     """
-    if isinstance(dist, GaussianModel):
-        return _check_clean_gaussian(dist, pt, tol)
-    return _check_clean_discrete(dist, pt, tol)
-
-
-def _validate_ground(dist, pt: PartitionTriple) -> frozenset[str]:
-    names = dist.universe.names
-    if pt.e_var not in names:
+    oracle = _as_oracle(dist_or_oracle, tol)
+    universe = oracle.universe
+    if pt.e_var not in universe.names:
         raise InvalidPartition(f"unknown pivot variable {pt.e_var}")
-    ground = names - {pt.e_var}
+    ground = universe.names - {pt.e_var}
     if pt.ground != ground:
         raise InvalidPartition("partitions must cover the universe minus the pivot")
-    return ground
+    if isinstance(oracle.backend, JointTable):
+        n_values = len(universe.domain(pt.e_var))
+        for v in pt.e_values:
+            if not 0 <= v < n_values:
+                raise InvalidPartition(f"pivot value index {v} out of range")
 
+    r1 = pt.r1
+    if not r1:
+        return EMPTY_R1
+    r2 = pt.r2
+    if not r2:
+        return EMPTY_R2
 
-def _check_clean_discrete(
-    table: JointTable, pt: PartitionTriple, tol: float | None
-) -> CheckResult:
-    tol = DISCRETE_TOL if tol is None else tol
-    ground = _validate_ground(table, pt)
-    n_values = len(table.universe.domain(pt.e_var))
-    for v in pt.e_values:
-        if not 0 <= v < n_values:
-            raise InvalidPartition(f"pivot value index {v} out of range")
-
-    if not pt.r1:
-        return CheckResult(ANTECEDENT_FAILS, detail="empty_r1")
-    if not pt.r2:
-        return CheckResult(ANTECEDENT_FAILS, detail="empty_r2")
-
-    base = marginalize(table, ground)
-    if not ci_holds_discrete(base, pt.x1, pt.x2, (), tol):
-        return CheckResult(ANTECEDENT_FAILS, detail="i1")
-    if not _ci_given_value(table, pt.y1, pt.y2, pt.e_var, pt.e_values[0], tol):
-        return CheckResult(ANTECEDENT_FAILS, detail="i2")
-    if not _ci_given_value(table, pt.z1, pt.z2, pt.e_var, pt.e_values[1], tol):
-        return CheckResult(ANTECEDENT_FAILS, detail="i3")
-
-    c1 = ci_holds_discrete(table, pt.r1, {pt.e_var} | (ground - pt.r1), (), tol)
-    c2 = ci_holds_discrete(table, pt.r2, {pt.e_var} | (ground - pt.r2), (), tol)
-    if c1 or c2:
-        return CheckResult(CONSEQUENT_HOLDS, c1, c2)
-    return CheckResult(VIOLATION, False, False)
-
-
-def _check_clean_gaussian(
-    g: GaussianModel, pt: PartitionTriple, tol: float | None
-) -> CheckResult:
-    tol = GAUSSIAN_TOL if tol is None else tol
-    ground = _validate_ground(g, pt)
-
-    if not pt.r1:
-        return CheckResult(ANTECEDENT_FAILS, detail="empty_r1")
-    if not pt.r2:
-        return CheckResult(ANTECEDENT_FAILS, detail="empty_r2")
-
-    # Conditioning a Gaussian on a pivot value shifts only the mean, so
-    # value-specific premises reduce to conditioning on the pivot variable.
-    if not ci_holds_gaussian(g, pt.x1, pt.x2, (), tol):
-        return CheckResult(ANTECEDENT_FAILS, detail="i1")
-    if not ci_holds_gaussian(g, pt.y1, pt.y2, {pt.e_var}, tol):
-        return CheckResult(ANTECEDENT_FAILS, detail="i2")
-    if not ci_holds_gaussian(g, pt.z1, pt.z2, {pt.e_var}, tol):
-        return CheckResult(ANTECEDENT_FAILS, detail="i3")
-
-    c1 = ci_holds_gaussian(g, pt.r1, {pt.e_var} | (ground - pt.r1), (), tol)
-    c2 = ci_holds_gaussian(g, pt.r2, {pt.e_var} | (ground - pt.r2), (), tol)
-    if c1 or c2:
-        return CheckResult(CONSEQUENT_HOLDS, c1, c2)
-    return CheckResult(VIOLATION, False, False)
+    premise = _unmet_premise(
+        oracle, (pt.x1, pt.x2), (pt.y1, pt.y2), (pt.z1, pt.z2), pt.e_var, pt.e_values
+    )
+    if premise is not None:
+        return CheckResult(ANTECEDENT_FAILS, detail=premise)
+    return _conclusion(oracle, r1, r2, pt.e_var, ground)
 
 
 @dataclass(frozen=True)
@@ -387,45 +376,41 @@ class PtBinBlocks:
 
 
 def check_pt_bin(
-    table: JointTable, blocks: PtBinBlocks, e_var: str, tol: float | None = None
+    table_or_oracle: CiOracle | JointTable,
+    blocks: PtBinBlocks,
+    e_var: str,
+    tol: float | None = None,
 ) -> CheckResult:
     """Eight-block reformulation of the partition implication for binary pivots.
 
     Empty blocks are allowed: an empty first block makes its consequent
     disjunct trivially true.  Under the block-to-partition regrouping this
     check agrees with ``check_clean`` whenever both first blocks are
-    non-empty.
+    non-empty.  A table is wrapped in ``CiOracle(table, tol)``, as in
+    ``check_clean``.
     """
-    tol = DISCRETE_TOL if tol is None else tol
-    names = table.universe.names
-    if e_var not in names:
+    oracle = _as_oracle(table_or_oracle, tol)
+    universe = oracle.universe
+    if e_var not in universe.names:
         raise InvalidPartition(f"unknown pivot variable {e_var}")
-    if len(table.universe.domain(e_var)) != 2:
+    if len(universe.domain(e_var)) != 2:
         raise InvalidPartition("the pivot variable must be binary")
-    ground = names - {e_var}
+    ground = universe.names - {e_var}
     if blocks.union != ground:
         raise InvalidPartition("blocks must cover the universe minus the pivot")
 
-    x1 = blocks.a1 | blocks.a2 | blocks.a3 | blocks.a4
-    x2 = blocks.b1 | blocks.b2 | blocks.b3 | blocks.b4
-    y1 = blocks.a1 | blocks.a2 | blocks.b3 | blocks.b4
-    y2 = blocks.b1 | blocks.b2 | blocks.a3 | blocks.a4
-    z1 = blocks.a1 | blocks.a3 | blocks.b2 | blocks.b4
-    z2 = blocks.b1 | blocks.b3 | blocks.a2 | blocks.a4
-
-    base = marginalize(table, ground)
-    if not ci_holds_discrete(base, x1, x2, (), tol):
-        return CheckResult(ANTECEDENT_FAILS, detail="i1")
-    if not _ci_given_value(table, y1, y2, e_var, 0, tol):
-        return CheckResult(ANTECEDENT_FAILS, detail="i2")
-    if not _ci_given_value(table, z1, z2, e_var, 1, tol):
-        return CheckResult(ANTECEDENT_FAILS, detail="i3")
-
-    c1 = ci_holds_discrete(table, blocks.a1, {e_var} | (ground - blocks.a1), (), tol)
-    c2 = ci_holds_discrete(table, blocks.b1, {e_var} | (ground - blocks.b1), (), tol)
-    if c1 or c2:
-        return CheckResult(CONSEQUENT_HOLDS, c1, c2)
-    return CheckResult(VIOLATION, False, False)
+    a1, a2, a3, a4, b1, b2, b3, b4 = blocks.as_tuple()
+    premise = _unmet_premise(
+        oracle,
+        (a1 | a2 | a3 | a4, b1 | b2 | b3 | b4),
+        (a1 | a2 | b3 | b4, b1 | b2 | a3 | a4),
+        (a1 | a3 | b2 | b4, b1 | b3 | a2 | a4),
+        e_var,
+        (0, 1),
+    )
+    if premise is not None:
+        return CheckResult(ANTECEDENT_FAILS, detail=premise)
+    return _conclusion(oracle, a1, b1, e_var, ground)
 
 
 @dataclass(frozen=True)
@@ -445,24 +430,21 @@ def gaussian_axioms_check(
     variable level) is structurally satisfied because the oracle never takes
     conditioning values, so it is not sweepable and never reported.
     """
-    tol = GAUSSIAN_TOL if tol is None else tol
     names = sorted(g.universe.variables)
     if len(names) > MAX_GAUSSIAN_SWEEP_VARS:
         raise UniverseTooLarge(
             f"{len(names)} variables exceed the sweep bound of {MAX_GAUSSIAN_SWEEP_VARS}"
         )
     out: list[GaussianPropertyViolation] = []
-
-    def ci(a, b, c) -> bool:
-        return ci_holds_gaussian(g, a, b, c, tol)
+    ci = CiOracle(g, tol).ci
 
     for codes in itertools.product(range(5), repeat=len(names)):
+        if 1 not in codes or 2 not in codes or 3 not in codes:
+            continue
         x = frozenset(n for n, c in zip(names, codes) if c == 1)
         y = frozenset(n for n, c in zip(names, codes) if c == 2)
         w = frozenset(n for n, c in zip(names, codes) if c == 3)
         z = frozenset(n for n, c in zip(names, codes) if c == 4)
-        if not x or not y or not w:
-            continue
         if tuple(sorted(y)) > tuple(sorted(w)):
             continue  # composition is symmetric in the two merged sets
         if ci(x, y, z) and ci(x, w, z) and not ci(x, y | w, z):
@@ -474,10 +456,10 @@ def gaussian_axioms_check(
             )
 
     for codes in itertools.product(range(3), repeat=len(names)):
+        if 1 not in codes or 2 not in codes:
+            continue
         x = frozenset(n for n, c in zip(names, codes) if c == 1)
         y = frozenset(n for n, c in zip(names, codes) if c == 2)
-        if not x or not y:
-            continue
         for e in names:
             if e in x or e in y:
                 continue

@@ -228,13 +228,14 @@ def _clean_sweep(report: SuiteReport, dist, label: str, rng: np.random.Generator
                  sampled_triples: int = 200) -> None:
     names = sorted(dist.universe.variables)
     exhaustive = len(names) <= 4
+    oracle = CiOracle(dist)  # one memo for every case over this distribution
     if exhaustive:
         for e_var in names:
             ground = frozenset(names) - {e_var}
             splits = _ordered_bipartitions(ground)
             for (x1, x2), (y1, y2), (z1, z2) in itertools.product(splits, splits, splits):
                 report.cases += 1
-                result = check_clean(dist, PartitionTriple(x1, x2, y1, y2, z1, z2, e_var))
+                result = check_clean(oracle, PartitionTriple(x1, x2, y1, y2, z1, z2, e_var))
                 if result.status == VIOLATION:
                     _fail(report, source=label, e=e_var,
                           x1=sorted(x1), y1=sorted(y1), z1=sorted(z1))
@@ -248,7 +249,7 @@ def _clean_sweep(report: SuiteReport, dist, label: str, rng: np.random.Generator
             picks = rng.integers(len(splits), size=3)
             (x1, x2), (y1, y2), (z1, z2) = (splits[int(k)] for k in picks)
             report.cases += 1
-            result = check_clean(dist, PartitionTriple(x1, x2, y1, y2, z1, z2, e_var))
+            result = check_clean(oracle, PartitionTriple(x1, x2, y1, y2, z1, z2, e_var))
             if result.status == VIOLATION:
                 _fail(report, source=label, e=e_var,
                       x1=sorted(x1), y1=sorted(y1), z1=sorted(z1))
@@ -297,8 +298,9 @@ def suite_pt_bin(seed: int = 0, n_vars: int = 5, samples: int = 200) -> SuiteRep
         ground = [v for v in names if v != e_var]
         blocks = _random_blocks(rng, ground)
         report.cases += 1
-        by_blocks = check_pt_bin(table, blocks, e_var)
-        by_partitions = check_clean(table, blocks.as_partition_triple(e_var))
+        oracle = CiOracle(table)
+        by_blocks = check_pt_bin(oracle, blocks, e_var)
+        by_partitions = check_clean(oracle, blocks.as_partition_triple(e_var))
         if (by_blocks.status, by_blocks.r1_holds, by_blocks.r2_holds) != (
             by_partitions.status,
             by_partitions.r1_holds,

@@ -144,6 +144,17 @@ class TestRandgenAndCleanCheck:
             "consequent_holds",
         )
 
+    def test_clean_check_needs_exactly_two_pivot_values(self, tmp_path, capsys):
+        # one value used to end in an IndexError traceback, three were accepted
+        dist = tmp_path / "spb.json"
+        assert main(["randgen", "spb", "4", "--seed", "3", "--out", str(dist)]) == 0
+        args = ["clean-check", str(dist), "--e", "u4", "--x1", "u1", "--y1", "u1,u2", "--z1", "u1"]
+        capsys.readouterr()
+        assert main(args + ["--e-values", "0"]) == 2
+        assert "two pivot values" in capsys.readouterr().err
+        assert main(args + ["--e-values", "0,1,1"]) == 2
+        assert "two pivot values" in capsys.readouterr().err
+
 
 class TestSimnet:
     def test_compare_types_on_fixture(self, tmp_path, capsys):

@@ -377,8 +377,11 @@ def test_oracle_is_freed_without_the_cycle_collector(xor):
     try:
         for backend in (xor, random_gaussian(3, 0), model):
             oracle = CiOracle(backend)
-            first, second = backend.universe.variables[:2]
+            first, second, third = backend.universe.variables[:3]
             oracle.ci(first, second)
+            if not isinstance(backend, DependencyModel):
+                # fills the table oracle's cache of conditioned oracles
+                oracle.ci_given_value(first, second, third, 0)
             ref = weakref.ref(oracle)
             del oracle
             assert ref() is None
@@ -408,3 +411,60 @@ def test_cached_marginals_are_exact_and_read_only():
                 assert np.shape(got) == np.shape(fresh)
                 if order:  # the empty marginal is a numpy scalar, immutable anyway
                     assert not got.flags.writeable
+
+
+def test_ci_given_value_zero_mass_value_holds_vacuously():
+    # x and y are equal copies of a coin when e = 0; e = 1 never happens
+    probs = np.zeros((2, 2, 2))
+    probs[0, 0, 0] = probs[1, 1, 0] = 0.5
+    table = JointTable(Universe.binary("x", "y", "e"), probs)
+    oracle = CiOracle(table)
+    assert oracle.ci_given_value("x", "y", "e", 1) is True
+    assert oracle.ci_given_value("x", "y", "e", 0) is False
+
+
+def test_ci_given_value_matches_the_conditioned_table(monkeypatch):
+    import graphoid.dist_oracle as dist_oracle
+
+    built = []
+    real_condition_on = dist_oracle.condition_on
+
+    def counting_condition_on(table, var, value):
+        built.append((var, value))
+        return real_condition_on(table, var, value)
+
+    monkeypatch.setattr(dist_oracle, "condition_on", counting_condition_on)
+    table = random_spb(4, 7)
+    oracle = CiOracle(table)
+    for e in table.universe.variables:
+        rest = [v for v in table.universe.variables if v != e]
+        for x, y, _ in iter_disjoint_triples(rest):
+            if not x or not y:
+                continue
+            for value in (0, 1):
+                expected = ci_holds_discrete(real_condition_on(table, e, value), x, y)
+                assert oracle.ci_given_value(x, y, e, value) == expected
+                assert oracle.ci_given_value(y, x, e, value) == expected
+    # one conditioned table per (pivot, value), however often it is asked
+    assert sorted(built) == sorted(set(built)) and len(built) == 8
+
+
+def test_ci_given_value_on_a_gaussian_conditions_on_the_pivot():
+    g = random_gaussian(4, 3)
+    oracle = CiOracle(g)
+    for x, y, _ in iter_disjoint_triples(("u1", "u2", "u3")):
+        if x and y:
+            for value in (0, 1, 5):
+                assert oracle.ci_given_value(x, y, "u4", value) == oracle.ci(x, y, {"u4"})
+
+
+def test_ci_given_value_rejects_a_model_backend_and_bad_values(xor):
+    model = DependencyModel.of(xor.universe, [Triplet.make("x", "y")])
+    with pytest.raises(TypeError):
+        CiOracle(model).ci_given_value("x", "y", "z", 0)
+    oracle = CiOracle(xor)
+    for value in (4, -1):  # z has four values
+        with pytest.raises(ValueError):
+            oracle.ci_given_value("x", "y", "z", value)
+    with pytest.raises(InvalidSets):  # the pivot cannot also be a query set
+        oracle.ci_given_value("x", {"y", "z"}, "z", 0)

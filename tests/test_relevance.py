@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphoid import (
     CheckResult,
@@ -13,14 +15,19 @@ from graphoid import (
     Universe,
     check_clean,
     check_pt_bin,
+    ci_holds_discrete,
+    ci_holds_gaussian,
+    condition_on,
     gaussian_axioms_check,
     is_transitive,
     mutually_irrelevant,
     mutually_irrelevant_sets,
     random_gaussian,
     random_spb,
+    marginalize,
     uncoupled,
     unrelated,
+    xor_table,
 )
 from graphoid.errors import InvalidPartition, UniverseTooLarge
 from graphoid.relevance import ANTECEDENT_FAILS, CONSEQUENT_HOLDS, VIOLATION
@@ -209,6 +216,26 @@ class TestPartitionTriple:
                 "e", (1, 1),
             )
 
+    def test_exactly_two_pivot_values(self):
+        # one value used to end in an IndexError, three were accepted silently
+        for values in ((0,), (0, 1, 1), ()):
+            with pytest.raises(InvalidPartition):
+                PartitionTriple(
+                    frozenset({"a"}), frozenset({"b"}),
+                    frozenset({"a"}), frozenset({"b"}),
+                    frozenset({"a"}), frozenset({"b"}),
+                    "e", values,
+                )
+
+    def test_overlapping_sides_rejected(self):
+        with pytest.raises(InvalidPartition):
+            PartitionTriple(
+                frozenset({"a"}), frozenset({"b"}),
+                frozenset({"a", "b"}), frozenset({"b"}),
+                frozenset({"a"}), frozenset({"b"}),
+                "e",
+            )
+
     def test_intersection_cells(self):
         pt = PartitionTriple(
             frozenset({"a", "c"}), frozenset({"b"}),
@@ -218,6 +245,14 @@ class TestPartitionTriple:
         )
         assert pt.r1 == {"a"}
         assert pt.r2 == {"b"}
+        assert pt.ground == {"a", "b", "c"}
+
+    def test_ground_stored_without_changing_equality(self):
+        sides = frozenset({"a"}), frozenset({"b"})
+        pt = PartitionTriple(*sides, *sides, *sides, "e")
+        same = PartitionTriple(*sides, *sides, *sides, "e")
+        assert pt == same and hash(pt) == hash(same)
+        assert "ground" not in repr(pt)
 
 
 def identical_partition(table, e="e"):
@@ -305,6 +340,25 @@ class TestCheckClean:
         result = check_clean(xor, pt)
         assert result.status == VIOLATION
         assert result.r1_holds is False and result.r2_holds is False
+
+    def test_oracle_and_tolerance_together_rejected(self):
+        table = pivot_block_table()
+        with pytest.raises(ValueError):
+            check_clean(CiOracle(table), identical_partition(table), tol=1e-6)
+        blocks = PtBinBlocks(
+            frozenset({"a1", "a2"}), frozenset(), frozenset(), frozenset(),
+            frozenset({"b"}), frozenset(), frozenset(), frozenset(),
+        )
+        with pytest.raises(ValueError):
+            check_pt_bin(CiOracle(table), blocks, "e", tol=1e-6)
+
+    def test_pivot_value_out_of_range_rejected_before_empty_cells(self):
+        table = pivot_block_table()
+        one, two = frozenset({"a1", "a2"}), frozenset({"b"})
+        # the third partition leaves the first cell empty, yet the value is checked
+        pt = PartitionTriple(one, two, one, two, two, one, "e", (0, 2))
+        with pytest.raises(InvalidPartition):
+            check_clean(CiOracle(table), pt)
 
     def test_gaussian_block_structure_consequent(self):
         # (u1, u2) correlated block independent of u3; pivot u4 tied to u1
@@ -453,3 +507,209 @@ def test_relation_verdict_serialization(xor_oracle):
     assert data == {"relation": "mutually_irrelevant", "holds": False, "witness": {"z": []}}
     coupled = uncoupled(xor_oracle, "x", "y").to_json_dict()
     assert coupled == {"relation": "uncoupled", "holds": False, "witness": None}
+
+
+# ---- differential check against the separate cores the shared one replaced ----
+
+
+def _reference_validate_ground(dist, pt):
+    names = dist.universe.names
+    if pt.e_var not in names:
+        raise InvalidPartition(f"unknown pivot variable {pt.e_var}")
+    ground = names - {pt.e_var}
+    if pt.x1 | pt.x2 != ground:
+        raise InvalidPartition("partitions must cover the universe minus the pivot")
+    return ground
+
+
+def _reference_ci_given_value(table, a, b, e_var, value, tol):
+    axis = table.universe.index(e_var)
+    mass = float(table.probs.sum(axis=tuple(i for i in range(table.probs.ndim) if i != axis))[value])
+    if mass <= tol:
+        return True
+    return ci_holds_discrete(condition_on(table, e_var, value), a, b, (), tol)
+
+
+def reference_check_clean_discrete(table, pt, tol=1e-9):
+    """The table core: i1 on the marginal table, i2/i3 on conditioned tables."""
+    ground = _reference_validate_ground(table, pt)
+    n_values = len(table.universe.domain(pt.e_var))
+    for v in pt.e_values:
+        if not 0 <= v < n_values:
+            raise InvalidPartition(f"pivot value index {v} out of range")
+    if not pt.r1:
+        return CheckResult(ANTECEDENT_FAILS, detail="empty_r1")
+    if not pt.r2:
+        return CheckResult(ANTECEDENT_FAILS, detail="empty_r2")
+    base = marginalize(table, ground)
+    if not ci_holds_discrete(base, pt.x1, pt.x2, (), tol):
+        return CheckResult(ANTECEDENT_FAILS, detail="i1")
+    if not _reference_ci_given_value(table, pt.y1, pt.y2, pt.e_var, pt.e_values[0], tol):
+        return CheckResult(ANTECEDENT_FAILS, detail="i2")
+    if not _reference_ci_given_value(table, pt.z1, pt.z2, pt.e_var, pt.e_values[1], tol):
+        return CheckResult(ANTECEDENT_FAILS, detail="i3")
+    c1 = ci_holds_discrete(table, pt.r1, {pt.e_var} | (ground - pt.r1), (), tol)
+    c2 = ci_holds_discrete(table, pt.r2, {pt.e_var} | (ground - pt.r2), (), tol)
+    if c1 or c2:
+        return CheckResult(CONSEQUENT_HOLDS, c1, c2)
+    return CheckResult(VIOLATION, False, False)
+
+
+def reference_check_clean_gaussian(g, pt, tol=1e-7):
+    """The Gaussian core: value-specific premises condition on the pivot variable."""
+    ground = _reference_validate_ground(g, pt)
+    if not pt.r1:
+        return CheckResult(ANTECEDENT_FAILS, detail="empty_r1")
+    if not pt.r2:
+        return CheckResult(ANTECEDENT_FAILS, detail="empty_r2")
+    if not ci_holds_gaussian(g, pt.x1, pt.x2, (), tol):
+        return CheckResult(ANTECEDENT_FAILS, detail="i1")
+    if not ci_holds_gaussian(g, pt.y1, pt.y2, {pt.e_var}, tol):
+        return CheckResult(ANTECEDENT_FAILS, detail="i2")
+    if not ci_holds_gaussian(g, pt.z1, pt.z2, {pt.e_var}, tol):
+        return CheckResult(ANTECEDENT_FAILS, detail="i3")
+    c1 = ci_holds_gaussian(g, pt.r1, {pt.e_var} | (ground - pt.r1), (), tol)
+    c2 = ci_holds_gaussian(g, pt.r2, {pt.e_var} | (ground - pt.r2), (), tol)
+    if c1 or c2:
+        return CheckResult(CONSEQUENT_HOLDS, c1, c2)
+    return CheckResult(VIOLATION, False, False)
+
+
+def reference_check_pt_bin(table, blocks, e_var, tol=1e-9):
+    """The eight-block check with its premises re-derived from the blocks."""
+    names = table.universe.names
+    if e_var not in names:
+        raise InvalidPartition(f"unknown pivot variable {e_var}")
+    if len(table.universe.domain(e_var)) != 2:
+        raise InvalidPartition("the pivot variable must be binary")
+    ground = names - {e_var}
+    if blocks.union != ground:
+        raise InvalidPartition("blocks must cover the universe minus the pivot")
+    a1, a2, a3, a4, b1, b2, b3, b4 = blocks.as_tuple()
+    base = marginalize(table, ground)
+    if not ci_holds_discrete(base, a1 | a2 | a3 | a4, b1 | b2 | b3 | b4, (), tol):
+        return CheckResult(ANTECEDENT_FAILS, detail="i1")
+    if not _reference_ci_given_value(table, a1 | a2 | b3 | b4, b1 | b2 | a3 | a4, e_var, 0, tol):
+        return CheckResult(ANTECEDENT_FAILS, detail="i2")
+    if not _reference_ci_given_value(table, a1 | a3 | b2 | b4, b1 | b3 | a2 | a4, e_var, 1, tol):
+        return CheckResult(ANTECEDENT_FAILS, detail="i3")
+    c1 = ci_holds_discrete(table, a1, {e_var} | (ground - a1), (), tol)
+    c2 = ci_holds_discrete(table, b1, {e_var} | (ground - b1), (), tol)
+    if c1 or c2:
+        return CheckResult(CONSEQUENT_HOLDS, c1, c2)
+    return CheckResult(VIOLATION, False, False)
+
+
+def _block_joint(rng, n, gaussian):
+    """Independent random blocks over u1..un, so premises hold for some triples."""
+    names = [f"u{i + 1}" for i in range(n)]
+    labels = rng.integers(n, size=n)
+    blocks = [[i for i in range(n) if labels[i] == k] for k in sorted(set(labels))]
+    if gaussian:
+        cov = np.zeros((n, n))
+        for members in blocks:
+            a = rng.uniform(-1.0, 1.0, size=(len(members), len(members)))
+            cov[np.ix_(members, members)] = a @ a.T + 0.01 * np.eye(len(members))
+        return GaussianModel(Universe.reals(*names), np.zeros(n), cov)
+    probs = np.ones(())
+    order = []
+    for members in blocks:
+        probs = np.multiply.outer(probs, rng.uniform(0.05, 1.0, size=(2,) * len(members)))
+        order += members
+    probs = np.transpose(probs, [order.index(i) for i in range(n)])
+    return JointTable(Universe.binary(*names), probs / probs.sum())
+
+
+def _zero_mass_table(rng, n):
+    """Independent blocks with value 1 of one variable at probability zero."""
+    table = _block_joint(rng, n, gaussian=False)
+    probs = np.array(table.probs)
+    probs[(slice(None),) * int(rng.integers(n)) + (1,)] = 0.0
+    return JointTable(table.universe, probs / probs.sum())
+
+
+@st.composite
+def _clean_distributions(draw):
+    kind = draw(st.sampled_from(("spb", "gaussian", "blocks", "gaussian-blocks", "zero-mass")))
+    n = draw(st.integers(3, 4))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    if kind == "spb":
+        return random_spb(n, seed)
+    if kind == "gaussian":
+        return random_gaussian(n, seed)
+    if kind == "zero-mass":
+        return _zero_mass_table(rng, n)
+    return _block_joint(rng, n, gaussian=kind == "gaussian-blocks")
+
+
+def _every_partition_triple(dist):
+    names = sorted(dist.universe.variables)
+    values = [(0, 1)] if isinstance(dist, GaussianModel) else [(0, 1), (1, 0)]
+    for e in names:
+        ground = frozenset(names) - {e}
+        pool = sorted(ground)
+        splits = []
+        for mask in range(1, 2 ** len(pool) - 1):
+            side = frozenset(v for i, v in enumerate(pool) if mask >> i & 1)
+            splits.append((side, ground - side))
+        for (x1, x2), (y1, y2), (z1, z2) in itertools.product(splits, repeat=3):
+            for e_values in values:
+                yield PartitionTriple(x1, x2, y1, y2, z1, z2, e, e_values)
+
+
+def _every_block_assignment(table):
+    names = sorted(table.universe.variables)
+    for e in names:
+        ground = [v for v in names if v != e]
+        for codes in itertools.product(range(8), repeat=len(ground)):
+            groups = [frozenset(g for g, c in zip(ground, codes) if c == k) for k in range(8)]
+            yield PtBinBlocks(*groups), e
+
+
+def _agree_in_every_calling_form(check, reference, dist, cases):
+    expected = [reference(dist, *case) for case in cases]
+    shared = CiOracle(dist)
+    assert [check(shared, *case) for case in cases] == expected
+    reverse = CiOracle(dist)
+    assert [check(reverse, *case) for case in reversed(cases)][::-1] == expected
+    assert [check(CiOracle(dist), *case) for case in cases] == expected
+    assert [check(dist, *case) for case in cases] == expected
+    return expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(_clean_distributions())
+def test_shared_clean_core_matches_separate_cores(dist):
+    # CheckResult equality compares status, detail, r1_holds and r2_holds.
+    gaussian = isinstance(dist, GaussianModel)
+    reference = reference_check_clean_gaussian if gaussian else reference_check_clean_discrete
+    cases = [(pt,) for pt in _every_partition_triple(dist)]
+    _agree_in_every_calling_form(check_clean, reference, dist, cases)
+    if not gaussian:
+        _agree_in_every_calling_form(
+            check_pt_bin, reference_check_pt_bin, dist, list(_every_block_assignment(dist))
+        )
+
+
+def test_differential_fixtures_reach_every_outcome():
+    # The hypothesis families above are meant to reach past i1; these fixed
+    # draws show that the premises, the vacuous pivot value and both
+    # consequent outcomes are all exercised.
+    rng = np.random.default_rng(3)
+    tables = [xor_table(), pivot_block_table(), _zero_mass_table(rng, 4)]
+    tables += [_block_joint(np.random.default_rng(s), 4, gaussian=False) for s in range(4)]
+    seen = set()
+    for table in tables:
+        massless = {v for v in table.universe.variables if table.marginal((v,))[1] == 0.0}
+        cases = [(pt,) for pt in _every_partition_triple(table)]
+        results = _agree_in_every_calling_form(
+            check_clean, reference_check_clean_discrete, table, cases
+        )
+        for (pt,), result in zip(cases, results):
+            seen.add((result.status, result.detail, pt.e_var in massless))
+    for detail in ("empty_r1", "empty_r2", "i1", "i2", "i3"):
+        assert any(s[:2] == (ANTECEDENT_FAILS, detail) for s in seen)
+    assert any(s[0] == VIOLATION for s in seen)
+    # past both premises with a pivot value of zero mass: the vacuous path
+    assert (CONSEQUENT_HOLDS, None, True) in seen
