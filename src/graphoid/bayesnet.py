@@ -24,6 +24,7 @@ from .model_core import (
     Triplet,
     Universe,
     _as_name_set,
+    names_from_json,
     subsets,
     subsets_lex,
 )
@@ -80,7 +81,7 @@ class Dag:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dag":
-        order = tuple(data["order"])
+        order = names_from_json(data["order"], "order")
         universe = Universe.binary(*order)
         given = data["parents"]
         if not isinstance(given, dict):
@@ -88,10 +89,9 @@ class Dag:
         unknown = set(given) - set(order)
         if unknown:
             raise ValueError(f"parents given for variables not in order: {sorted(unknown)}")
-        for v, pars in given.items():
-            if not isinstance(pars, list) or not all(isinstance(p, str) for p in pars):
-                raise ValueError(f"parents of {v} must be a list of variable names")
-        parents = {v: frozenset(given.get(v, ())) for v in order}
+        parents = {
+            v: frozenset(names_from_json(given.get(v, []), f"parents of {v}")) for v in order
+        }
         return cls(universe, parents, order)
 
 

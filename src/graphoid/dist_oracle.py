@@ -29,6 +29,7 @@ from .model_core import (
     _as_name_set,
     graphoid_closure,
     iter_disjoint_triples,
+    names_from_json,
 )
 
 DISCRETE_TOL = 1e-9
@@ -119,11 +120,15 @@ class JointTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointTable":
-        universe = Universe(
-            tuple(v["name"] for v in data["variables"]),
-            tuple(tuple(v["values"]) for v in data["variables"]),
+        variables = data["variables"]
+        if not isinstance(variables, list) or not all(isinstance(v, dict) for v in variables):
+            raise ValueError("variables must be a list of objects with a name and values")
+        names = names_from_json([v["name"] for v in variables], "variable names")
+        domains = tuple(
+            names_from_json(v["values"], f"values of {name}")
+            for name, v in zip(names, variables)
         )
-        return cls(universe, np.asarray(data["probs"], dtype=float))
+        return cls(Universe(names, domains), np.asarray(data["probs"], dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +168,7 @@ class GaussianModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GaussianModel":
-        universe = Universe.reals(*data["variables"])
+        universe = Universe.reals(*names_from_json(data["variables"], "variables"))
         return cls(universe, np.asarray(data["mean"]), np.asarray(data["cov"]))
 
 
@@ -275,19 +280,26 @@ def ci_holds_gaussian(
     return ci_residual_gaussian(g, x_set, y_set, z_set) <= tol
 
 
+def _oriented(x: frozenset[str], y: frozenset[str], z: frozenset[str]):
+    """The query with x and y as sorted tuples, the smaller first."""
+    xs, ys = tuple(sorted(x)), tuple(sorted(y))
+    return (ys, xs, z) if ys < xs else (xs, ys, z)
+
+
 @dataclass(frozen=True)
 class CiOracle:
     """Uniform conditional-independence query surface over any backend.
 
     The backend is a JointTable, a GaussianModel, or a DependencyModel; a
-    model backend answers by set membership after graphoid closure.  Each
-    oracle memoizes its verdicts, keyed on the unordered pair {x_set, y_set}
-    and z_set, and answers a miss in one canonical orientation (the smaller
-    sorted tuple first), so ``ci(x, y, z) == ci(y, x, z)`` whichever was
-    asked first.  The oracle and its backends are immutable, which keeps the
-    memo valid for the oracle's lifetime.  ``ci_given_value`` answers
-    value-specific statements about a table through conditioned oracles kept
-    on this one.
+    model backend answers by set membership after graphoid closure.  A
+    table or Gaussian oracle memoizes its verdicts, keyed on the unordered
+    pair {x_set, y_set} and z_set; a model oracle keeps no memo, since its
+    answer is already one lookup in the closure.  Every query is answered in
+    one canonical orientation (the smaller sorted tuple first), so
+    ``ci(x, y, z) == ci(y, x, z)`` whichever was asked first.  The oracle
+    and its backends are immutable, which keeps the memo valid for the
+    oracle's lifetime.  ``ci_given_value`` answers value-specific statements
+    about a table through conditioned oracles kept on this one.
     """
 
     backend: JointTable | GaussianModel | DependencyModel
@@ -301,10 +313,12 @@ class CiOracle:
             tol = DISCRETE_TOL if tol is None else tol
             holds = functools.partial(ci_holds_discrete, backend, tol=tol)
             gap = functools.partial(ci_discrepancy_discrete, backend, tol=tol)
+            memo = {}
         elif isinstance(backend, GaussianModel):
             tol = GAUSSIAN_TOL if tol is None else tol
             holds = functools.partial(ci_holds_gaussian, backend, tol=tol)
             gap = functools.partial(ci_residual_gaussian, backend)
+            memo = {}
         elif isinstance(backend, DependencyModel):
             tol = 0.0 if tol is None else tol
             # Neither callable refers back to the oracle: a cycle would keep
@@ -316,12 +330,15 @@ class CiOracle:
                 return Triplet.make(xs, ys, zs) in closed()
 
             gap = None
+            # One closure lookup answers a query; a memo would only keep a
+            # second copy of the answers.
+            memo = None
         else:
             raise TypeError(f"unsupported backend {type(backend).__name__}")
         object.__setattr__(self, "tolerance", tol)
         object.__setattr__(self, "_holds", holds)
         object.__setattr__(self, "_gap", gap)
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", memo)
         # (pivot, value index) -> oracle over the table conditioned on that
         # value, or None when the value has no usable mass; tables only.
         object.__setattr__(self, "_given", {})
@@ -342,14 +359,15 @@ class CiOracle:
         z_set: Iterable[str] | str = (),
     ) -> bool:
         x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
+        memo = self._memo
+        if memo is None:
+            return self._holds(*_oriented(x, y, z))
         key = (frozenset((x, y)), z)
-        verdict = self._memo.get(key)
+        verdict = memo.get(key)
         if verdict is None:
             # The backend validates the query and raises before the store, so
             # only valid queries enter the memo and a hit needs no check.
-            xs, ys = tuple(sorted(x)), tuple(sorted(y))
-            canonical = (ys, xs, z) if ys < xs else (xs, ys, z)
-            verdict = self._memo[key] = self._holds(*canonical)
+            verdict = memo[key] = self._holds(*_oriented(x, y, z))
         return verdict
 
     def ci_given_value(

@@ -37,6 +37,16 @@ def _as_name_set(value: Iterable[str] | str) -> frozenset[str]:
     return frozenset(value)
 
 
+def names_from_json(value: object, what: str) -> tuple[str, ...]:
+    """``value`` as a tuple of names; it must be a JSON list of distinct,
+    non-empty strings (a bare string is not split into letters)."""
+    if not isinstance(value, list) or not all(isinstance(v, str) and v for v in value):
+        raise ValueError(f"{what} must be a list of non-empty strings")
+    if len(set(value)) != len(value):
+        raise ValueError(f"{what} must not repeat a name")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class Universe:
     """An ordered collection of named variables with finite value domains."""
@@ -175,7 +185,7 @@ class DependencyModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DependencyModel":
-        universe = Universe.binary(*data["variables"])
+        universe = Universe.binary(*names_from_json(data["variables"], "variables"))
         return cls.of(universe, (Triplet.from_json_dict(d) for d in data["triplets"]))
 
 

@@ -8,6 +8,7 @@ stay byte-identical across runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -215,44 +216,77 @@ def suite_relations(seed: int = 0, n_vars: int = 4, samples: int = 100) -> Suite
     return report
 
 
-def _ordered_bipartitions(names: frozenset[str]):
+@functools.cache
+def _ordered_bipartitions(
+    names: frozenset[str],
+) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
+    """Every split of ``names`` into two non-empty sides; split i puts the
+    sorted names at the set bits of mask i + 1 on the first side."""
     pool = sorted(names)
     out = []
     for mask in range(1, 2 ** len(pool) - 1):
         side = frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1)
         out.append((side, names - side))
-    return out
+    return tuple(out)
+
+
+def _cells_nonempty(i: int, j: int, k: int, full: int) -> bool:
+    """Whether splits i, j, k of a ground with mask ``full`` leave both cells
+    x1 & y1 & z1 and x2 & y2 & z2 non-empty."""
+    a, b, c = i + 1, j + 1, k + 1
+    return bool(a & b & c) and bool(full & ~(a | b | c))
+
+
+@functools.cache
+def _live_split_triples(ground_size: int) -> tuple[tuple[int, int, int], ...]:
+    """Split-index triples with both cells non-empty, in ``itertools.product`` order."""
+    full = (1 << ground_size) - 1
+    return tuple(
+        (i, j, k)
+        for i, j, k in itertools.product(range(full - 1), repeat=3)
+        if _cells_nonempty(i, j, k, full)
+    )
+
+
+def _clean_case(report: SuiteReport, oracle: CiOracle, label: str, e_var: str,
+                x, y, z) -> None:
+    result = check_clean(oracle, PartitionTriple(*x, *y, *z, e_var))
+    if result.status == VIOLATION:
+        _fail(report, source=label, e=e_var,
+              x1=sorted(x[0]), y1=sorted(y[0]), z1=sorted(z[0]))
 
 
 def _clean_sweep(report: SuiteReport, dist, label: str, rng: np.random.Generator,
                  sampled_triples: int = 200) -> None:
+    """Run the partition-triple check over one distribution.
+
+    A triple with an empty cell x1 & y1 & z1 or x2 & y2 & z2 fails the
+    antecedent by structure alone: it is counted in ``report.cases`` but
+    never built, and asks no CI query.
+    """
     names = sorted(dist.universe.variables)
-    exhaustive = len(names) <= 4
     oracle = CiOracle(dist)  # one memo for every case over this distribution
-    if exhaustive:
+    ground_splits = {
+        e_var: _ordered_bipartitions(frozenset(names) - {e_var}) for e_var in names
+    }
+    if len(names) <= 4:
+        live = _live_split_triples(len(names) - 1)
         for e_var in names:
-            ground = frozenset(names) - {e_var}
-            splits = _ordered_bipartitions(ground)
-            for (x1, x2), (y1, y2), (z1, z2) in itertools.product(splits, splits, splits):
-                report.cases += 1
-                result = check_clean(oracle, PartitionTriple(x1, x2, y1, y2, z1, z2, e_var))
-                if result.status == VIOLATION:
-                    _fail(report, source=label, e=e_var,
-                          x1=sorted(x1), y1=sorted(y1), z1=sorted(z1))
+            splits = ground_splits[e_var]
+            report.cases += len(splits) ** 3
+            for i, j, k in live:
+                _clean_case(report, oracle, label, e_var, splits[i], splits[j], splits[k])
     else:
-        ground_splits = {
-            e_var: _ordered_bipartitions(frozenset(names) - {e_var}) for e_var in names
-        }
+        full = (1 << (len(names) - 1)) - 1
         for _ in range(sampled_triples):
+            # Draw for every case, empty cells or not: the stream fixes which
+            # triples the later cases pick.
             e_var = names[int(rng.integers(len(names)))]
             splits = ground_splits[e_var]
-            picks = rng.integers(len(splits), size=3)
-            (x1, x2), (y1, y2), (z1, z2) = (splits[int(k)] for k in picks)
+            i, j, k = rng.integers(len(splits), size=3).tolist()
             report.cases += 1
-            result = check_clean(oracle, PartitionTriple(x1, x2, y1, y2, z1, z2, e_var))
-            if result.status == VIOLATION:
-                _fail(report, source=label, e=e_var,
-                      x1=sorted(x1), y1=sorted(y1), z1=sorted(z1))
+            if _cells_nonempty(i, j, k, full):
+                _clean_case(report, oracle, label, e_var, splits[i], splits[j], splits[k])
 
 
 def suite_clean(seed: int = 0, n_vars: int = 5, samples: int = 500) -> SuiteReport:

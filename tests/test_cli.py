@@ -93,6 +93,44 @@ class TestDsep:
         assert "parents" in capsys.readouterr().err
 
 
+class TestNameListsInArtifacts:
+    """A string where a list of names belongs is rejected, not split into letters."""
+
+    def _run_ci(self, tmp_path, artifact, x="a", y="b"):
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(artifact))
+        return main(["ci", str(path), x, y])
+
+    def test_dag_order_string_exits_2(self, tmp_path, capsys):
+        dag_path = tmp_path / "net.json"
+        dag_path.write_text(json.dumps({"order": "abc", "parents": {}}))
+        assert main(["dsep", str(dag_path), "a", "c"]) == 2
+        assert "order" in capsys.readouterr().err
+
+    def test_gaussian_variables_string_exits_2(self, tmp_path, capsys):
+        artifact = {"variables": "ab", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        assert self._run_ci(tmp_path, artifact) == 2
+        assert "variables" in capsys.readouterr().err
+
+    def test_dependency_model_variables_string_exits_2(self, tmp_path, capsys):
+        artifact = {"variables": "ab", "triplets": [{"x": ["a"], "y": ["b"], "z": []}]}
+        assert self._run_ci(tmp_path, artifact) == 2
+        assert "variables" in capsys.readouterr().err
+
+    def test_joint_table_names_and_values_exit_2(self, tmp_path, capsys):
+        good = xor_table().to_json_dict()
+        assert self._run_ci(tmp_path, good, "x", "y") == 0
+        bad_tables = [
+            dict(good, variables="ab"),
+            dict(good, variables=[dict(v, values="01") for v in good["variables"]]),
+            dict(good, variables=[dict(v, name="x") for v in good["variables"]]),
+            dict(good, variables=[dict(v, values=[]) for v in good["variables"]]),
+        ]
+        for artifact in bad_tables:
+            assert self._run_ci(tmp_path, artifact, "x", "y") == 2
+            assert "must" in capsys.readouterr().err
+
+
 class TestRelationsAndTransitive:
     def test_relations_json(self, tmp_path, capsys):
         assert main(["relations", write_xor(tmp_path), "x", "y"]) == 0

@@ -369,6 +369,21 @@ def test_oracle_is_frozen(xor):
         oracle.tolerance = 0.5
 
 
+def test_model_oracle_keeps_no_memo(xor):
+    model = DependencyModel.of(xor.universe, [Triplet.make("x", "y")])
+    oracle = CiOracle(model)
+    for x, y, z in iter_disjoint_triples(xor.universe.variables):
+        assert oracle.ci(x, y, z) == oracle.ci(y, x, z)
+    assert oracle.ci("x", "y") and oracle.ci("y", "x")
+    assert not oracle.ci("x", "z")
+    with pytest.raises(InvalidSets):
+        oracle.ci("x", "x")
+    assert not oracle._memo
+    table_oracle = CiOracle(xor)
+    table_oracle.ci("x", "y")
+    assert table_oracle._memo
+
+
 def test_oracle_is_freed_without_the_cycle_collector(xor):
     # An oracle that refers to itself would hold its memo and closure until
     # the cycle collector ran, raising peak memory over many short-lived oracles.

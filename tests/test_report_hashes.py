@@ -1,0 +1,46 @@
+"""Pinned sha256 of every suite report at a small scale.
+
+A change that only makes the code faster must leave every report byte for
+byte as it was.  A deliberate verdict or report change updates this table
+and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from graphoid.suites import SUITES, run_suite
+
+SAMPLES = 6
+
+EXPECTED = {
+    ("axioms", 0): "6f48b3683215546d9fd33214534b090bd0385607503f124cafdfc42ccaaa473e",
+    ("axioms", 1009): "2a8b7fd25c844eca112d2d5d9ffe105b8d2efd6a595ac63b0a6e44a1533e3cfe",
+    ("dsep-soundness", 0): "4686799d0254f7e788401f5ec88142b82cb41076b92d367d671d4b4b236f6b4e",
+    ("dsep-soundness", 1009): "503b3f66db242435dc80462cf584eb2087deac9716cbddcd1b03affbccadeee0",
+    ("components", 0): "6129c21db0e6bff51ecc02fd1c25e26f5ee31636ef3eb86e9480622f86403f3c",
+    ("components", 1009): "a2ee03494eba7af4ef986b6605ac2756d2ef4645a9d7787c5d36813c95341d6e",
+    ("relations", 0): "711370ecedcbdbb361ff94af47caa0700975a163b58944d6ec94a6ffcc008343",
+    ("relations", 1009): "25999952b87de44c6553245cf33d99e1e0249c2ee59fd583e734c891242814ef",
+    ("clean", 0): "4e62817fdf3c72041a8c7f3266f1a5145f5d85f193301a6eb6168720b0a8e23a",
+    ("clean", 1009): "43e2b4e9f6f4d351d64754cb350fd6815cac55a80b9aacf7fda70ac18fb49375",
+    ("pt-bin", 0): "87c16d850e7a43c7e9a4b7416ff05ab88550ca210980b8f6580e9bfac465cfa4",
+    ("pt-bin", 1009): "050e9e701064847b072ce48b3bdd53f4656cc13f65a39b314961629828e93720",
+    ("gaussian-props", 0): "75059c9ce1faaf33be2570f7ce7fd354d21ab490f3000d10690720a4185bcd34",
+    ("gaussian-props", 1009): "b05f6876a91509b3296980f215f44b1a1cc60d2754e967ad1142affc23c71e4d",
+    ("transitivity", 0): "3f55627faab73eab3ac35cfbc708a12b2b2707c4e986fe9001fa4ec67829d217",
+    ("transitivity", 1009): "6b04435878a25e9dc416dfaeb347d085e9aca232c884634b28e54f0a3842a84e",
+    ("simnet-equiv", 0): "2c4d9f76391f365093f30fe3709f9572f78564f0db77cd88ee168c43b504f707",
+    ("simnet-equiv", 1009): "0d6b8e4ebfa83bac4259471b6ffab2aceb05717b670b329d0c9aa0b09949511b",
+}
+
+
+def test_every_suite_is_pinned():
+    assert {name for name, _ in EXPECTED} == set(SUITES)
+
+
+@pytest.mark.parametrize("name, seed", sorted(EXPECTED))
+def test_report_bytes_unchanged(name, seed):
+    report = run_suite(name, seed=seed, samples=SAMPLES)
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == EXPECTED[(name, seed)]
