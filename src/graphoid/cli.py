@@ -48,10 +48,18 @@ def _parse_names(text: str | None) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def load_distribution(path: str):
-    """Read a JSON artifact: joint table, Gaussian model, or dependency model."""
+def _load_json_object(path: str) -> dict:
+    """Read a JSON artifact whose top level must be an object."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: artifact must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def load_distribution(path: str):
+    """Read a JSON artifact: joint table, Gaussian model, or dependency model."""
+    data = _load_json_object(path)
     if "probs" in data:
         return JointTable.from_json_dict(data)
     if "cov" in data:
@@ -94,8 +102,7 @@ def cmd_build_net(args: argparse.Namespace) -> int:
 
 
 def cmd_dsep(args: argparse.Namespace) -> int:
-    with open(args.dag_file) as fh:
-        dag = Dag.from_json_dict(json.load(fh))
+    dag = Dag.from_json_dict(_load_json_object(args.dag_file))
     q = SeparationQuery.make(_parse_names(args.x), _parse_names(args.y), _parse_names(args.given))
     separated = d_separated(dag, q)
     print("d-separated" if separated else "connected")

@@ -34,6 +34,8 @@ from .dist_oracle import (
 )
 from .model_core import Universe, check_graphoid_axioms, subsets
 from .relevance import (
+    ANTECEDENT_FAILS,
+    CONSEQUENT_HOLDS,
     VIOLATION,
     PartitionTriple,
     PtBinBlocks,
@@ -52,13 +54,18 @@ CHAIN_RULE_TOL = 1e-9
 
 @dataclass
 class SuiteReport:
-    """Cases run, failures found, and the seed that reproduces them."""
+    """Cases run, failures found, and the seed that reproduces them.
+
+    ``outcomes`` optionally counts the cases by how they ended; a suite that
+    keeps it makes the counts sum to ``cases``.
+    """
 
     suite: str
     seed: int
     params: dict
     cases: int = 0
     failures: list = field(default_factory=list)
+    outcomes: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
     @property
@@ -68,23 +75,29 @@ class SuiteReport:
     def to_json_dict(self) -> dict:
         # wall_time stays out: reports must be byte-identical given the
         # same inputs, seed, and flags.
-        return {
+        out = {
             "suite": self.suite,
             "seed": self.seed,
             "params": self.params,
             "cases": self.cases,
             "failures": self.failures,
         }
+        if self.outcomes:
+            out["outcomes"] = self.outcomes
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.failures)} failure(s)"
-        return (
+        line = (
             f"suite {self.suite}: {self.cases} cases, {state}, "
             f"seed {self.seed}, {self.wall_time:.2f}s"
         )
+        if self.outcomes:
+            line += "; outcomes " + ", ".join(f"{k} {v}" for k, v in self.outcomes.items())
+        return line
 
 
 def _require_n_vars(suite: str, n_vars: int, low: int, high: int) -> None:
@@ -230,79 +243,78 @@ def _ordered_bipartitions(
     return tuple(out)
 
 
-def _cells_nonempty(i: int, j: int, k: int, full: int) -> bool:
-    """Whether splits i, j, k of a ground with mask ``full`` leave both cells
-    x1 & y1 & z1 and x2 & y2 & z2 non-empty."""
-    a, b, c = i + 1, j + 1, k + 1
-    return bool(a & b & c) and bool(full & ~(a | b | c))
-
-
-@functools.cache
 def _live_split_triples(ground_size: int) -> tuple[tuple[int, int, int], ...]:
-    """Split-index triples with both cells non-empty, in ``itertools.product`` order."""
+    """Split-index triples with both cells x1 & y1 & z1 and x2 & y2 & z2
+    non-empty, in ``itertools.product`` order."""
     full = (1 << ground_size) - 1
     return tuple(
         (i, j, k)
         for i, j, k in itertools.product(range(full - 1), repeat=3)
-        if _cells_nonempty(i, j, k, full)
+        if (i + 1) & (j + 1) & (k + 1) and full & ~((i + 1) | (j + 1) | (k + 1))
     )
 
 
-def _clean_case(report: SuiteReport, oracle: CiOracle, label: str, e_var: str,
-                x, y, z) -> None:
-    result = check_clean(oracle, PartitionTriple(*x, *y, *z, e_var))
-    if result.status == VIOLATION:
-        _fail(report, source=label, e=e_var,
-              x1=sorted(x[0]), y1=sorted(y[0]), z1=sorted(z[0]))
+@functools.cache
+def _live_by_x_split(ground_size: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """``_live_split_triples`` grouped by the x-split index, in the same order."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, j, k in _live_split_triples(ground_size):
+        groups.setdefault(i, []).append((j, k))
+    return tuple((i, tuple(jk)) for i, jk in groups.items())
 
 
-def _clean_sweep(report: SuiteReport, dist, label: str, rng: np.random.Generator,
-                 sampled_triples: int = 200) -> None:
-    """Run the partition-triple check over one distribution.
+CLEAN_OUTCOMES = ("i1", "i2", "i3", CONSEQUENT_HOLDS, VIOLATION)
+
+
+def _clean_sweep(report: SuiteReport, dist, label: str) -> None:
+    """Run the partition-triple check on every live triple of one distribution.
 
     A triple with an empty cell x1 & y1 & z1 or x2 & y2 & z2 fails the
-    antecedent by structure alone: it is counted in ``report.cases`` but
-    never built, and asks no CI query.
+    antecedent by structure alone, so it is neither counted nor built.
+    Premise i1 depends only on the pivot and the x-split: it is asked once
+    per (pivot, x-split), and where it fails every live triple sharing that
+    x-split is counted as failing i1 without being built.  ``check_clean``
+    judges every other triple.
     """
     names = sorted(dist.universe.variables)
     oracle = CiOracle(dist)  # one memo for every case over this distribution
-    ground_splits = {
-        e_var: _ordered_bipartitions(frozenset(names) - {e_var}) for e_var in names
-    }
-    if len(names) <= 4:
-        live = _live_split_triples(len(names) - 1)
-        for e_var in names:
-            splits = ground_splits[e_var]
-            report.cases += len(splits) ** 3
-            for i, j, k in live:
-                _clean_case(report, oracle, label, e_var, splits[i], splits[j], splits[k])
-    else:
-        full = (1 << (len(names) - 1)) - 1
-        for _ in range(sampled_triples):
-            # Draw for every case, empty cells or not: the stream fixes which
-            # triples the later cases pick.
-            e_var = names[int(rng.integers(len(names)))]
-            splits = ground_splits[e_var]
-            i, j, k = rng.integers(len(splits), size=3).tolist()
-            report.cases += 1
-            if _cells_nonempty(i, j, k, full):
-                _clean_case(report, oracle, label, e_var, splits[i], splits[j], splits[k])
+    groups = _live_by_x_split(len(names) - 1)
+    outcomes = report.outcomes
+    for e_var in names:
+        splits = _ordered_bipartitions(frozenset(names) - {e_var})
+        for i, live in groups:
+            x = splits[i]
+            report.cases += len(live)
+            if not oracle.ci(*x):
+                outcomes["i1"] += len(live)
+                continue
+            for j, k in live:
+                y, z = splits[j], splits[k]
+                result = check_clean(oracle, PartitionTriple(*x, *y, *z, e_var))
+                # Live cells leave a failed premise as the only antecedent failure.
+                failed = result.status == ANTECEDENT_FAILS
+                outcomes[result.detail if failed else result.status] += 1
+                if result.status == VIOLATION:
+                    _fail(report, source=label, e=e_var,
+                          x1=sorted(x[0]), y1=sorted(y[0]), z1=sorted(z[0]))
 
 
 def suite_clean(seed: int = 0, n_vars: int = 5, samples: int = 500) -> SuiteReport:
     """The partition-triple implication must never be violated.
 
-    Exhaustive partition triples through four variables, 200 sampled triples
-    at five; run over both random binary tables and random Gaussians.
+    Exhaustive over every partition triple with both cells non-empty, through
+    five variables; run over both random binary tables and random Gaussians.
+    ``outcomes`` counts the cases by the first premise that fails, or by the
+    conclusion's status when all three hold.
     """
     _require_n_vars("clean", n_vars, 3, 5)
-    report = SuiteReport("clean", seed, {"n_vars": n_vars, "samples": samples})
-    rng = np.random.default_rng(seed)
+    report = SuiteReport("clean", seed, {"n_vars": n_vars, "samples": samples},
+                         outcomes=dict.fromkeys(CLEAN_OUTCOMES, 0))
     for i, n in enumerate(_sizes(samples, n_vars, n_min=3)):
-        _clean_sweep(report, random_spb(n, seed + i), f"spb:{seed + i}", rng)
+        _clean_sweep(report, random_spb(n, seed + i), f"spb:{seed + i}")
     for i, n in enumerate(_sizes(samples, n_vars, n_min=3)):
         g_seed = seed + 100_000 + i
-        _clean_sweep(report, random_gaussian(n, g_seed), f"gaussian:{g_seed}", rng)
+        _clean_sweep(report, random_gaussian(n, g_seed), f"gaussian:{g_seed}")
     return report
 
 

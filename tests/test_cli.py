@@ -31,6 +31,13 @@ class TestCi:
     def test_bad_variable_is_usage_error(self, tmp_path, capsys):
         assert main(["ci", write_xor(tmp_path), "x", "nope"]) == 2
 
+    def test_non_object_artifact_exits_2(self, tmp_path, capsys):
+        for top_level in (5, "probs", ["probs"]):
+            path = tmp_path / "artifact.json"
+            path.write_text(json.dumps(top_level))
+            assert main(["ci", str(path), "x", "y"]) == 2
+            assert "JSON object" in capsys.readouterr().err
+
 
 class TestBuildNet:
     def test_xor_natural_order(self, tmp_path, capsys):
@@ -85,6 +92,13 @@ class TestDsep:
         )
         assert main(["dsep", str(dag_path), "a", "b"]) == 2
         assert "zz" in capsys.readouterr().err
+
+    def test_non_object_artifact_exits_2(self, tmp_path, capsys):
+        for top_level in (5, "order", ["order"]):
+            dag_path = tmp_path / "net.json"
+            dag_path.write_text(json.dumps(top_level))
+            assert main(["dsep", str(dag_path), "a", "b"]) == 2
+            assert "JSON object" in capsys.readouterr().err
 
     def test_non_object_parents_exit_2(self, tmp_path, capsys):
         dag_path = tmp_path / "net.json"
@@ -241,6 +255,14 @@ class TestSuite:
         assert data["seed"] == 3
         assert data["cases"] == 4
         assert data["failures"] == []
+
+    def test_clean_reports_outcome_counts(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        args = ["suite", "clean", "--n-vars", "3", "--samples", "2", "--report", str(path)]
+        assert main(args) == 0
+        data = json.loads(path.read_text())
+        assert sum(data["outcomes"].values()) == data["cases"] == 24
+        assert "outcomes i1 24" in capsys.readouterr().out
 
     def test_non_positive_samples_exit_2(self, tmp_path, capsys):
         for samples in ("0", "-3"):
