@@ -1,4 +1,4 @@
-"""Minimal Bayesian-network construction, d-separation, and minimality audits.
+"""Minimal Bayesian-network construction and d-separation.
 
 A network is built from a conditional-independence oracle under a
 construction order: each node's parents are the smallest predecessor subset
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 
@@ -19,15 +19,7 @@ import numpy as np
 
 from .dist_oracle import CiOracle, JointTable, _validate_sets
 from .errors import InvalidOrder, InvalidSets
-from .model_core import (
-    DependencyModel,
-    Triplet,
-    Universe,
-    _as_name_set,
-    names_from_json,
-    subsets,
-    subsets_lex,
-)
+from .model_core import Triplet, Universe, names_from_json, subsets
 
 
 @dataclass(frozen=True)
@@ -106,22 +98,9 @@ class Trail:
             raise ValueError("a trail is a simple path between distinct nodes")
 
 
-@dataclass(frozen=True)
-class SeparationQuery:
-    """Three disjoint node sets: are x_set and y_set separated given z_set?"""
-
-    x_set: frozenset[str]
-    y_set: frozenset[str]
-    z_set: frozenset[str]
-
-    @classmethod
-    def make(
-        cls,
-        x_set: Iterable[str] | str,
-        y_set: Iterable[str] | str,
-        z_set: Iterable[str] | str = (),
-    ) -> "SeparationQuery":
-        return cls(_as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set))
+# A separation query (x_set, y_set | z_set) is an independence triplet read
+# off a graph.
+SeparationQuery = Triplet
 
 
 def minimal_parents(oracle: CiOracle, order: Sequence[str], position: int) -> frozenset[str]:
@@ -175,18 +154,6 @@ def ancestors(dag: Dag, v: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def descendants(dag: Dag, v: str) -> frozenset[str]:
-    """Nodes reachable from ``v`` by a directed path of positive length."""
-    out: set[str] = set()
-    stack = list(dag.children(v))
-    while stack:
-        u = stack.pop()
-        if u not in out:
-            out.add(u)
-            stack.extend(dag.children(u))
-    return frozenset(out)
-
-
 def _ancestral(dag: Dag, z_set: frozenset[str]) -> frozenset[str]:
     closed = set(z_set)
     for z in z_set:
@@ -194,16 +161,13 @@ def _ancestral(dag: Dag, z_set: frozenset[str]) -> frozenset[str]:
     return frozenset(closed)
 
 
-def _validate_query(dag: Dag, q: SeparationQuery) -> None:
-    try:
-        _validate_sets(dag.universe, q.x_set, q.y_set, q.z_set)
-    except InvalidSets:
-        raise
+def _validate_query(dag: Dag, q: Triplet) -> None:
+    _validate_sets(dag.universe, q.x_set, q.y_set, q.z_set)
     if not q.x_set or not q.y_set:
         raise InvalidSets("x_set and y_set must be non-empty")
 
 
-def d_separated(dag: Dag, q: SeparationQuery) -> bool:
+def d_separated(dag: Dag, q: Triplet) -> bool:
     """Whether no active trail joins x_set and y_set with respect to z_set.
 
     Runs a reachability scan over (node, arrival-direction) states: arriving
@@ -276,7 +240,7 @@ def trail_active(dag: Dag, trail: Trail, z_set: frozenset[str]) -> bool:
     return True
 
 
-def d_separated_by_enumeration(dag: Dag, q: SeparationQuery) -> bool:
+def d_separated_by_enumeration(dag: Dag, q: Triplet) -> bool:
     """Separation by explicitly enumerating trails; the definitional oracle."""
     _validate_query(dag, q)
     for a in sorted(q.x_set):
@@ -332,29 +296,6 @@ def connected_components(dag: Dag) -> tuple[tuple[str, ...], ...]:
     return tuple(comps)
 
 
-@dataclass(frozen=True)
-class MinimalityViolation:
-    """A node whose parent set shrinks: the oracle releases ``subset``."""
-
-    node: str
-    subset: frozenset[str]
-
-
-def audit_minimality(dag: Dag, oracle: CiOracle) -> list[MinimalityViolation]:
-    """Report every node and non-empty parent subset the oracle lets go.
-
-    Empty means no parent set is reducible.  Missing edges are not audited;
-    only proper-subset reducibility of the recorded parents.
-    """
-    out: list[MinimalityViolation] = []
-    for node in dag.construction_order:
-        pars = dag.parents[node]
-        for sub in subsets_lex(pars):
-            if sub and oracle.ci({node}, sub, pars - sub):
-                out.append(MinimalityViolation(node, sub))
-    return out
-
-
 def factorization_max_error(table: JointTable, dag: Dag) -> float:
     """Largest gap between the joint and the product of per-node conditionals.
 
@@ -401,26 +342,6 @@ def random_dag(n_nodes: int, max_edges: int, rng: np.random.Generator) -> Dag:
         Universe.binary(*names),
         {v: frozenset(p) for v, p in parents.items()},
         names,
-    )
-
-
-def burglary_model() -> DependencyModel:
-    """The alarm-story dependency model: two sensors, an alarm, a patrol.
-
-    Sensor outcomes are independent given burglary, the alarm depends on the
-    burglary only through the sensors, and the patrol only through the alarm.
-    """
-    universe = Universe(
-        ("burglary", "sensorA", "sensorB", "alarm", "patrol"),
-        tuple(("yes", "no") for _ in range(5)),
-    )
-    return DependencyModel.of(
-        universe,
-        (
-            Triplet.make({"sensorA"}, {"sensorB"}, {"burglary"}),
-            Triplet.make({"alarm"}, {"burglary"}, {"sensorA", "sensorB"}),
-            Triplet.make({"patrol"}, {"burglary", "sensorA", "sensorB"}, {"alarm"}),
-        ),
     )
 
 

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .bayesnet import Dag, SeparationQuery, build_network, connected_components, d_separated
+from .bayesnet import Dag, build_network, connected_components, d_separated
 from .dist_oracle import (
     CiOracle,
     GaussianModel,
@@ -21,7 +21,7 @@ from .dist_oracle import (
     random_spb,
 )
 from .errors import GraphoidError
-from .model_core import DependencyModel
+from .model_core import DependencyModel, Triplet
 from .relevance import (
     VIOLATION,
     PartitionTriple,
@@ -103,7 +103,7 @@ def cmd_build_net(args: argparse.Namespace) -> int:
 
 def cmd_dsep(args: argparse.Namespace) -> int:
     dag = Dag.from_json_dict(_load_json_object(args.dag_file))
-    q = SeparationQuery.make(_parse_names(args.x), _parse_names(args.y), _parse_names(args.given))
+    q = Triplet.make(_parse_names(args.x), _parse_names(args.y), _parse_names(args.given))
     separated = d_separated(dag, q)
     print("d-separated" if separated else "connected")
     return 0 if separated else 1

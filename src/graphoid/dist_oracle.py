@@ -347,11 +347,6 @@ class CiOracle:
     def universe(self) -> Universe:
         return self.backend.universe
 
-    def _canonical(self, x_set, y_set, z_set) -> tuple[tuple[str, ...], ...]:
-        """The validated query as sorted tuples, the smaller of x and y first."""
-        xs, ys, zs = _validate_sets(self.universe, x_set, y_set, z_set)
-        return (ys, xs, zs) if ys < xs else (xs, ys, zs)
-
     def ci(
         self,
         x_set: Iterable[str] | str,
@@ -415,7 +410,8 @@ class CiOracle:
         """
         if self._gap is None:
             raise TypeError("discrepancy is undefined for a dependency-model backend")
-        return self._gap(*self._canonical(x_set, y_set, z_set))
+        x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
+        return self._gap(*_oriented(x, y, z))
 
 
 def extract_model(oracle: CiOracle) -> DependencyModel:

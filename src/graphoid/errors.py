@@ -5,12 +5,12 @@ class GraphoidError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidTriplet(GraphoidError):
-    """Triplet sets overlap or mention variables outside the universe."""
-
-
 class InvalidSets(GraphoidError):
     """Query sets overlap or mention unknown variables."""
+
+
+class InvalidTriplet(InvalidSets):
+    """Triplet sets overlap or mention variables outside the universe."""
 
 
 class UnknownVariable(GraphoidError):

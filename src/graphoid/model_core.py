@@ -9,6 +9,7 @@ and checks that closure by exhaustive enumeration at desk scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -141,7 +142,11 @@ class Triplet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Triplet":
-        return cls.make(data["x"], data["y"], data.get("z", ()))
+        return cls.make(
+            names_from_json(data["x"], "x"),
+            names_from_json(data["y"], "y"),
+            names_from_json(data.get("z", []), "z"),
+        )
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,10 @@ class DependencyModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DependencyModel":
         universe = Universe.binary(*names_from_json(data["variables"], "variables"))
-        return cls.of(universe, (Triplet.from_json_dict(d) for d in data["triplets"]))
+        triplets = data["triplets"]
+        if not isinstance(triplets, list) or not all(isinstance(d, dict) for d in triplets):
+            raise ValueError("triplets must be a list of objects")
+        return cls.of(universe, (Triplet.from_json_dict(d) for d in triplets))
 
 
 @dataclass(frozen=True)
@@ -201,12 +209,48 @@ class AxiomViolation:
         return (self.axiom, self.missing.sort_key(), tuple(p.sort_key() for p in self.premises))
 
 
+@dataclass(frozen=True)
+class SubsetTable:
+    """Every subset of a sorted name tuple; cached, shared and read-only.
+
+    ``by_mask[m]`` holds the names at the set bits of ``m`` (bit i is
+    ``names[i]``) and ``mask_of`` inverts it.  Building it costs 2^n sets, so
+    only callers bounded to desk-scale universes use it.
+    """
+
+    names: tuple[str, ...]
+    by_mask: tuple[frozenset[str], ...]
+    mask_of: dict[frozenset[str], int]
+
+
+@functools.cache
+def _subset_table(names: tuple[str, ...]) -> SubsetTable:
+    by_mask = tuple(
+        frozenset(v for i, v in enumerate(names) if mask >> i & 1)
+        for mask in range(1 << len(names))
+    )
+    return SubsetTable(names, by_mask, {s: mask for mask, s in enumerate(by_mask)})
+
+
+def subset_table(names: Iterable[str]) -> SubsetTable:
+    """The subset table of ``names``, built once per sorted name tuple."""
+    return _subset_table(tuple(sorted(names)))
+
+
+def label_blocks(table: SubsetTable, codes: Iterable[int], k: int) -> list[frozenset[str]]:
+    """The ``k`` blocks of ``table.names`` labelled 0..k-1 by ``codes``, one
+    code per name in that (sorted) order."""
+    masks = [0] * k
+    for i, code in enumerate(codes):
+        masks[code] |= 1 << i
+    return [table.by_mask[mask] for mask in masks]
+
+
 def subsets(names: Iterable[str]) -> Iterator[frozenset[str]]:
     """All subsets of ``names``, smallest first, lexicographic within a size."""
     pool = sorted(names)
     for size in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            yield frozenset(combo)
+        yield from map(frozenset, itertools.combinations(pool, size))
 
 
 def subsets_lex(names: Iterable[str]) -> Iterator[frozenset[str]]:
@@ -227,11 +271,9 @@ def iter_disjoint_triples(
     names: Iterable[str],
 ) -> Iterator[tuple[frozenset[str], frozenset[str], frozenset[str]]]:
     """All ordered triples of pairwise-disjoint subsets (4^n of them)."""
-    pool = sorted(names)
-    for codes in itertools.product((0, 1, 2, 3), repeat=len(pool)):
-        x = frozenset(n for n, c in zip(pool, codes) if c == 1)
-        y = frozenset(n for n, c in zip(pool, codes) if c == 2)
-        z = frozenset(n for n, c in zip(pool, codes) if c == 3)
+    table = subset_table(names)
+    for codes in itertools.product(range(4), repeat=len(table.names)):
+        _, x, y, z = label_blocks(table, codes, 4)
         yield x, y, z
 
 
@@ -240,16 +282,6 @@ def _check_bound(universe: Universe) -> None:
         raise UniverseTooLarge(
             f"{len(universe.variables)} variables exceed the bound of {MAX_CLOSURE_VARS}"
         )
-
-
-def _mask_sets(universe: Universe) -> tuple[list[frozenset[str]], dict[frozenset[str], int]]:
-    """One frozenset per variable mask (bit i is ``universe.variables[i]``), and its inverse."""
-    names = universe.variables
-    sets = [
-        frozenset(v for i, v in enumerate(names) if mask >> i & 1)
-        for mask in range(1 << len(names))
-    ]
-    return sets, {s: mask for mask, s in enumerate(sets)}
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -272,7 +304,8 @@ def graphoid_closure(model: DependencyModel) -> DependencyModel:
     its x-set.
     """
     _check_bound(model.universe)
-    sets, mask_of = _mask_sets(model.universe)
+    table = subset_table(model.universe.variables)
+    sets, mask_of = table.by_mask, table.mask_of
     full = len(sets) - 1
 
     closed: set[tuple[int, int, int]] = set()
@@ -331,7 +364,8 @@ def check_graphoid_axioms(model: DependencyModel) -> list[AxiomViolation]:
     with the second premises found under its (x, y|z) in a mask index.
     """
     _check_bound(model.universe)
-    sets, mask_of = _mask_sets(model.universe)
+    table = subset_table(model.universe.variables)
+    sets, mask_of = table.by_mask, table.mask_of
     full = len(sets) - 1
     present = {(mask_of[t.x_set], mask_of[t.y_set], mask_of[t.z_set]): t for t in model.triplets}
     out: list[AxiomViolation] = []

@@ -16,13 +16,12 @@ tables, and the covariance properties that settle the Gaussian case.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .bayesnet import build_network, connecting_trail
 from .dist_oracle import CiOracle, GaussianModel, JointTable
 from .errors import InvalidPartition, UniverseTooLarge
-from .model_core import subsets_lex
+from .model_core import label_blocks, subset_table, subsets_lex
 
 MAX_PAIR_SWEEP_VARS = 12
 MAX_TRANSITIVITY_VARS = 8
@@ -85,19 +84,6 @@ def mutually_irrelevant(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
         if not oracle.ci({x}, {y}, z_set):
             return RelationVerdict(MUTUALLY_IRRELEVANT, False, z_set)
     return RelationVerdict(MUTUALLY_IRRELEVANT, True)
-
-
-def mutually_irrelevant_sets(
-    oracle: CiOracle, a_set: Iterable[str] | str, b_set: Iterable[str] | str
-) -> bool:
-    """Set-level irrelevance: (A, B | Z) for every Z outside A and B."""
-    names = _pair_sweep_guard(oracle)
-    a = oracle.universe.require(a_set)
-    b = oracle.universe.require(b_set)
-    if not a or not b or a & b:
-        raise ValueError("the sets must be disjoint and non-empty")
-    rest = frozenset(names) - a - b
-    return all(oracle.ci(a, b, z_set) for z_set in subsets_lex(rest))
 
 
 def uncoupled(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
@@ -437,14 +423,12 @@ def gaussian_axioms_check(
         )
     out: list[GaussianPropertyViolation] = []
     ci = CiOracle(g, tol).ci
+    table = subset_table(names)
 
     for codes in itertools.product(range(5), repeat=len(names)):
         if 1 not in codes or 2 not in codes or 3 not in codes:
             continue
-        x = frozenset(n for n, c in zip(names, codes) if c == 1)
-        y = frozenset(n for n, c in zip(names, codes) if c == 2)
-        w = frozenset(n for n, c in zip(names, codes) if c == 3)
-        z = frozenset(n for n, c in zip(names, codes) if c == 4)
+        _, x, y, w, z = label_blocks(table, codes, 5)
         if tuple(sorted(y)) > tuple(sorted(w)):
             continue  # composition is symmetric in the two merged sets
         if ci(x, y, z) and ci(x, w, z) and not ci(x, y | w, z):
@@ -458,8 +442,7 @@ def gaussian_axioms_check(
     for codes in itertools.product(range(3), repeat=len(names)):
         if 1 not in codes or 2 not in codes:
             continue
-        x = frozenset(n for n, c in zip(names, codes) if c == 1)
-        y = frozenset(n for n, c in zip(names, codes) if c == 2)
+        _, x, y = label_blocks(table, codes, 3)
         for e in names:
             if e in x or e in y:
                 continue

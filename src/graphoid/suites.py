@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bayesnet import (
-    SeparationQuery,
-    build_network,
-    connected_components,
-    d_separated,
-    factorization_max_error,
-)
+from .bayesnet import build_network, connected_components, d_separated, factorization_max_error
 from .dist_oracle import (
     CiOracle,
     JointTable,
@@ -32,7 +26,14 @@ from .dist_oracle import (
     random_spb,
     xor_table,
 )
-from .model_core import Universe, check_graphoid_axioms, subsets
+from .model_core import (
+    Triplet,
+    Universe,
+    check_graphoid_axioms,
+    label_blocks,
+    subset_table,
+    subsets,
+)
 from .relevance import (
     ANTECEDENT_FAILS,
     CONSEQUENT_HOLDS,
@@ -150,7 +151,7 @@ def suite_dsep_soundness(seed: int = 0, n_vars: int = 5, samples: int = 200) -> 
                 rest = frozenset(names) - {a, b}
                 for z_set in subsets(rest):
                     report.cases += 1
-                    q = SeparationQuery.make({a}, {b}, z_set)
+                    q = Triplet.make({a}, {b}, z_set)
                     if d_separated(dag, q) and not oracle.ci({a}, {b}, z_set):
                         _fail(
                             report,
@@ -230,37 +231,18 @@ def suite_relations(seed: int = 0, n_vars: int = 4, samples: int = 100) -> Suite
 
 
 @functools.cache
-def _ordered_bipartitions(
-    names: frozenset[str],
-) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
-    """Every split of ``names`` into two non-empty sides; split i puts the
-    sorted names at the set bits of mask i + 1 on the first side."""
-    pool = sorted(names)
-    out = []
-    for mask in range(1, 2 ** len(pool) - 1):
-        side = frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1)
-        out.append((side, names - side))
-    return tuple(out)
-
-
-def _live_split_triples(ground_size: int) -> tuple[tuple[int, int, int], ...]:
-    """Split-index triples with both cells x1 & y1 & z1 and x2 & y2 & z2
-    non-empty, in ``itertools.product`` order."""
-    full = (1 << ground_size) - 1
-    return tuple(
-        (i, j, k)
-        for i, j, k in itertools.product(range(full - 1), repeat=3)
-        if (i + 1) & (j + 1) & (k + 1) and full & ~((i + 1) | (j + 1) | (k + 1))
-    )
-
-
-@functools.cache
 def _live_by_x_split(ground_size: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """``_live_split_triples`` grouped by the x-split index, in the same order."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, j, k in _live_split_triples(ground_size):
-        groups.setdefault(i, []).append((j, k))
-    return tuple((i, tuple(jk)) for i, jk in groups.items())
+    """First-side masks ``(a, ((b, c), ...))`` of the x-, y- and z-splits of
+    a ground set whose cells a & b & c and ~a & ~b & ~c are both non-empty,
+    grouped by x-split in ``itertools.product`` order."""
+    full = (1 << ground_size) - 1
+    sides = range(1, full)
+    groups = []
+    for a in sides:
+        live = tuple((b, c) for b in sides for c in sides if a & b & c and full & ~(a | b | c))
+        if live:
+            groups.append((a, live))
+    return tuple(groups)
 
 
 CLEAN_OUTCOMES = ("i1", "i2", "i3", CONSEQUENT_HOLDS, VIOLATION)
@@ -281,15 +263,16 @@ def _clean_sweep(report: SuiteReport, dist, label: str) -> None:
     groups = _live_by_x_split(len(names) - 1)
     outcomes = report.outcomes
     for e_var in names:
-        splits = _ordered_bipartitions(frozenset(names) - {e_var})
-        for i, live in groups:
-            x = splits[i]
+        sets = subset_table(v for v in names if v != e_var).by_mask
+        full = len(sets) - 1
+        for a, live in groups:
+            x = sets[a], sets[full ^ a]
             report.cases += len(live)
             if not oracle.ci(*x):
                 outcomes["i1"] += len(live)
                 continue
-            for j, k in live:
-                y, z = splits[j], splits[k]
+            for b, c in live:
+                y, z = (sets[b], sets[full ^ b]), (sets[c], sets[full ^ c])
                 result = check_clean(oracle, PartitionTriple(*x, *y, *z, e_var))
                 # Live cells leave a failed premise as the only antecedent failure.
                 failed = result.status == ANTECEDENT_FAILS
@@ -319,10 +302,12 @@ def suite_clean(seed: int = 0, n_vars: int = 5, samples: int = 500) -> SuiteRepo
 
 
 def _random_blocks(rng: np.random.Generator, ground: list[str]) -> PtBinBlocks:
-    """Random eight-way block assignment with both first blocks non-empty."""
+    """Random eight-way block assignment of ``ground`` with both first blocks
+    non-empty; one code is drawn per name in sorted order."""
+    table = subset_table(ground)
     while True:
-        codes = rng.integers(8, size=len(ground))
-        groups = [frozenset(g for g, c in zip(ground, codes) if c == k) for k in range(8)]
+        codes = rng.integers(8, size=len(table.names))
+        groups = label_blocks(table, codes, 8)
         if groups[0] and groups[4]:
             return PtBinBlocks(*groups)
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ import pytest
 from graphoid import (
     CiOracle,
     Dag,
+    DependencyModel,
     SeparationQuery,
+    Triplet,
     Universe,
-    audit_minimality,
     build_network,
-    burglary_model,
     burglary_network,
     connected_components,
     d_separated,
@@ -20,11 +21,64 @@ from graphoid import (
     minimal_parents,
     random_spb,
 )
-from graphoid.bayesnet import ancestors, connecting_trail, descendants, random_dag
+from graphoid import model_core
+from graphoid.bayesnet import ancestors, connecting_trail, random_dag
 from graphoid.errors import InvalidOrder, InvalidSets
-from graphoid.model_core import subsets
+from graphoid.model_core import subsets, subsets_lex
 
 Q = SeparationQuery.make
+
+
+def descendants(dag, v):
+    """Nodes reachable from ``v`` by a directed path of positive length."""
+    out = set()
+    stack = list(dag.children(v))
+    while stack:
+        u = stack.pop()
+        if u not in out:
+            out.add(u)
+            stack.extend(dag.children(u))
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class MinimalityViolation:
+    """A node whose parent set shrinks: the oracle releases ``subset``."""
+
+    node: str
+    subset: frozenset
+
+
+def audit_minimality(dag, oracle):
+    """Every node and non-empty parent subset the oracle lets go; empty
+    means no recorded parent set is reducible."""
+    out = []
+    for node in dag.construction_order:
+        pars = dag.parents[node]
+        for sub in subsets_lex(pars):
+            if sub and oracle.ci({node}, sub, pars - sub):
+                out.append(MinimalityViolation(node, sub))
+    return out
+
+
+def burglary_model():
+    """The alarm-story dependency model: two sensors, an alarm, a patrol.
+
+    Sensor outcomes are independent given burglary, the alarm depends on the
+    burglary only through the sensors, and the patrol only through the alarm.
+    """
+    universe = Universe(
+        ("burglary", "sensorA", "sensorB", "alarm", "patrol"),
+        tuple(("yes", "no") for _ in range(5)),
+    )
+    return DependencyModel.of(
+        universe,
+        (
+            Triplet.make({"sensorA"}, {"sensorB"}, {"burglary"}),
+            Triplet.make({"alarm"}, {"burglary"}, {"sensorA", "sensorB"}),
+            Triplet.make({"patrol"}, {"burglary", "sensorA", "sensorB"}, {"alarm"}),
+        ),
+    )
 
 
 def brute_force_parent_sets(oracle, order, position):
@@ -61,6 +115,28 @@ class TestMinimalParents:
                 )
                 assert got == least
                 assert not any(c < got for c in candidates)
+
+    def test_wide_chain_stops_at_the_first_screening_subset(self):
+        class ChainOracle:
+            """A Markov chain v00 -> v01 -> ...; counts the queries asked."""
+
+            def __init__(self, names):
+                self.universe = Universe.binary(*names)
+                self.asked = 0
+
+            def ci(self, x, y, z):
+                self.asked += 1
+                (node,) = x
+                before = self.universe.variables[self.universe.index(node) - 1]
+                return not y or before in z
+
+        names = [f"v{i:02d}" for i in range(21)]
+        oracle = ChainOracle(names)
+        tables_before = model_core._subset_table.cache_info().currsize
+        assert minimal_parents(oracle, names, 21) == {"v19"}
+        # The empty set, then the singletons up to {v19}: 21 of 2^20 candidates.
+        assert oracle.asked == 21
+        assert model_core._subset_table.cache_info().currsize == tables_before
 
 
 class TestBuildNetwork:

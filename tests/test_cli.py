@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from graphoid import xor_table
 from graphoid.cli import main
 
@@ -130,6 +132,26 @@ class TestNameListsInArtifacts:
         artifact = {"variables": "ab", "triplets": [{"x": ["a"], "y": ["b"], "z": []}]}
         assert self._run_ci(tmp_path, artifact) == 2
         assert "variables" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "triplets",
+        [
+            5,
+            [5],
+            [{"x": 5, "y": ["b"], "z": []}],
+            [{"x": [["a"]], "y": ["b"], "z": []}],
+            [{"x": "a", "y": "b"}],
+        ],
+        ids=["int", "list_of_int", "int_set", "nested_set", "string_sets"],
+    )
+    def test_dependency_model_malformed_triplets_exit_2(self, tmp_path, capsys, triplets):
+        artifact = {"variables": ["a", "b"], "triplets": triplets}
+        assert self._run_ci(tmp_path, artifact) == 2
+        assert "must" in capsys.readouterr().err
+
+    def test_dependency_model_z_defaults_to_empty(self, tmp_path, capsys):
+        artifact = {"variables": ["a", "b"], "triplets": [{"x": ["a"], "y": ["b"]}]}
+        assert self._run_ci(tmp_path, artifact) == 0
 
     def test_joint_table_names_and_values_exit_2(self, tmp_path, capsys):
         good = xor_table().to_json_dict()

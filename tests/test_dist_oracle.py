@@ -360,6 +360,9 @@ def test_memoized_oracle_matches_uncached_verdicts(backend):
             for _ in range(3):
                 with pytest.raises(InvalidSets):
                     oracle.ci(x, y, z)
+            if closed is None:  # the backend validates a gap query, as it does a verdict
+                with pytest.raises(InvalidSets):
+                    oracle.discrepancy(x, y, z)
 
 
 def test_oracle_is_frozen(xor):

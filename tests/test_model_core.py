@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from collections import deque
 
 import pytest
@@ -25,7 +26,11 @@ from graphoid.model_core import (
     AXIOM_TRIVIAL,
     AXIOM_WEAK_UNION,
     AxiomViolation,
+    iter_disjoint_triples,
+    label_blocks,
+    subset_table,
     subsets,
+    subsets_lex,
 )
 
 
@@ -334,3 +339,63 @@ def wide_models(draw):
 def test_mask_closure_and_check_match_reference(m):
     assert graphoid_closure(m).triplets == reference_closure(m).triplets
     assert check_graphoid_axioms(m) == reference_check(m)
+
+
+def reference_subsets(names):
+    pool = sorted(names)
+    for size in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            yield frozenset(combo)
+
+
+def reference_subsets_lex(names):
+    pool = sorted(names)
+
+    def gen(prefix, start):
+        yield frozenset(prefix)
+        for i in range(start, len(pool)):
+            prefix.append(pool[i])
+            yield from gen(prefix, i + 1)
+            prefix.pop()
+
+    return gen([], 0)
+
+
+def reference_disjoint_triples(names):
+    pool = sorted(names)
+    for codes in itertools.product((0, 1, 2, 3), repeat=len(pool)):
+        x = frozenset(n for n, c in zip(pool, codes) if c == 1)
+        y = frozenset(n for n, c in zip(pool, codes) if c == 2)
+        z = frozenset(n for n, c in zip(pool, codes) if c == 3)
+        yield x, y, z
+
+
+def shuffled_names(n):
+    names = [f"v{i}" for i in range(n)]
+    random.Random(n).shuffle(names)
+    return names
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize(
+    "fast, reference",
+    [
+        (subsets, reference_subsets),
+        (subsets_lex, reference_subsets_lex),
+        (iter_disjoint_triples, reference_disjoint_triples),
+    ],
+)
+def test_subset_orders_match_the_reference_generators(n, fast, reference):
+    names = shuffled_names(n)
+    assert list(fast(names)) == list(reference(names))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_label_blocks_group_names_by_code(n):
+    pool = sorted(shuffled_names(n))
+    table = subset_table(reversed(pool))
+    assert table.names == tuple(pool)
+    assert [table.mask_of[s] for s in table.by_mask] == list(range(1 << n))
+    for codes in itertools.product(range(3), repeat=n):
+        expected = [frozenset(v for v, c in zip(pool, codes) if c == k) for k in range(3)]
+        assert label_blocks(table, codes, 3) == expected

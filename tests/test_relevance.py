@@ -21,7 +21,6 @@ from graphoid import (
     gaussian_axioms_check,
     is_transitive,
     mutually_irrelevant,
-    mutually_irrelevant_sets,
     random_gaussian,
     random_spb,
     marginalize,
@@ -69,26 +68,6 @@ class TestMutuallyIrrelevant:
     def test_same_variable_rejected(self, xor_oracle):
         with pytest.raises(ValueError):
             mutually_irrelevant(xor_oracle, "x", "x")
-
-
-class TestMutuallyIrrelevantSets:
-    def test_xor_pairs(self, xor_oracle):
-        assert mutually_irrelevant_sets(xor_oracle, {"x"}, {"y"})
-        assert not mutually_irrelevant_sets(xor_oracle, {"x"}, {"y", "z"})
-
-    def test_union_composition(self):
-        # irrelevance of (A,B) and (A,C) must extend to (A, B+C)
-        for seed in range(6):
-            table = random_spb(4, seed)
-            oracle = CiOracle(table)
-            names = sorted(table.universe.variables)
-            for a in names:
-                rest = [n for n in names if n != a]
-                for b, c in itertools.combinations(rest, 2):
-                    if mutually_irrelevant_sets(
-                        oracle, {a}, {b}
-                    ) and mutually_irrelevant_sets(oracle, {a}, {c}):
-                        assert mutually_irrelevant_sets(oracle, {a}, {b, c})
 
 
 class TestUncoupled:

@@ -6,7 +6,7 @@ import pytest
 
 from graphoid import relevance, suites
 from graphoid.dist_oracle import JointTable, marginalize, product_table, random_spb
-from graphoid.model_core import Universe
+from graphoid.model_core import Universe, subset_table
 from graphoid.relevance import (
     ANTECEDENT_FAILS,
     CONSEQUENT_HOLDS,
@@ -97,15 +97,17 @@ def sweep_both(dist, label="case"):
 @pytest.mark.parametrize("ground_size", [2, 3, 4])
 def test_live_triples_are_exactly_those_with_both_cells_non_empty(ground_size):
     ground = frozenset("abcd"[:ground_size])
-    splits = suites._ordered_bipartitions(ground)
-    assert list(splits) == reference_ordered_bipartitions(ground)
+    splits = reference_ordered_bipartitions(ground)
+    sets = subset_table(ground).by_mask
+    full = len(sets) - 1
+    # Split i of the reference has first-side mask i + 1.
+    assert [(sets[m], sets[full ^ m]) for m in range(1, full)] == splits
     expected = [
-        (i, j, k)
+        (i + 1, j + 1, k + 1)
         for i, j, k in itertools.product(range(len(splits)), repeat=3)
         if (pt := PartitionTriple(*splits[i], *splits[j], *splits[k], "e")).r1 and pt.r2
     ]
-    assert list(suites._live_split_triples(ground_size)) == expected
-    grouped = [(i, j, k) for i, live in suites._live_by_x_split(ground_size) for j, k in live]
+    grouped = [(a, b, c) for a, live in suites._live_by_x_split(ground_size) for b, c in live]
     assert grouped == expected
 
 
