@@ -113,10 +113,25 @@ def minimal_parents(oracle: CiOracle, order: Sequence[str], position: int) -> fr
     order = _validated_order(oracle.universe, order)
     if not 1 <= position <= len(order):
         raise InvalidOrder(f"position {position} outside 1..{len(order)}")
-    node = order[position - 1]
-    preceding = frozenset(order[: position - 1])
+    return _screening_set(oracle, order[position - 1], frozenset(order[: position - 1]))
+
+
+def _screening_set(oracle: CiOracle, node: str, preceding: frozenset[str]) -> frozenset[str]:
+    """The first subset of ``preceding`` that screens ``node`` off from the rest.
+
+    The answer depends only on the node and the set of its predecessors, so
+    it is kept on the oracle and every later build reuses it.  Any object
+    with ``universe`` and ``ci`` can stand in for an oracle; one without the
+    memo gets a throwaway dict.
+    """
+    memo = getattr(oracle, "_screening", {})
+    key = (node, preceding)
+    found = memo.get(key)
+    if found is not None:
+        return found
     for candidate in subsets(preceding):
         if oracle.ci({node}, preceding - candidate, candidate):
+            memo[key] = candidate
             return candidate
     raise AssertionError("the full predecessor set always qualifies")
 
@@ -128,7 +143,8 @@ def build_network(oracle: CiOracle, order: Sequence[str] | None = None) -> Dag:
     """
     order = _validated_order(oracle.universe, order)
     parents = {
-        node: minimal_parents(oracle, order, i + 1) for i, node in enumerate(order)
+        node: _screening_set(oracle, node, frozenset(order[:i]))
+        for i, node in enumerate(order)
     }
     return Dag(oracle.universe, parents, order)
 

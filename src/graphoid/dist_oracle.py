@@ -85,6 +85,7 @@ class JointTable:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "_marginals", {})  # sorted axis tuple -> summed array
+        object.__setattr__(self, "_views", {})  # requested name tuple -> transposed view
 
     @property
     def strictly_positive(self) -> bool:
@@ -97,17 +98,21 @@ class JointTable:
         """Read-only marginal array over ``names``, axes in the requested order.
 
         The sum over the dropped axes is computed once per variable subset and
-        kept on the table; each call returns a transposed view of it.
+        kept on the table; the transposed view of it is kept per name tuple.
         """
-        keep = [self.universe.index(n) for n in names]
-        ordered = tuple(sorted(keep))
-        m = self._marginals.get(ordered)
-        if m is None:
-            drop = tuple(i for i in range(self.probs.ndim) if i not in ordered)
-            m = self.probs.sum(axis=drop) if drop else self.probs
-            m.setflags(write=False)
-            self._marginals[ordered] = m
-        return m.transpose([ordered.index(k) for k in keep])
+        names = tuple(names)
+        view = self._views.get(names)
+        if view is None:
+            keep = [self.universe.index(n) for n in names]
+            ordered = tuple(sorted(keep))
+            m = self._marginals.get(ordered)
+            if m is None:
+                drop = tuple(i for i in range(self.probs.ndim) if i not in ordered)
+                m = self.probs.sum(axis=drop) if drop else self.probs
+                m.setflags(write=False)
+                self._marginals[ordered] = m
+            view = self._views[names] = m.transpose([ordered.index(k) for k in keep])
+        return view
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,25 +210,28 @@ def ci_discrepancy_discrete(
 
     Assignments whose conditioning event has probability at most ``tol``
     impose no constraint: the conditional is undefined (or the statement holds
-    vacuously when P(Z) is zero).
+    vacuously when P(Z) is zero).  An empty x_set or y_set gives 0.0 after
+    validation, by trivial independence; ``ci_residual_gaussian`` does the same.
     """
     xs, ys, zs = _validate_sets(table.universe, x_set, y_set, z_set)
+    if not xs or not ys:
+        return 0.0
     m = table.marginal(xs + ys + zs)
     n_x, n_xy = len(xs), len(xs) + len(ys)
     d_x = math.prod(m.shape[:n_x])
     d_y = math.prod(m.shape[n_x:n_xy])
     d_z = math.prod(m.shape[n_xy:])
     p_xyz = m.reshape(d_x, d_y, d_z)
-    p_yz = p_xyz.sum(axis=0)
-    p_xz = p_xyz.sum(axis=1)
-    p_z = p_yz.sum(axis=0)
-    usable = (p_yz > tol) & (p_z > tol)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left = p_xyz / p_yz[None, :, :]
-        right = (p_xz / p_z[None, :])[:, None, :]
-        gap = np.abs(left - right)
-    gap = np.where(usable[None, :, :], gap, 0.0)
-    return float(gap.max())
+    p_yz = np.add.reduce(p_xyz, axis=0)
+    p_xz = np.add.reduce(p_xyz, axis=1)
+    p_z = np.add.reduce(p_yz, axis=0)
+    z_usable = p_z > tol
+    usable = (p_yz > tol) & z_usable
+    # Unusable entries are never divided and stay 0, so no warning can arise.
+    right = np.divide(p_xz, p_z, out=np.zeros(p_xz.shape), where=z_usable)
+    gap = np.divide(p_xyz, p_yz, out=np.zeros(p_xyz.shape), where=usable)
+    np.subtract(gap, right[:, None, :], out=gap, where=usable)
+    return float(np.maximum.reduce(np.abs(gap, out=gap), axis=None))
 
 
 def ci_holds_discrete(
@@ -248,6 +256,7 @@ def ci_residual_gaussian(
     The conditional block is the Schur complement S_XY - S_XZ S_ZZ^-1 S_ZY,
     computed through a symmetric factorization of S_ZZ.  Values given to the
     conditioning variables never enter: the answer is a covariance property.
+    An empty x_set or y_set gives 0.0 after validation, as in the discrete kernel.
     """
     xs, ys, zs = _validate_sets(g.universe, x_set, y_set, z_set)
     if not xs or not ys:
@@ -298,8 +307,12 @@ class CiOracle:
     one canonical orientation (the smaller sorted tuple first), so
     ``ci(x, y, z) == ci(y, x, z)`` whichever was asked first.  The oracle
     and its backends are immutable, which keeps the memo valid for the
-    oracle's lifetime.  ``ci_given_value`` answers value-specific statements
-    about a table through conditioned oracles kept on this one.
+    oracle's lifetime.  Besides the verdict memo ``_memo``, an oracle keeps
+    ``_given``, the conditioned oracles through which ``ci_given_value``
+    answers value-specific statements about a table, and ``_screening``, the
+    minimal screening set found by network construction for each node and
+    predecessor set, so a network rebuilt on the same oracle asks nothing.
+    The tolerance must be finite and non-negative.
     """
 
     backend: JointTable | GaussianModel | DependencyModel
@@ -307,8 +320,8 @@ class CiOracle:
 
     def __post_init__(self) -> None:
         backend, tol = self.backend, self.tolerance
-        if tol is not None and tol < 0.0:
-            raise ValueError("tolerance must be non-negative")
+        if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError("tolerance must be finite and non-negative")
         if isinstance(backend, JointTable):
             tol = DISCRETE_TOL if tol is None else tol
             holds = functools.partial(ci_holds_discrete, backend, tol=tol)
@@ -342,6 +355,9 @@ class CiOracle:
         # (pivot, value index) -> oracle over the table conditioned on that
         # value, or None when the value has no usable mass; tables only.
         object.__setattr__(self, "_given", {})
+        # (node, frozenset of its predecessors) -> minimal screening set;
+        # read and written by ``bayesnet._screening_set`` only.
+        object.__setattr__(self, "_screening", {})
 
     @property
     def universe(self) -> Universe:

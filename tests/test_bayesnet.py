@@ -161,6 +161,43 @@ class TestBuildNetwork:
         with pytest.raises(InvalidOrder):
             build_network(xor_oracle, ("x", "y"))
 
+    def test_rebuilds_on_one_oracle_equal_fresh_builds(self, blocks_table):
+        model = DependencyModel.of(
+            Universe.binary("u1", "u2", "u3", "u4"),
+            [Triplet.make("u1", "u2"), Triplet.make("u3", {"u1", "u2"}, "u4")],
+        )
+        for backend in (random_spb(4, 11), blocks_table, model):
+            shared = CiOracle(backend)
+            for order in itertools.permutations(backend.universe.variables):
+                assert build_network(shared, order) == build_network(CiOracle(backend), order)
+            # one screening set per node and predecessor set: 4 nodes x 2^3 sets
+            assert len(shared._screening) == 32
+
+    def test_a_rebuild_asks_the_kernel_nothing(self, monkeypatch):
+        import graphoid.dist_oracle as dist_oracle
+
+        calls = []
+        real_kernel = dist_oracle.ci_discrepancy_discrete
+
+        def counting_kernel(*args, **kwargs):
+            calls.append(args[1:4])
+            return real_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(dist_oracle, "ci_discrepancy_discrete", counting_kernel)
+        oracle = CiOracle(random_spb(5, 2))
+        order = ("u3", "u1", "u5", "u2", "u4")
+        first = build_network(oracle, order)
+        assert calls
+        calls.clear()
+        assert build_network(oracle, order) == first
+        assert calls == []
+        # swapping the first two nodes leaves the predecessor set of the rest
+        # as it was, so their screening sets come from the memo
+        swapped = build_network(oracle, ("u1", "u3", "u5", "u2", "u4"))
+        assert all(swapped.parents[v] == first.parents[v] for v in ("u5", "u2", "u4"))
+        asked = {frozenset(x) | frozenset(y) | frozenset(z) for x, y, z in calls}
+        assert asked and all(len(names) <= 2 for names in asked)
+
 
 class TestDSeparation:
     def test_sensors_blocked_by_burglary(self):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import math
 import weakref
 
 import numpy as np
@@ -23,8 +24,9 @@ from graphoid import (
     marginalize,
     random_gaussian,
     random_spb,
+    xor_table,
 )
-from graphoid.dist_oracle import ci_residual_gaussian
+from graphoid.dist_oracle import DISCRETE_TOL, ci_discrepancy_discrete, ci_residual_gaussian
 from graphoid.errors import (
     InvalidSets,
     SingularConditioning,
@@ -486,3 +488,85 @@ def test_ci_given_value_rejects_a_model_backend_and_bad_values(xor):
             oracle.ci_given_value("x", "y", "z", value)
     with pytest.raises(InvalidSets):  # the pivot cannot also be a query set
         oracle.ci_given_value("x", {"y", "z"}, "z", 0)
+
+
+def _reference_discrepancy(table, x_set, y_set, z_set, tol):
+    """The discrete kernel as it stood before its empty-side return.
+
+    The marginal is summed straight from the table, so neither marginal
+    cache takes part.
+    """
+    xs, ys, zs = tuple(sorted(x_set)), tuple(sorted(y_set)), tuple(sorted(z_set))
+    keep = [table.universe.index(n) for n in xs + ys + zs]
+    ordered = sorted(keep)
+    drop = tuple(i for i in range(table.probs.ndim) if i not in keep)
+    m = table.probs.sum(axis=drop) if drop else table.probs
+    m = m.transpose([ordered.index(k) for k in keep])
+    n_x, n_xy = len(xs), len(xs) + len(ys)
+    d_x = math.prod(m.shape[:n_x])
+    d_y = math.prod(m.shape[n_x:n_xy])
+    d_z = math.prod(m.shape[n_xy:])
+    p_xyz = m.reshape(d_x, d_y, d_z)
+    p_yz = p_xyz.sum(axis=0)
+    p_xz = p_xyz.sum(axis=1)
+    p_z = p_yz.sum(axis=0)
+    usable = (p_yz > tol) & (p_z > tol)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left = p_xyz / p_yz[None, :, :]
+        right = (p_xz / p_z[None, :])[:, None, :]
+        gap = np.abs(left - right)
+    gap = np.where(usable[None, :, :], gap, 0.0)
+    return float(gap.max())
+
+
+def _sparse_table(seed):
+    """Four variables with two and three values, about 40% of cells zero."""
+    universe = Universe(
+        ("a", "b", "c", "d"), (("0", "1"), ("0", "1", "2"), ("0", "1"), ("0", "1", "2"))
+    )
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.01, 1.0, size=36) * (rng.random(36) >= 0.4)
+    return JointTable(universe, raw / raw.sum())
+
+
+@pytest.mark.parametrize("tol", [0.0, DISCRETE_TOL])
+def test_discrete_kernel_is_bit_identical_to_the_reference(tol):
+    tables = [random_spb(n, 40 + n) for n in range(2, 6)]
+    tables += [xor_table()] + [_sparse_table(seed) for seed in range(3)]
+    assert any((t.probs == 0).mean() > 0.3 for t in tables)
+    for table in tables:
+        for x, y, z in iter_disjoint_triples(table.universe.variables):
+            got = ci_discrepancy_discrete(table, x, y, z, tol)
+            assert got == _reference_discrepancy(table, x, y, z, tol)
+            if not x or not y:
+                assert got == 0.0
+
+
+def test_an_empty_side_never_reads_a_marginal(monkeypatch):
+    read = []
+    real_marginal = JointTable.marginal
+
+    def counting_marginal(self, names):
+        read.append(names)
+        return real_marginal(self, names)
+
+    monkeypatch.setattr(JointTable, "marginal", counting_marginal)
+    table = random_spb(4, 3)
+    oracle = CiOracle(table)
+    for x, y, z in iter_disjoint_triples(table.universe.variables):
+        if not x or not y:
+            assert ci_discrepancy_discrete(table, x, y, z) == 0.0
+            assert oracle.ci(x, y, z) and oracle.discrepancy(x, y, z) == 0.0
+    assert read == []
+    with pytest.raises(InvalidSets):  # validation still runs first
+        ci_discrepancy_discrete(table, {"u1"}, (), {"u1"})
+    oracle.ci({"u1"}, {"u2"})
+    assert read == [("u1", "u2")]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.5])
+def test_tolerance_must_be_finite_and_non_negative(xor, tol):
+    model = DependencyModel.of(xor.universe, [Triplet.make("x", "y")])
+    for backend in (random_spb(3, 0), random_gaussian(3, 0), model):
+        with pytest.raises(ValueError):
+            CiOracle(backend, tolerance=tol)

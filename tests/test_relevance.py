@@ -331,6 +331,19 @@ class TestCheckClean:
         with pytest.raises(ValueError):
             check_pt_bin(CiOracle(table), blocks, "e", tol=1e-6)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_tolerance_rejected(self, tol):
+        # a NaN tolerance used to fail every statement and +inf to hold every one
+        table = pivot_block_table()
+        split = frozenset({"u1"}), frozenset({"u2", "u3"})
+        cases = [
+            (table, identical_partition(table)),
+            (random_gaussian(4, 0), PartitionTriple(*split, *split, *split, "u4")),
+        ]
+        for dist, pt in cases:
+            with pytest.raises(ValueError):
+                check_clean(dist, pt, tol=tol)
+
     def test_pivot_value_out_of_range_rejected_before_empty_cells(self):
         table = pivot_block_table()
         one, two = frozenset({"a1", "a2"}), frozenset({"b"})
