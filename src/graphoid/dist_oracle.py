@@ -186,10 +186,17 @@ def marginalize(table: JointTable, keep: Iterable[str]) -> JointTable:
     return JointTable(table.universe.restricted_to(names), table.marginal(names))
 
 
+def is_value_index(value: object, n_values: int) -> bool:
+    """Whether ``value`` is an int or numpy integer, not a bool, in [0, n_values)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return False
+    return 0 <= value < n_values
+
+
 def condition_on(table: JointTable, var: str, value: int) -> JointTable:
     """Conditional distribution given ``var`` equals the value at ``value`` index."""
     axis = table.universe.index(var)
-    if not 0 <= value < len(table.universe.domain(var)):
+    if not is_value_index(value, table.domain_size(var)):
         raise ValueError(f"value index {value} out of range for {var}")
     slab = np.take(table.probs, value, axis=axis)
     mass = float(slab.sum())
@@ -312,7 +319,8 @@ class CiOracle:
     answers value-specific statements about a table, and ``_screening``, the
     minimal screening set found by network construction for each node and
     predecessor set, so a network rebuilt on the same oracle asks nothing.
-    The tolerance must be finite and non-negative.
+    The tolerance must be finite and non-negative; None picks the backend's
+    default.  It is the only tolerance the checks in ``relevance`` use.
     """
 
     backend: JointTable | GaussianModel | DependencyModel
@@ -390,9 +398,11 @@ class CiOracle:
     ) -> bool:
         """Whether (x_set, y_set) holds given the pivot ``e_var`` at one value index.
 
-        A table answers through one memoized oracle per (pivot, value) over the
-        conditioned table, at this oracle's tolerance; the statement holds
-        vacuously when the value has probability at most the tolerance.
+        On a table ``value`` must be an int or numpy integer (not a bool)
+        inside the pivot's domain, else ValueError.  A table answers through
+        one memoized oracle per (pivot, value) over the conditioned table, at
+        this oracle's tolerance; the statement holds vacuously when the value
+        has probability at most the tolerance.
         Conditioning a Gaussian on a pivot value shifts only the mean, so its
         answer is ``ci(x_set, y_set, {e_var})`` for every value.  Undefined for
         a dependency-model backend.
@@ -402,10 +412,10 @@ class CiOracle:
             return self.ci(x_set, y_set, (e_var,))
         if not isinstance(backend, JointTable):
             raise TypeError("value-specific independence needs a table or Gaussian backend")
+        if not is_value_index(value, backend.domain_size(e_var)):
+            raise ValueError(f"value index {value} out of range for {e_var}")
         key = (e_var, value)
         if key not in self._given:
-            if not 0 <= value < len(backend.universe.domain(e_var)):
-                raise ValueError(f"value index {value} out of range for {e_var}")
             mass = float(backend.marginal((e_var,))[value])
             self._given[key] = (
                 None if mass <= self.tolerance

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .bayesnet import build_network, connecting_trail
-from .dist_oracle import CiOracle, GaussianModel, JointTable
+from .dist_oracle import CiOracle, GaussianModel, JointTable, is_value_index
 from .errors import InvalidPartition, UniverseTooLarge
 from .model_core import label_blocks, subset_table, subsets_lex
 
@@ -34,6 +34,9 @@ UNRELATED = "unrelated"
 ANTECEDENT_FAILS = "antecedent_fails"
 CONSEQUENT_HOLDS = "consequent_holds"
 VIOLATION = "violation"
+
+# One two-way partition of a variable set, as its (first, second) sides.
+Split = tuple[frozenset[str], frozenset[str]]
 
 
 @dataclass(frozen=True)
@@ -61,13 +64,16 @@ class RelationVerdict:
         return {"relation": self.relation, "holds": self.holds, "witness": witness}
 
 
-def _pair_sweep_guard(oracle: CiOracle) -> tuple[str, ...]:
-    names = oracle.universe.variables
+def _pair_rest(oracle: CiOracle, x: str, y: str) -> frozenset[str]:
+    """The variables a pair sweep ranges over: the universe minus x and y."""
+    names = oracle.universe.names
     if len(names) > MAX_PAIR_SWEEP_VARS:
         raise UniverseTooLarge(
             f"{len(names)} variables exceed the sweep bound of {MAX_PAIR_SWEEP_VARS}"
         )
-    return names
+    if x == y:
+        raise ValueError("x and y must differ")
+    return names - oracle.universe.require({x, y})
 
 
 def mutually_irrelevant(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
@@ -75,11 +81,7 @@ def mutually_irrelevant(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
 
     On failure the witness is the lexicographically least violating Z.
     """
-    names = _pair_sweep_guard(oracle)
-    if x == y:
-        raise ValueError("x and y must differ")
-    oracle.universe.require({x, y})
-    rest = frozenset(names) - {x, y}
+    rest = _pair_rest(oracle, x, y)
     for z_set in subsets_lex(rest):
         if not oracle.ci({x}, {y}, z_set):
             return RelationVerdict(MUTUALLY_IRRELEVANT, False, z_set)
@@ -93,11 +95,7 @@ def uncoupled(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
     so network-based answers can be validated against it.  The witness is the
     first qualifying partition in lexicographic scan order.
     """
-    names = _pair_sweep_guard(oracle)
-    if x == y:
-        raise ValueError("x and y must differ")
-    oracle.universe.require({x, y})
-    rest = frozenset(names) - {x, y}
+    rest = _pair_rest(oracle, x, y)
     for with_x in subsets_lex(rest):
         side_x = with_x | {x}
         side_y = (rest - with_x) | {y}
@@ -223,47 +221,19 @@ class CheckResult:
         }
 
 
-EMPTY_R1 = CheckResult(ANTECEDENT_FAILS, detail="empty_r1")
-EMPTY_R2 = CheckResult(ANTECEDENT_FAILS, detail="empty_r2")
+def _as_oracle(dist_or_oracle: CiOracle | JointTable | GaussianModel) -> CiOracle:
+    return dist_or_oracle if isinstance(dist_or_oracle, CiOracle) else CiOracle(dist_or_oracle)
 
 
-def _as_oracle(
-    dist_or_oracle: CiOracle | JointTable | GaussianModel, tol: float | None
-) -> CiOracle:
-    if isinstance(dist_or_oracle, CiOracle):
-        if tol is not None:
-            raise ValueError("give the tolerance to the oracle, not alongside it")
-        return dist_or_oracle
-    return CiOracle(dist_or_oracle, tol)
-
-
-def _unmet_premise(
-    oracle: CiOracle,
-    x: tuple[frozenset[str], frozenset[str]],
-    y: tuple[frozenset[str], frozenset[str]],
-    z: tuple[frozenset[str], frozenset[str]],
-    e_var: str,
-    e_values: tuple[int, int],
-) -> str | None:
-    """Name of the first premise that fails, or None when all three hold.
-
-    i1 asks the first partition with the pivot summed out, i2 the second
-    given the first pivot value, i3 the third given the other.
-    """
-    if not oracle.ci(*x):
-        return "i1"
-    if not oracle.ci_given_value(*y, e_var, e_values[0]):
-        return "i2"
-    if not oracle.ci_given_value(*z, e_var, e_values[1]):
-        return "i3"
-    return None
+def _pivot_ground(oracle: CiOracle, e_var: str) -> frozenset[str]:
+    """The universe minus the pivot, which must be one of its variables."""
+    if e_var not in oracle.universe.names:
+        raise InvalidPartition(f"unknown pivot variable {e_var}")
+    return oracle.universe.names - {e_var}
 
 
 def _conclusion(
-    oracle: CiOracle,
-    first: frozenset[str],
-    second: frozenset[str],
-    e_var: str,
+    oracle: CiOracle, first: frozenset[str], second: frozenset[str], e_var: str,
     ground: frozenset[str],
 ) -> CheckResult:
     """Whether ``first`` or ``second`` is independent of everything else and the pivot."""
@@ -274,10 +244,27 @@ def _conclusion(
     return CheckResult(VIOLATION, False, False)
 
 
+def _implication(
+    oracle: CiOracle, x: Split, y: Split, z: Split, first: frozenset[str],
+    second: frozenset[str], e_var: str, e_values: tuple[int, int], ground: frozenset[str],
+) -> CheckResult:
+    """The implication core of both forms: premises i1, i2, i3, then the conclusion.
+
+    i1 asks the first partition with the pivot summed out, i2 the second given
+    the first pivot value, i3 the third given the other; the first unmet
+    premise is reported, and when all hold ``_conclusion`` decides.
+    """
+    if not oracle.ci(*x):
+        return CheckResult(ANTECEDENT_FAILS, detail="i1")
+    if not oracle.ci_given_value(*y, e_var, e_values[0]):
+        return CheckResult(ANTECEDENT_FAILS, detail="i2")
+    if not oracle.ci_given_value(*z, e_var, e_values[1]):
+        return CheckResult(ANTECEDENT_FAILS, detail="i3")
+    return _conclusion(oracle, first, second, e_var, ground)
+
+
 def check_clean(
-    dist_or_oracle: CiOracle | JointTable | GaussianModel,
-    pt: PartitionTriple,
-    tol: float | None = None,
+    dist_or_oracle: CiOracle | JointTable | GaussianModel, pt: PartitionTriple
 ) -> CheckResult:
     """Partition-triple implication behind transitivity of the distribution family.
 
@@ -286,35 +273,28 @@ def check_clean(
     one of the two triple-intersection cells is independent of everything
     else including the pivot.
 
-    A table or Gaussian is wrapped in ``CiOracle(dist, tol)``; pass one oracle
-    (and no ``tol``) to share its memo across many checks.
+    A table or Gaussian is wrapped in ``CiOracle(dist)`` at the default
+    tolerance; pass an oracle to choose the tolerance or to share its memo
+    across many checks.  On a table each pivot value must be an integer
+    index into the pivot's domain.
     """
-    oracle = _as_oracle(dist_or_oracle, tol)
-    universe = oracle.universe
-    if pt.e_var not in universe.names:
-        raise InvalidPartition(f"unknown pivot variable {pt.e_var}")
-    ground = universe.names - {pt.e_var}
+    oracle = _as_oracle(dist_or_oracle)
+    ground = _pivot_ground(oracle, pt.e_var)
     if pt.ground != ground:
         raise InvalidPartition("partitions must cover the universe minus the pivot")
     if isinstance(oracle.backend, JointTable):
-        n_values = len(universe.domain(pt.e_var))
+        n_values = oracle.backend.domain_size(pt.e_var)
         for v in pt.e_values:
-            if not 0 <= v < n_values:
+            if not is_value_index(v, n_values):
                 raise InvalidPartition(f"pivot value index {v} out of range")
 
-    r1 = pt.r1
-    if not r1:
-        return EMPTY_R1
-    r2 = pt.r2
-    if not r2:
-        return EMPTY_R2
-
-    premise = _unmet_premise(
-        oracle, (pt.x1, pt.x2), (pt.y1, pt.y2), (pt.z1, pt.z2), pt.e_var, pt.e_values
+    r1, r2 = pt.r1, pt.r2
+    if not (r1 and r2):
+        return CheckResult(ANTECEDENT_FAILS, detail="empty_r2" if r1 else "empty_r1")
+    return _implication(
+        oracle, (pt.x1, pt.x2), (pt.y1, pt.y2), (pt.z1, pt.z2), r1, r2,
+        pt.e_var, pt.e_values, ground,
     )
-    if premise is not None:
-        return CheckResult(ANTECEDENT_FAILS, detail=premise)
-    return _conclusion(oracle, r1, r2, pt.e_var, ground)
 
 
 @dataclass(frozen=True)
@@ -331,10 +311,7 @@ class PtBinBlocks:
     b4: frozenset[str]
 
     def __post_init__(self) -> None:
-        blocks = self.as_tuple()
-        total = sum(len(b) for b in blocks)
-        union = frozenset().union(*blocks)
-        if total != len(union):
+        if sum(map(len, self.as_tuple())) != len(self.union):
             raise InvalidPartition("blocks must be pairwise disjoint")
 
     def as_tuple(self) -> tuple[frozenset[str], ...]:
@@ -344,59 +321,42 @@ class PtBinBlocks:
     def union(self) -> frozenset[str]:
         return frozenset().union(*self.as_tuple())
 
-    def as_partition_triple(self, e_var: str, e_values: tuple[int, int] = (0, 1)) -> PartitionTriple:
-        """Regroup the blocks into the three-partition form.
-
-        Requires every resulting partition side to be non-empty.
-        """
-        return PartitionTriple(
-            x1=self.a1 | self.a2 | self.a3 | self.a4,
-            x2=self.b1 | self.b2 | self.b3 | self.b4,
-            y1=self.a1 | self.a2 | self.b3 | self.b4,
-            y2=self.b1 | self.b2 | self.a3 | self.a4,
-            z1=self.a1 | self.a3 | self.b2 | self.b4,
-            z2=self.b1 | self.b3 | self.a2 | self.a4,
-            e_var=e_var,
-            e_values=e_values,
+    def sides(self) -> tuple[Split, Split, Split]:
+        """The three two-way partitions (x, y, z) the blocks regroup into."""
+        a1, a2, a3, a4, b1, b2, b3, b4 = self.as_tuple()
+        return (
+            (a1 | a2 | a3 | a4, b1 | b2 | b3 | b4),
+            (a1 | a2 | b3 | b4, b1 | b2 | a3 | a4),
+            (a1 | a3 | b2 | b4, b1 | b3 | a2 | a4),
         )
+
+    def as_partition_triple(
+        self, e_var: str, e_values: tuple[int, int] = (0, 1)
+    ) -> PartitionTriple:
+        """The three-partition form of ``sides()``; every side must be non-empty."""
+        x, y, z = self.sides()
+        return PartitionTriple(*x, *y, *z, e_var, e_values)
 
 
 def check_pt_bin(
-    table_or_oracle: CiOracle | JointTable,
-    blocks: PtBinBlocks,
-    e_var: str,
-    tol: float | None = None,
+    table_or_oracle: CiOracle | JointTable, blocks: PtBinBlocks, e_var: str
 ) -> CheckResult:
     """Eight-block reformulation of the partition implication for binary pivots.
 
     Empty blocks are allowed: an empty first block makes its consequent
-    disjunct trivially true.  Under the block-to-partition regrouping this
-    check agrees with ``check_clean`` whenever both first blocks are
-    non-empty.  A table is wrapped in ``CiOracle(table, tol)``, as in
-    ``check_clean``.
+    disjunct trivially true.  The premises are asked of ``blocks.sides()``,
+    the same regrouping ``as_partition_triple`` builds, so this check agrees
+    with ``check_clean`` whenever both first blocks are non-empty.  A table
+    is wrapped in ``CiOracle(table)``; pass an oracle to choose the
+    tolerance, as in ``check_clean``.
     """
-    oracle = _as_oracle(table_or_oracle, tol)
-    universe = oracle.universe
-    if e_var not in universe.names:
-        raise InvalidPartition(f"unknown pivot variable {e_var}")
-    if len(universe.domain(e_var)) != 2:
+    oracle = _as_oracle(table_or_oracle)
+    ground = _pivot_ground(oracle, e_var)
+    if len(oracle.universe.domain(e_var)) != 2:
         raise InvalidPartition("the pivot variable must be binary")
-    ground = universe.names - {e_var}
     if blocks.union != ground:
         raise InvalidPartition("blocks must cover the universe minus the pivot")
-
-    a1, a2, a3, a4, b1, b2, b3, b4 = blocks.as_tuple()
-    premise = _unmet_premise(
-        oracle,
-        (a1 | a2 | a3 | a4, b1 | b2 | b3 | b4),
-        (a1 | a2 | b3 | b4, b1 | b2 | a3 | a4),
-        (a1 | a3 | b2 | b4, b1 | b3 | a2 | a4),
-        e_var,
-        (0, 1),
-    )
-    if premise is not None:
-        return CheckResult(ANTECEDENT_FAILS, detail=premise)
-    return _conclusion(oracle, a1, b1, e_var, ground)
+    return _implication(oracle, *blocks.sides(), blocks.a1, blocks.b1, e_var, (0, 1), ground)
 
 
 @dataclass(frozen=True)
@@ -405,16 +365,15 @@ class GaussianPropertyViolation:
     sets: tuple[tuple[str, ...], ...]
 
 
-def gaussian_axioms_check(
-    g: GaussianModel, tol: float | None = None
-) -> list[GaussianPropertyViolation]:
+def gaussian_axioms_check(g: GaussianModel) -> list[GaussianPropertyViolation]:
     """Sweep composition and marginal weak transitivity over small set triples.
 
     Composition: I(X,Y|Z) and I(X,W|Z) must give I(X, Y+W | Z).  Marginal
     weak transitivity: I(X,Y) and I(X,Y|e) must give I(X,e) or I(e,Y).  The
     unification property (value-specific independence lifting to the
     variable level) is structurally satisfied because the oracle never takes
-    conditioning values, so it is not sweepable and never reported.
+    conditioning values, so it is not sweepable and never reported.  Every
+    query is asked at the default Gaussian tolerance of ``CiOracle``.
     """
     names = sorted(g.universe.variables)
     if len(names) > MAX_GAUSSIAN_SWEEP_VARS:
@@ -422,7 +381,7 @@ def gaussian_axioms_check(
             f"{len(names)} variables exceed the sweep bound of {MAX_GAUSSIAN_SWEEP_VARS}"
         )
     out: list[GaussianPropertyViolation] = []
-    ci = CiOracle(g, tol).ci
+    ci = CiOracle(g).ci
     table = subset_table(names)
 
     for codes in itertools.product(range(5), repeat=len(names)):

@@ -14,7 +14,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .bayesnet import Dag, build_network, connected_components
-from .dist_oracle import CiOracle, JointTable, marginalize
+from .dist_oracle import CiOracle, JointTable, is_value_index, marginalize
 from .errors import InvalidPartition, UnknownVariable, ZeroProbabilityEvidence
 from .model_core import Universe
 from .relevance import mutually_irrelevant
@@ -40,7 +40,7 @@ class HypothesisCover:
         domain = universe.domain(self.h)
         covered: set[int] = set()
         for sub in self.subsets:
-            if any(not 0 <= v < len(domain) for v in sub):
+            if not all(is_value_index(v, len(domain)) for v in sub):
                 raise InvalidPartition(f"value index out of range for {self.h}")
             covered.update(sub)
         if covered != set(range(len(domain))):
@@ -86,7 +86,7 @@ def restrict_to_hypotheses(table: JointTable, h: str, hypotheses) -> JointTable:
     axis = table.universe.index(h)
     domain = table.universe.domain(h)
     values = tuple(sorted(set(hypotheses)))
-    if any(not 0 <= v < len(domain) for v in values):
+    if not all(is_value_index(v, len(domain)) for v in values):
         raise UnknownVariable(f"value index out of range for {h}")
     slab = np.take(table.probs, values, axis=axis)
     mass = float(slab.sum())
@@ -100,9 +100,9 @@ def restrict_to_hypotheses(table: JointTable, h: str, hypotheses) -> JointTable:
     return JointTable(Universe(variables, domains), slab / mass)
 
 
-def _included_variables(restricted: JointTable, h: str, net_type: int) -> frozenset[str]:
-    oracle = CiOracle(restricted)
-    others = [v for v in restricted.universe.variables if v != h]
+def _included_variables(oracle: CiOracle, h: str, net_type: int) -> frozenset[str]:
+    """Variables of the oracle's universe that type ``net_type`` keeps beside ``h``."""
+    others = [v for v in oracle.universe.variables if v != h]
     if net_type == 1:
         dag = build_network(oracle)
         for comp in connected_components(dag):
@@ -122,7 +122,7 @@ def build_local(table: JointTable, h: str, hypotheses, net_type: int) -> LocalNe
     remaining variables in universe order.
     """
     restricted = restrict_to_hypotheses(table, h, hypotheses)
-    included = _included_variables(restricted, h, net_type)
+    included = _included_variables(CiOracle(restricted), h, net_type)
     local_names = (h,) + tuple(v for v in table.universe.variables if v in included)
     local_table = marginalize(restricted, local_names)
     dag = build_network(CiOracle(local_table), local_names)
@@ -169,9 +169,10 @@ def types_equivalent(table: JointTable, cover: HypothesisCover) -> EquivalenceRe
     cover.validate_for(table.universe)
     divergences = []
     for sub in cover.subsets:
-        restricted = restrict_to_hypotheses(table, cover.h, sub)
-        related = _included_variables(restricted, cover.h, 1)
-        relevant = _included_variables(restricted, cover.h, 2)
+        # Both rules ask one oracle, so they share its verdict memo.
+        oracle = CiOracle(restrict_to_hypotheses(table, cover.h, sub))
+        related = _included_variables(oracle, cover.h, 1)
+        relevant = _included_variables(oracle, cover.h, 2)
         if related != relevant:
             divergences.append(
                 SubsetDivergence(

@@ -490,6 +490,24 @@ def test_ci_given_value_rejects_a_model_backend_and_bad_values(xor):
         oracle.ci_given_value("x", {"y", "z"}, "z", 0)
 
 
+def test_a_value_index_is_an_integer_never_a_bool_or_float():
+    table = random_spb(3, 0)
+    oracle = CiOracle(table)
+    fresh = CiOracle(table).ci_given_value("u1", "u2", "u3", np.int64(1))
+    for value in (True, 1.0):  # value 1 not yet cached
+        with pytest.raises(ValueError):
+            oracle.ci_given_value("u1", "u2", "u3", value)
+        with pytest.raises(ValueError):
+            condition_on(table, "u3", value)
+    assert oracle.ci_given_value("u1", "u2", "u3", 1) == fresh
+    for value in (True, 1.0):  # value 1 now cached
+        with pytest.raises(ValueError):
+            oracle.ci_given_value("u1", "u2", "u3", value)
+    assert oracle.ci_given_value("u1", "u2", "u3", np.int64(1)) == fresh
+    assert np.array_equal(condition_on(table, "u3", np.int64(1)).probs,
+                          condition_on(table, "u3", 1).probs)
+
+
 def _reference_discrepancy(table, x_set, y_set, z_set, tol):
     """The discrete kernel as it stood before its empty-side return.
 

@@ -320,37 +320,33 @@ class TestCheckClean:
         assert result.status == VIOLATION
         assert result.r1_holds is False and result.r2_holds is False
 
-    def test_oracle_and_tolerance_together_rejected(self):
-        table = pivot_block_table()
-        with pytest.raises(ValueError):
-            check_clean(CiOracle(table), identical_partition(table), tol=1e-6)
-        blocks = PtBinBlocks(
-            frozenset({"a1", "a2"}), frozenset(), frozenset(), frozenset(),
-            frozenset({"b"}), frozenset(), frozenset(), frozenset(),
-        )
-        with pytest.raises(ValueError):
-            check_pt_bin(CiOracle(table), blocks, "e", tol=1e-6)
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -0.5])
-    def test_non_finite_or_negative_tolerance_rejected(self, tol):
-        # a NaN tolerance used to fail every statement and +inf to hold every one
-        table = pivot_block_table()
-        split = frozenset({"u1"}), frozenset({"u2", "u3"})
-        cases = [
-            (table, identical_partition(table)),
-            (random_gaussian(4, 0), PartitionTriple(*split, *split, *split, "u4")),
-        ]
-        for dist, pt in cases:
-            with pytest.raises(ValueError):
-                check_clean(dist, pt, tol=tol)
+    def test_checks_use_the_tolerance_of_the_oracle_they_are_given(self):
+        # b leans on a2 by a 1e-5 tilt: i1 fails at the default tolerance and
+        # holds at 1e-3, where the free b-side then carries the conclusion
+        base = pivot_block_table()
+        tilt = np.multiply.outer([1.0, -1.0], [1.0, -1.0])[None, :, :, None]
+        probs = base.probs * (1.0 + 1e-5 * tilt)
+        table = JointTable(base.universe, probs / probs.sum())
+        pt = identical_partition(table)
+        none = frozenset()
+        blocks = PtBinBlocks(pt.x1, none, none, none, pt.x2, none, none, none)
+        for tol, expected in [
+            (None, CheckResult(ANTECEDENT_FAILS, detail="i1")),
+            (1e-3, CheckResult(CONSEQUENT_HOLDS, False, True)),
+        ]:
+            oracle = CiOracle(table, tol)
+            assert check_clean(oracle, pt) == expected
+            assert check_pt_bin(oracle, blocks, "e") == expected
 
     def test_pivot_value_out_of_range_rejected_before_empty_cells(self):
         table = pivot_block_table()
         one, two = frozenset({"a1", "a2"}), frozenset({"b"})
-        # the third partition leaves the first cell empty, yet the value is checked
-        pt = PartitionTriple(one, two, one, two, two, one, "e", (0, 2))
-        with pytest.raises(InvalidPartition):
-            check_clean(CiOracle(table), pt)
+        # the third partition leaves the first cell empty, yet the value is
+        # checked; a bool or float is no value index
+        for values in [(0, 2), (True, 0), (0, 1.0)]:
+            pt = PartitionTriple(one, two, one, two, two, one, "e", values)
+            with pytest.raises(InvalidPartition):
+                check_clean(CiOracle(table), pt)
 
     def test_gaussian_block_structure_consequent(self):
         # (u1, u2) correlated block independent of u3; pivot u4 tied to u1

@@ -13,7 +13,7 @@ from graphoid import (
     restrict_to_hypotheses,
     types_equivalent,
 )
-from graphoid.errors import InvalidPartition, ZeroProbabilityEvidence
+from graphoid.errors import InvalidPartition, UnknownVariable, ZeroProbabilityEvidence
 from graphoid.suites import xor_hypothesis_table
 
 
@@ -53,6 +53,13 @@ class TestHypothesisCover:
         cover = HypothesisCover("h", ((0, 1, 2), (3, 4)))
         cover.validate_for(discrimination_table().universe)
 
+    @pytest.mark.parametrize("odd", [True, 1.0])
+    def test_value_indices_must_be_integers(self, odd):
+        # {0, odd, 2} equals {0, 1, 2}, so only the index check can refuse it
+        cover = HypothesisCover("h", ((0, odd, 2), (3, 4)))
+        with pytest.raises(InvalidPartition):
+            cover.validate_for(discrimination_table().universe)
+
 
 class TestRestrictToHypotheses:
     def test_full_domain_is_identity(self, xor):
@@ -74,6 +81,14 @@ class TestRestrictToHypotheses:
         zero_table = JointTable(table.universe, zeroed)
         with pytest.raises(ZeroProbabilityEvidence):
             restrict_to_hypotheses(zero_table, "h", (3, 4))
+
+    def test_value_indices_must_be_integers(self):
+        table = discrimination_table()
+        for odd in (True, 1.0):
+            with pytest.raises(UnknownVariable):
+                restrict_to_hypotheses(table, "h", (odd, 3))
+        numpy_ints = restrict_to_hypotheses(table, "h", (np.int64(3), np.int64(4)))
+        assert np.array_equal(numpy_ints.probs, restrict_to_hypotheses(table, "h", (3, 4)).probs)
 
     def test_singleton_restriction_rejected_downstream(self):
         # a one-value hypothesis domain violates the table invariant
