@@ -160,9 +160,30 @@ class GaussianModel:
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.universe.variables)})
+        # |covariance| as nested Python lists, so an unconditioned block's
+        # largest entry is an exact ``max`` with no array built.
+        object.__setattr__(self, "_abs_rows", np.abs(cov).tolist())
+        object.__setattr__(self, "_factors", {})  # sorted z tuple -> see ``_factor``
 
-    def indices(self, names: Iterable[str]) -> list[int]:
-        return [self.universe.index(n) for n in names]
+    def _factor(self, zs: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Cholesky factor of the covariance block over ``zs`` and the covariance rows of ``zs``.
+
+        ``zs`` is a sorted, non-empty name tuple.  The eigenvalue check and the
+        factorization run once per tuple; a numerically singular block raises
+        SingularConditioning on every call.
+        """
+        found = self._factors.get(zs)
+        if found is None:
+            zi = [self._index[v] for v in zs]
+            z_rows = self.covariance[zi]
+            s_zz = z_rows[:, zi]
+            eigs = np.linalg.eigvalsh(s_zz)
+            singular = eigs[0] <= 0.0 or eigs[-1] / eigs[0] > CONDITION_LIMIT
+            found = self._factors[zs] = () if singular else (np.linalg.cholesky(s_zz), z_rows)
+        if not found:
+            raise SingularConditioning(f"conditioning block over {zs} is numerically singular")
+        return found
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,28 +282,25 @@ def ci_residual_gaussian(
     """Largest |entry| of the X-Y block of the covariance conditioned on Z.
 
     The conditional block is the Schur complement S_XY - S_XZ S_ZZ^-1 S_ZY,
-    computed through a symmetric factorization of S_ZZ.  Values given to the
-    conditioning variables never enter: the answer is a covariance property.
-    An empty x_set or y_set gives 0.0 after validation, as in the discrete kernel.
+    computed through the Cholesky factor of S_ZZ that the model keeps per Z;
+    with Z empty it is S_XY itself, read from the model's |covariance| rows.
+    Values given to the conditioning variables never enter: the answer is a
+    covariance property.  An empty x_set or y_set gives 0.0 after
+    validation, as in the discrete kernel.
     """
     xs, ys, zs = _validate_sets(g.universe, x_set, y_set, z_set)
     if not xs or not ys:
         return 0.0
-    xi, yi = g.indices(xs), g.indices(ys)
-    cov = g.covariance
-    block = cov[np.ix_(xi, yi)]
-    if zs:
-        zi = g.indices(zs)
-        s_zz = cov[np.ix_(zi, zi)]
-        eigs = np.linalg.eigvalsh(s_zz)
-        if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > CONDITION_LIMIT:
-            raise SingularConditioning(
-                f"conditioning block over {zs} is numerically singular"
-            )
-        chol = np.linalg.cholesky(s_zz)
-        w_y = np.linalg.solve(chol, cov[np.ix_(zi, yi)])
-        w_x = np.linalg.solve(chol, cov[np.ix_(zi, xi)])
-        block = block - w_x.T @ w_y
+    index = g._index
+    xi = [index[v] for v in xs]
+    yi = [index[v] for v in ys]
+    if not zs:
+        abs_rows = g._abs_rows
+        return max(abs_rows[i][j] for i in xi for j in yi)
+    chol, z_rows = g._factor(zs)
+    w_y = np.linalg.solve(chol, z_rows[:, yi])
+    w_x = np.linalg.solve(chol, z_rows[:, xi])
+    block = g.covariance[xi][:, yi] - w_x.T @ w_y
     return float(np.abs(block).max())
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .bayesnet import build_network, connecting_trail
 from .dist_oracle import CiOracle, GaussianModel, JointTable, is_value_index
 from .errors import InvalidPartition, UniverseTooLarge
-from .model_core import label_blocks, subset_table, subsets_lex
+from .model_core import _submasks, subset_table, subsets_lex
 
 MAX_PAIR_SWEEP_VARS = 12
 MAX_TRANSITIVITY_VARS = 8
@@ -373,7 +373,9 @@ def gaussian_axioms_check(g: GaussianModel) -> list[GaussianPropertyViolation]:
     unification property (value-specific independence lifting to the
     variable level) is structurally satisfied because the oracle never takes
     conditioning values, so it is not sweepable and never reported.  Every
-    query is asked at the default Gaussian tolerance of ``CiOracle``.
+    query is asked at the default Gaussian tolerance of ``CiOracle``.  Sets
+    are enumerated as masks over the sorted names (``subset_table``), and a
+    premise is asked only where a conclusion could follow from it.
     """
     names = sorted(g.universe.variables)
     if len(names) > MAX_GAUSSIAN_SWEEP_VARS:
@@ -382,36 +384,51 @@ def gaussian_axioms_check(g: GaussianModel) -> list[GaussianPropertyViolation]:
         )
     out: list[GaussianPropertyViolation] = []
     ci = CiOracle(g).ci
-    table = subset_table(names)
+    sets = subset_table(names).by_mask
+    full = len(sets) - 1
 
-    for codes in itertools.product(range(5), repeat=len(names)):
-        if 1 not in codes or 2 not in codes or 3 not in codes:
-            continue
-        _, x, y, w, z = label_blocks(table, codes, 5)
-        if tuple(sorted(y)) > tuple(sorted(w)):
-            continue  # composition is symmetric in the two merged sets
-        if ci(x, y, z) and ci(x, w, z) and not ci(x, y | w, z):
-            out.append(
-                GaussianPropertyViolation(
-                    "composition",
-                    (tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(w)), tuple(sorted(z))),
-                )
-            )
+    def sorted_sets(*masks: int) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(sorted(sets[m])) for m in masks)
 
-    for codes in itertools.product(range(3), repeat=len(names)):
-        if 1 not in codes or 2 not in codes:
-            continue
-        _, x, y = label_blocks(table, codes, 3)
-        for e in names:
-            if e in x or e in y:
+    # Composition is symmetric in the two merged sets, so each unordered pair
+    # is asked once, as (Y, W) with Y's sorted tuple the smaller.  The names
+    # are sorted, so between disjoint sets that is the set with the lower
+    # lowest bit: W ranges over the rest above Y's lowest bit, and I(X,Y|Z)
+    # is asked only when such a W exists.
+    for z in range(full + 1):
+        z_set = sets[z]
+        for x in _submasks(full ^ z):
+            if not x:
                 continue
-            if ci(x, y, ()) and ci(x, y, {e}) and not (ci(x, {e}, ()) or ci({e}, y, ())):
-                out.append(
-                    GaussianPropertyViolation(
-                        "marginal_weak_transitivity",
-                        (tuple(sorted(x)), tuple(sorted(y)), (e,)),
+            x_set = sets[x]
+            rest_x = full ^ z ^ x
+            for y in _submasks(rest_x):
+                above = (rest_x ^ y) & -((y & -y) << 1)
+                if not above or not ci(x_set, sets[y], z_set):
+                    continue
+                for w in _submasks(above):
+                    if w and ci(x_set, sets[w], z_set) and not ci(x_set, sets[y | w], z_set):
+                        out.append(
+                            GaussianPropertyViolation("composition", sorted_sets(x, y, w, z))
+                        )
+
+    empty = sets[0]
+    for x in range(1, full + 1):
+        x_set = sets[x]
+        for y in _submasks(full ^ x):
+            rest, y_set = full ^ x ^ y, sets[y]
+            if not y or not rest or not ci(x_set, y_set, empty):
+                continue
+            for i, e in enumerate(names):
+                e_set = sets[1 << i]
+                if rest >> i & 1 and ci(x_set, y_set, e_set) and not (
+                    ci(x_set, e_set, empty) or ci(e_set, y_set, empty)
+                ):
+                    out.append(
+                        GaussianPropertyViolation(
+                            "marginal_weak_transitivity", sorted_sets(x, y) + ((e,),)
+                        )
                     )
-                )
 
     out.sort(key=lambda v: (v.prop, v.sets))
     return out

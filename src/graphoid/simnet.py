@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bayesnet import Dag, build_network, connected_components
 from .dist_oracle import CiOracle, JointTable, is_value_index, marginalize
-from .errors import InvalidPartition, UnknownVariable, ZeroProbabilityEvidence
+from .errors import InvalidPartition, ZeroProbabilityEvidence
 from .model_core import Universe
 from .relevance import mutually_irrelevant
 
@@ -87,7 +87,7 @@ def restrict_to_hypotheses(table: JointTable, h: str, hypotheses) -> JointTable:
     domain = table.universe.domain(h)
     values = tuple(sorted(set(hypotheses)))
     if not all(is_value_index(v, len(domain)) for v in values):
-        raise UnknownVariable(f"value index out of range for {h}")
+        raise InvalidPartition(f"value index out of range for {h}")
     slab = np.take(table.probs, values, axis=axis)
     mass = float(slab.sum())
     if mass <= 0.0:

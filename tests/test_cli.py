@@ -255,6 +255,15 @@ class TestSimnet:
         assert data["type"] == 2
         assert len(data["locals"]) == 1
 
+    def test_out_of_range_cover_value_exits_2(self, tmp_path, capsys):
+        dist = tmp_path / "spb.json"
+        main(["randgen", "spb", "3", "--seed", "2", "--out", str(dist)])
+        capsys.readouterr()
+        for mode in (["--type", "1"], ["--compare-types"]):
+            args = ["simnet", str(dist), "--hypothesis", "u1", "--cover", "0,1;1,2"]
+            assert main(args + mode) == 2
+            assert "value index out of range for u1" in capsys.readouterr().err
+
 
 class TestSuite:
     def test_unknown_suite_exits_2(self, tmp_path, capsys):

@@ -26,7 +26,12 @@ from graphoid import (
     random_spb,
     xor_table,
 )
-from graphoid.dist_oracle import DISCRETE_TOL, ci_discrepancy_discrete, ci_residual_gaussian
+from graphoid.dist_oracle import (
+    CONDITION_LIMIT,
+    DISCRETE_TOL,
+    ci_discrepancy_discrete,
+    ci_residual_gaussian,
+)
 from graphoid.errors import (
     InvalidSets,
     SingularConditioning,
@@ -147,14 +152,14 @@ class TestGaussianCi:
         assert ci_holds_gaussian(g, {"u1"}, set(), {"u2"})
 
     def test_singular_conditioning_detected(self):
-        # Correlation 1 - 1e-12 keeps the (a, b) block positive definite but
-        # pushes its condition number past the 1e12 regularity limit.
-        almost_one = 1.0 - 1e-12
-        cov = np.eye(4)
-        cov[0, 1] = cov[1, 0] = almost_one
-        g = GaussianModel(Universe.reals("a", "b", "c", "d"), np.zeros(4), cov)
+        g = _almost_singular_gaussian()
+        # the model keeps the outcome per sorted set, and raises on every call
+        for z in ({"a", "b"}, ("b", "a"), {"a", "b"}):
+            with pytest.raises(SingularConditioning, match=r"\('a', 'b'\)"):
+                ci_holds_gaussian(g, {"c"}, {"d"}, z)
         with pytest.raises(SingularConditioning):
-            ci_holds_gaussian(g, {"c"}, {"d"}, {"a", "b"})
+            CiOracle(g).ci({"c"}, {"d"}, {"a", "b"})
+        assert ci_residual_gaussian(g, {"c"}, {"d"}, {"a"}) == 0.0
 
     def test_symmetry_requirement(self):
         cov = np.array([[1.0, 0.2], [0.3, 1.0]])
@@ -558,6 +563,92 @@ def test_discrete_kernel_is_bit_identical_to_the_reference(tol):
             assert got == _reference_discrepancy(table, x, y, z, tol)
             if not x or not y:
                 assert got == 0.0
+
+
+def _reference_residual(g, x_set, y_set, z_set):
+    """The Gaussian kernel as it stood before the model kept its factors:
+    ``np.ix_`` gathers and one eigenvalue check and Cholesky factorization
+    per call."""
+    xs, ys, zs = tuple(sorted(x_set)), tuple(sorted(y_set)), tuple(sorted(z_set))
+    if not xs or not ys:
+        return 0.0
+    xi = [g.universe.index(n) for n in xs]
+    yi = [g.universe.index(n) for n in ys]
+    cov = g.covariance
+    block = cov[np.ix_(xi, yi)]
+    if zs:
+        zi = [g.universe.index(n) for n in zs]
+        s_zz = cov[np.ix_(zi, zi)]
+        eigs = np.linalg.eigvalsh(s_zz)
+        if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > CONDITION_LIMIT:
+            raise SingularConditioning(f"conditioning block over {zs} is numerically singular")
+        chol = np.linalg.cholesky(s_zz)
+        w_y = np.linalg.solve(chol, cov[np.ix_(zi, yi)])
+        w_x = np.linalg.solve(chol, cov[np.ix_(zi, xi)])
+        block = block - w_x.T @ w_y
+    return float(np.abs(block).max())
+
+
+def _answer(kernel, g, x, y, z):
+    """The kernel's residual, or the message of the SingularConditioning it raised."""
+    try:
+        return kernel(g, x, y, z)
+    except SingularConditioning as exc:
+        return f"singular: {exc}"
+
+
+def _almost_singular_gaussian():
+    """Correlation 1 - 1e-12 between a and b: positive definite, but the (a, b)
+    block's condition number is past the 1e12 regularity limit."""
+    cov = np.eye(4)
+    cov[0, 1] = cov[1, 0] = 1.0 - 1e-12
+    return GaussianModel(Universe.reals("a", "b", "c", "d"), np.zeros(4), cov)
+
+
+def _gaussian_kernel_inputs():
+    models = [random_gaussian(n, 60 + n) for n in range(2, 7)]
+    models.append(GaussianModel(Universe.reals("a", "b", "c"), np.zeros(3), np.eye(3)))
+    with_zeros = np.array(
+        [[2.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, -0.3], [0.0, 0.0, 1.0, 0.0], [0.0, -0.3, 0.0, 1.5]]
+    )
+    models.append(GaussianModel(Universe.reals("a", "b", "c", "d"), np.zeros(4), with_zeros))
+    tiny = random_gaussian(4, 3)
+    models.append(GaussianModel(tiny.universe, tiny.mean, tiny.covariance * 1e-8))
+    models.append(_almost_singular_gaussian())
+    return models
+
+
+@pytest.mark.parametrize("g", _gaussian_kernel_inputs())
+def test_gaussian_kernel_is_bit_identical_to_the_reference(g):
+    before = repr(g)
+    triples = list(iter_disjoint_triples(g.universe.variables))
+    for _ in range(2):  # the second pass reads the factors the first one kept
+        for x, y, z in triples:
+            got = _answer(ci_residual_gaussian, g, x, y, z)
+            want = _answer(_reference_residual, g, x, y, z)
+            assert got == want
+            assert type(got) is type(want)
+    # the kept factors and rows are no fields: equality and repr ignore them
+    assert [f.name for f in dataclasses.fields(g)] == ["universe", "mean", "covariance"]
+    assert repr(g) == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.integers(0, 10_000), st.permutations(range(n))
+)))
+def test_gaussian_residuals_do_not_depend_on_variable_order(case):
+    seed, perm = case
+    g = random_gaussian(len(perm), seed)
+    names = [g.universe.variables[i] for i in perm]
+    permuted = GaussianModel(
+        Universe.reals(*names), g.mean[perm], g.covariance[np.ix_(perm, perm)]
+    )
+    # Blocks are gathered in sorted-name order, so the arithmetic is the same.
+    for x, y, z in iter_disjoint_triples(names):
+        assert _answer(ci_residual_gaussian, permuted, x, y, z) == _answer(
+            ci_residual_gaussian, g, x, y, z
+        )
 
 
 def test_an_empty_side_never_reads_a_marginal(monkeypatch):

@@ -2,8 +2,11 @@
 
 Counts are deterministic for a seed, unlike wall time.  A defeated verdict
 memo raises the kernel count; a defeated screening-set memo raises the
-``CiOracle.ci`` count, since every rebuilt network asks its queries again.
+``CiOracle.ci`` count, since every rebuilt network asks its queries again;
+a defeated per-conditioning-set factor cache raises the Cholesky count.
 """
+
+import numpy as np
 
 import graphoid.dist_oracle as dist_oracle
 from graphoid.dist_oracle import CiOracle, random_spb
@@ -51,3 +54,28 @@ def test_both_inclusion_rules_share_one_oracle(monkeypatch):
     # The related rule's network and the relevant rule's pair sweeps ask one
     # memo: 13 distinct non-trivial queries, 14 with an oracle per rule.
     assert len(kernel_calls) == 13
+
+
+def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):
+    kernel_calls, cholesky_calls = [], []
+    real_kernel = dist_oracle.ci_residual_gaussian
+    real_cholesky = np.linalg.cholesky
+
+    def counting_kernel(*args, **kwargs):
+        kernel_calls.append(1)
+        return real_kernel(*args, **kwargs)
+
+    def counting_cholesky(a, *args, **kwargs):
+        cholesky_calls.append(1)
+        return real_cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(dist_oracle, "ci_residual_gaussian", counting_kernel)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    report = run_suite("gaussian-props", seed=0, samples=6)
+    assert report.ok and report.cases == 6
+    # Six models at n = 3..5.  388 distinct queries reach the kernel; each
+    # model is factorized once when built and once per non-empty
+    # conditioning set its queries use (202 when every conditioned query
+    # factorized its own block).
+    assert len(kernel_calls) == 388
+    assert len(cholesky_calls) == 44

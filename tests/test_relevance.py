@@ -28,8 +28,15 @@ from graphoid import (
     unrelated,
     xor_table,
 )
+import graphoid.dist_oracle as dist_oracle
 from graphoid.errors import InvalidPartition, UniverseTooLarge
-from graphoid.relevance import ANTECEDENT_FAILS, CONSEQUENT_HOLDS, VIOLATION
+from graphoid.model_core import label_blocks, subset_table
+from graphoid.relevance import (
+    ANTECEDENT_FAILS,
+    CONSEQUENT_HOLDS,
+    VIOLATION,
+    GaussianPropertyViolation,
+)
 
 
 def pivot_block_table():
@@ -452,7 +459,109 @@ class TestCheckPtBin:
             assert check_pt_bin(table, blocks, e).status != VIOLATION
 
 
+def _reference_gaussian_axioms_check(g):
+    """``gaussian_axioms_check`` as it stood before its mask enumeration:
+    one loop over label codes per property, blocks built by ``label_blocks``."""
+    names = sorted(g.universe.variables)
+    out = []
+    ci = CiOracle(g).ci
+    table = subset_table(names)
+    for codes in itertools.product(range(5), repeat=len(names)):
+        if 1 not in codes or 2 not in codes or 3 not in codes:
+            continue
+        _, x, y, w, z = label_blocks(table, codes, 5)
+        if tuple(sorted(y)) > tuple(sorted(w)):
+            continue
+        if ci(x, y, z) and ci(x, w, z) and not ci(x, y | w, z):
+            out.append(
+                GaussianPropertyViolation(
+                    "composition",
+                    (tuple(sorted(x)), tuple(sorted(y)), tuple(sorted(w)), tuple(sorted(z))),
+                )
+            )
+    for codes in itertools.product(range(3), repeat=len(names)):
+        if 1 not in codes or 2 not in codes:
+            continue
+        _, x, y = label_blocks(table, codes, 3)
+        for e in names:
+            if e in x or e in y:
+                continue
+            if ci(x, y, ()) and ci(x, y, {e}) and not (ci(x, {e}, ()) or ci({e}, y, ())):
+                out.append(
+                    GaussianPropertyViolation(
+                        "marginal_weak_transitivity",
+                        (tuple(sorted(x)), tuple(sorted(y)), (e,)),
+                    )
+                )
+    out.sort(key=lambda v: (v.prop, v.sets))
+    return out
+
+
+def _with_kernel_queries(monkeypatch, check, g):
+    """``check(g)`` and the list of queries it sent to the Gaussian kernel."""
+    asked = []
+    real_kernel = dist_oracle.ci_residual_gaussian
+
+    def recording_kernel(model, x_set, y_set, z_set=()):
+        asked.append((frozenset(x_set), frozenset(y_set), frozenset(z_set)))
+        return real_kernel(model, x_set, y_set, z_set)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dist_oracle, "ci_residual_gaussian", recording_kernel)
+        return check(g), asked
+
+
+def _planted_gaussians():
+    """Block-diagonal Gaussians at n = 3..6, so composition and weak-transitivity
+    premises are live."""
+    rng = np.random.default_rng(7)
+    models = [_block_joint(rng, n, gaussian=True) for n in (3, 4, 4, 5, 5, 6) for _ in range(2)]
+    diagonal = GaussianModel(Universe.reals("a", "b", "c", "d"), np.zeros(4), np.eye(4))
+    return models + [diagonal]
+
+
 class TestGaussianAxioms:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_mask_sweep_matches_the_code_loop_on_random_models(self, monkeypatch, n):
+        for seed in range(2):
+            g = random_gaussian(n, 30 + seed)
+            got, asked = _with_kernel_queries(monkeypatch, gaussian_axioms_check, g)
+            want, ref_asked = _with_kernel_queries(
+                monkeypatch, _reference_gaussian_axioms_check, g
+            )
+            assert got == want
+            # each distinct query reaches the kernel once, on both sides
+            assert len(asked) == len(set(asked))
+            assert set(asked) == set(ref_asked)
+
+    def test_mask_sweep_matches_the_code_loop_on_planted_models(self, monkeypatch):
+        live = 0
+        for g in _planted_gaussians():
+            got, asked = _with_kernel_queries(monkeypatch, gaussian_axioms_check, g)
+            want, ref_asked = _with_kernel_queries(
+                monkeypatch, _reference_gaussian_axioms_check, g
+            )
+            assert got == want == []
+            assert len(asked) == len(set(asked))
+            assert set(asked) == set(ref_asked)
+            oracle = CiOracle(g)
+            live += sum(1 for x, y, z in set(asked) if x and y and not z and oracle.ci(x, y))
+        assert live > 0  # some marginal independence premise held
+
+    def test_a_failing_merged_verdict_is_reported_by_both(self, monkeypatch):
+        real_ci = CiOracle.ci
+
+        def merged_sets_fail(self, x_set, y_set, z_set=()):
+            # The second argument holds two or more names exactly when it
+            # can be the merged set Y+W of composition.
+            return len(y_set) < 2 and real_ci(self, x_set, y_set, z_set)
+
+        monkeypatch.setattr(CiOracle, "ci", merged_sets_fail)
+        for g in _planted_gaussians():
+            got = gaussian_axioms_check(g)
+            assert got == _reference_gaussian_axioms_check(g)
+        assert got and {v.prop for v in got} == {"composition"}
+
     def test_random_models_clean(self):
         for seed in range(10):
             assert gaussian_axioms_check(random_gaussian(4, seed)) == []

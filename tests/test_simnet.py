@@ -84,9 +84,13 @@ class TestRestrictToHypotheses:
 
     def test_value_indices_must_be_integers(self):
         table = discrimination_table()
-        for odd in (True, 1.0):
-            with pytest.raises(UnknownVariable):
+        for odd in (True, 1.0, 5, -1):
+            # the variable is known; the value index is the fault, as in
+            # HypothesisCover.validate_for
+            with pytest.raises(InvalidPartition):
                 restrict_to_hypotheses(table, "h", (odd, 3))
+        with pytest.raises(UnknownVariable):
+            restrict_to_hypotheses(table, "nope", (0, 1))
         numpy_ints = restrict_to_hypotheses(table, "h", (np.int64(3), np.int64(4)))
         assert np.array_equal(numpy_ints.probs, restrict_to_hypotheses(table, "h", (3, 4)).probs)
 
