@@ -186,12 +186,19 @@ def _validate_query(dag: Dag, q: Triplet) -> None:
 def d_separated(dag: Dag, q: Triplet) -> bool:
     """Whether no active trail joins x_set and y_set with respect to z_set.
 
-    Runs a reachability scan over (node, arrival-direction) states: arriving
-    from a child permits any move unless the node is conditioned on; arriving
-    from a parent permits descending, or ascending exactly when the node has
-    itself or a descendant in the conditioning set.
+    An edge between the two sides is an active trail under every z_set
+    (the sets are disjoint, so neither endpoint is conditioned on), and such
+    a query is answered without a scan.  Otherwise a reachability scan runs
+    over (node, arrival-direction) states: arriving from a child permits any
+    move unless the node is conditioned on; arriving from a parent permits
+    descending, or ascending exactly when the node has itself or a descendant
+    in the conditioning set.
     """
     _validate_query(dag, q)
+    children = dag._children_map()
+    for x in q.x_set:
+        if not (q.y_set.isdisjoint(dag.parents[x]) and q.y_set.isdisjoint(children[x])):
+            return False
     conditioned = q.z_set
     collider_open = _ancestral(dag, conditioned)
     seen: set[tuple[str, bool]] = set()

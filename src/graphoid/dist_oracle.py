@@ -77,7 +77,8 @@ class JointTable:
         if any(size < 2 for size in shape):
             raise ValueError("every variable of a joint table needs at least two values")
         arr = np.asarray(self.probs, dtype=float).reshape(shape)
-        if not np.isfinite(arr).all() or (arr < 0).any():
+        floor = float(arr.min())
+        if not np.isfinite(arr).all() or floor < 0.0:
             raise ValueError("probabilities must be finite and non-negative")
         if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {arr.sum()!r}, not 1")
@@ -86,10 +87,11 @@ class JointTable:
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "_marginals", {})  # sorted axis tuple -> summed array
         object.__setattr__(self, "_views", {})  # requested name tuple -> transposed view
+        object.__setattr__(self, "_floor", floor)  # smallest entry
 
     @property
     def strictly_positive(self) -> bool:
-        return bool((self.probs > 0).all())
+        return self._floor > 0.0
 
     def domain_size(self, name: str) -> int:
         return len(self.universe.domain(name))
@@ -240,6 +242,10 @@ def ci_discrepancy_discrete(
     impose no constraint: the conditional is undefined (or the statement holds
     vacuously when P(Z) is zero).  An empty x_set or y_set gives 0.0 after
     validation, by trivial independence; ``ci_residual_gaussian`` does the same.
+    When the table's smallest entry exceeds ``tol``, every conditioning event
+    is usable, so the gap is taken over all assignments with no mask; the
+    same divisions and subtractions run on every entry, so the answer is
+    the one the masked computation gives.
     """
     xs, ys, zs = _validate_sets(table.universe, x_set, y_set, z_set)
     if not xs or not ys:
@@ -253,6 +259,12 @@ def ci_discrepancy_discrete(
     p_yz = np.add.reduce(p_xyz, axis=0)
     p_xz = np.add.reduce(p_xyz, axis=1)
     p_z = np.add.reduce(p_yz, axis=0)
+    if table._floor > tol:
+        # A float sum of non-negative terms is at least each term, so every
+        # entry of p_yz and p_z exceeds tol too.
+        gap = p_xyz / p_yz
+        gap -= (p_xz / p_z)[:, None, :]
+        return float(np.maximum.reduce(np.abs(gap, out=gap), axis=None))
     z_usable = p_z > tol
     usable = (p_yz > tol) & z_usable
     # Unusable entries are never divided and stay 0, so no warning can arise.

@@ -375,7 +375,9 @@ def gaussian_axioms_check(g: GaussianModel) -> list[GaussianPropertyViolation]:
     conditioning values, so it is not sweepable and never reported.  Every
     query is asked at the default Gaussian tolerance of ``CiOracle``.  Sets
     are enumerated as masks over the sorted names (``subset_table``), and a
-    premise is asked only where a conclusion could follow from it.
+    premise is asked only where a conclusion could follow from it.  Both
+    properties are symmetric in a pair of sets (Y and W; X and Y), so a
+    violation is listed once, with the pair's smaller sorted tuple first.
     """
     names = sorted(g.universe.variables)
     if len(names) > MAX_GAUSSIAN_SWEEP_VARS:
@@ -412,12 +414,14 @@ def gaussian_axioms_check(g: GaussianModel) -> list[GaussianPropertyViolation]:
                             GaussianPropertyViolation("composition", sorted_sets(x, y, w, z))
                         )
 
+    # Marginal weak transitivity is symmetric in X and Y, so each unordered
+    # pair is asked once, with X the set of the lower lowest bit.
     empty = sets[0]
     for x in range(1, full + 1):
-        x_set = sets[x]
+        x_set, x_low = sets[x], x & -x
         for y in _submasks(full ^ x):
             rest, y_set = full ^ x ^ y, sets[y]
-            if not y or not rest or not ci(x_set, y_set, empty):
+            if y & -y < x_low or not rest or not ci(x_set, y_set, empty):
                 continue
             for i, e in enumerate(names):
                 e_set = sets[1 << i]

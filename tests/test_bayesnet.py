@@ -232,6 +232,25 @@ class TestDSeparation:
                 q = Q({a}, {b}, z)
                 assert d_separated(dag, q) == d_separated_by_enumeration(dag, q)
 
+    def test_matches_enumeration_on_every_query(self):
+        rng = np.random.default_rng(11)
+        dags = [burglary_network()]
+        dags += [random_dag(n, n * (n - 1) // 2, rng) for n in range(2, 6) for _ in range(4)]
+        shielded = separated = 0
+        for dag in dags:
+            for x, y, z in model_core.iter_disjoint_triples(dag.universe.variables):
+                if not x or not y:
+                    continue
+                q = Q(x, y, z)
+                got = d_separated(dag, q)
+                assert got == d_separated_by_enumeration(dag, q)
+                separated += got
+                # an edge across whose endpoints' other neighbours are all in z
+                shielded += any(
+                    y & dag.neighbors(a) and dag.neighbors(a) - y <= z for a in x
+                )
+        assert shielded > 0 and separated > 0
+
 
 class TestComponents:
     def test_burglary_is_one_component(self):

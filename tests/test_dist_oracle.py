@@ -552,17 +552,48 @@ def _sparse_table(seed):
     return JointTable(universe, raw / raw.sum())
 
 
+def _tiny_entry_table():
+    """Strictly positive over three binary variables, one entry near 1e-12."""
+    rng = np.random.default_rng(11)
+    raw = rng.uniform(0.01, 1.0, size=8)
+    raw[5] = 1e-12 * raw.sum()
+    return JointTable(Universe.binary("a", "b", "c"), raw / raw.sum())
+
+
 @pytest.mark.parametrize("tol", [0.0, DISCRETE_TOL])
-def test_discrete_kernel_is_bit_identical_to_the_reference(tol):
+def test_discrete_kernel_is_bit_identical_to_the_reference(monkeypatch, tol):
+    tiny = _tiny_entry_table()
+    assert 0.0 < tiny.probs.min() <= DISCRETE_TOL
     tables = [random_spb(n, 40 + n) for n in range(2, 6)]
-    tables += [xor_table()] + [_sparse_table(seed) for seed in range(3)]
+    tables += [xor_table(), tiny] + [_sparse_table(seed) for seed in range(3)]
     assert any((t.probs == 0).mean() > 0.3 for t in tables)
+    divides = []
+    real_divide = np.divide
+
+    def counting_divide(*args, **kwargs):
+        divides.append(1)
+        return real_divide(*args, **kwargs)
+
+    # Only the masked body calls np.divide; the mask-free one divides with ``/``.
+    monkeypatch.setattr(np, "divide", counting_divide)
+    masked = []  # per table, whether each non-trivial query ran the masked body
     for table in tables:
+        masked.append(set())
         for x, y, z in iter_disjoint_triples(table.universe.variables):
+            before = len(divides)
             got = ci_discrepancy_discrete(table, x, y, z, tol)
             assert got == _reference_discrepancy(table, x, y, z, tol)
             if not x or not y:
                 assert got == 0.0
+            else:
+                masked[-1].add(len(divides) > before)
+    assert set().union(*masked) == {False, True}  # both branches ran
+    # the tiny entry sends its table through the masks at 1e-9 only
+    assert masked[tables.index(tiny)] == {tol > 0.0}
+    for table in tables:
+        names = table.universe.variables
+        for derived in (marginalize(table, names[:2]), condition_on(table, names[0], 0)):
+            assert derived._floor == derived.probs.min()
 
 
 def _reference_residual(g, x_set, y_set, z_set):

@@ -3,13 +3,15 @@
 Counts are deterministic for a seed, unlike wall time.  A defeated verdict
 memo raises the kernel count; a defeated screening-set memo raises the
 ``CiOracle.ci`` count, since every rebuilt network asks its queries again;
-a defeated per-conditioning-set factor cache raises the Cholesky count.
+a defeated per-conditioning-set factor cache raises the Cholesky count;
+a discrete kernel that stops taking its mask-free path on strictly positive
+tables raises the ``np.divide`` count, which only its masked body makes.
 """
 
 import numpy as np
 
 import graphoid.dist_oracle as dist_oracle
-from graphoid.dist_oracle import CiOracle, random_spb
+from graphoid.dist_oracle import CiOracle, random_spb, xor_table
 from graphoid.simnet import HypothesisCover, types_equivalent
 from graphoid.suites import run_suite
 
@@ -45,6 +47,24 @@ def test_components_suite_query_counts(monkeypatch):
     assert len(kernel_calls) == 156
     assert len(trivial_calls) == 96
     assert len(ci_calls) == 324
+
+
+def test_strictly_positive_tables_skip_the_masked_kernel(monkeypatch):
+    divides = []
+    real_divide = np.divide
+
+    def counting_divide(*args, **kwargs):
+        divides.append(1)
+        return real_divide(*args, **kwargs)
+
+    monkeypatch.setattr(np, "divide", counting_divide)
+    report = run_suite("components", seed=0, samples=3)
+    assert report.ok and report.cases == 3
+    # every table is drawn by random_spb, so no entry is at or below 1e-9
+    assert divides == []
+    # xor_table has zero entries: its queries take the masked body
+    assert CiOracle(xor_table()).ci("x", "y")
+    assert len(divides) == 2
 
 
 def test_both_inclusion_rules_share_one_oracle(monkeypatch):

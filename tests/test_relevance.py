@@ -562,6 +562,45 @@ class TestGaussianAxioms:
             assert got == _reference_gaussian_axioms_check(g)
         assert got and {v.prop for v in got} == {"composition"}
 
+    def test_a_weak_transitivity_violation_is_listed_once(self, monkeypatch):
+        real_ci = CiOracle.ci
+
+        def last_name_marginally_dependent(self, x_set, y_set, z_set=()):
+            # Every marginal statement with the last name alone on one side
+            # fails, so the conclusion fails wherever e is that name.
+            last = max(self.universe.variables)
+            alone = {frozenset(x_set), frozenset(y_set)}
+            if not z_set and frozenset({last}) in alone:
+                return False
+            return real_ci(self, x_set, y_set, z_set)
+
+        monkeypatch.setattr(CiOracle, "ci", last_name_marginally_dependent)
+        listed = 0
+        for g in _planted_gaussians():
+            got = gaussian_axioms_check(g)
+            assert {v.prop for v in got} <= {"marginal_weak_transitivity"}
+            statements = [(frozenset(v.sets[:2]), v.sets[2]) for v in got]
+            assert len(set(statements)) == len(statements)
+            assert all(v.sets[0] < v.sets[1] for v in got)
+            # the code-loop version lists each violation in both orientations
+            want = _reference_gaussian_axioms_check(g)
+            assert set(statements) == {(frozenset(v.sets[:2]), v.sets[2]) for v in want}
+            assert len(want) == 2 * len(got)
+            listed += len(got)
+        # on the diagonal model a, b, c, d: the six unordered pairs within a, b, c
+        assert got == [
+            GaussianPropertyViolation("marginal_weak_transitivity", (x, y, ("d",)))
+            for x, y in [
+                (("a",), ("b",)),
+                (("a",), ("b", "c")),
+                (("a",), ("c",)),
+                (("a", "b"), ("c",)),
+                (("a", "c"), ("b",)),
+                (("b",), ("c",)),
+            ]
+        ]
+        assert listed > len(got)
+
     def test_random_models_clean(self):
         for seed in range(10):
             assert gaussian_axioms_check(random_gaussian(4, seed)) == []
