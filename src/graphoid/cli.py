@@ -37,9 +37,25 @@ from .suites import SUITES, run_suite
 DEFAULT_SEED = 0
 
 
-def _default_seed() -> int:
-    env = os.environ.get("GRAPHOID_SEED")
-    return int(env) if env else DEFAULT_SEED
+def _seed(args: argparse.Namespace) -> int:
+    """The run seed: ``--seed``, else ``GRAPHOID_SEED``, else ``DEFAULT_SEED``.
+
+    A non-integer ``GRAPHOID_SEED`` or a negative seed raises ValueError
+    naming where the seed came from.
+    """
+    source, seed = "--seed", args.seed
+    if seed is None:
+        env = os.environ.get("GRAPHOID_SEED")
+        if not env:
+            return DEFAULT_SEED
+        source = "GRAPHOID_SEED"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _parse_names(text: str | None) -> list[str]:
@@ -167,11 +183,8 @@ def cmd_simnet(args: argparse.Namespace) -> int:
 
 
 def cmd_randgen(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.kind == "spb":
-        artifact = random_spb(args.n, seed)
-    else:
-        artifact = random_gaussian(args.n, seed)
+    generate = random_spb if args.kind == "spb" else random_gaussian
+    artifact = generate(args.n, _seed(args))
     _emit(artifact.to_json_dict(), args.out)
     return 0
 
@@ -179,8 +192,7 @@ def cmd_randgen(args: argparse.Namespace) -> int:
 def cmd_suite(args: argparse.Namespace) -> int:
     if args.name not in SUITES:
         raise ValueError(f"unknown suite {args.name!r}; choose from {sorted(SUITES)}")
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = run_suite(args.name, seed=seed, n_vars=args.n_vars, samples=args.samples)
+    report = run_suite(args.name, seed=_seed(args), n_vars=args.n_vars, samples=args.samples)
     path = args.report or f"suite_{args.name}.json"
     with open(path, "w") as fh:
         fh.write(report.to_json())

@@ -4,6 +4,11 @@ Each suite runs a deterministic sweep at desk scale and reports failures as
 structured records.  The JSON form of a report depends only on the inputs,
 the seed, and the flags; timing lives in the human summary alone so reports
 stay byte-identical across runs.
+
+``SUITES`` declares every suite once: its body, the ``n_vars`` range it runs
+at and its default scale.  ``run_suite`` checks the scale and builds the
+report; a body only judges cases, and every random distribution it judges
+comes from ``_draws``.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -101,47 +107,40 @@ class SuiteReport:
         return line
 
 
-def _require_n_vars(suite: str, n_vars: int, low: int, high: int) -> None:
-    """Reject an ``n_vars`` the suite would not run at, rather than clamp it."""
-    if not low <= n_vars <= high:
-        raise ValueError(f"suite {suite} runs at n_vars {low}..{high}, got {n_vars}")
+def _draws(generator, seed: int, count: int, n_max: int, n_min: int = 2):
+    """Yield ``(draw seed, n, generator(n, draw seed))`` for draw seeds
+    ``seed`` up to ``seed + count - 1``, with n cycling from ``n_min`` to
+    ``n_max``."""
+    span = range(n_min, n_max + 1)
+    for i in range(count):
+        n = span[i % len(span)]
+        yield seed + i, n, generator(n, seed + i)
 
 
-def _sizes(count: int, n_max: int, n_min: int = 2) -> list[int]:
-    span = list(range(n_min, n_max + 1))
-    return [span[i % len(span)] for i in range(count)]
-
-
-def _fail(report: SuiteReport, **record) -> None:
+def _fail(report: SuiteReport, /, **record) -> None:
+    # Positional-only, so that a record may carry a key named "report".
     report.failures.append(dict(sorted(record.items())))
 
 
-def suite_axioms(seed: int = 0, n_vars: int = 4, samples: int = 200) -> SuiteReport:
+def suite_axioms(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
     """Models extracted from random tables must satisfy all five axioms."""
-    _require_n_vars("axioms", n_vars, 2, 4)
-    report = SuiteReport("axioms", seed, {"n_vars": n_vars, "samples": samples})
-    for i, n in enumerate(_sizes(samples, n_vars)):
-        table = random_spb(n, seed + i)
+    for s, n, table in _draws(random_spb, seed, samples, n_vars):
         violations = check_graphoid_axioms(extract_model(CiOracle(table)))
         report.cases += 1
         if violations:
             _fail(
                 report,
-                case=i,
+                case=s - seed,
                 n=n,
-                table_seed=seed + i,
+                table_seed=s,
                 violations=[v.axiom for v in violations[:5]],
             )
-    return report
 
 
-def suite_dsep_soundness(seed: int = 0, n_vars: int = 5, samples: int = 200) -> SuiteReport:
+def suite_dsep_soundness(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
     """Every separation read off a constructed network must hold in the table."""
-    _require_n_vars("dsep-soundness", n_vars, 2, 5)
-    report = SuiteReport("dsep-soundness", seed, {"n_vars": n_vars, "samples": samples})
     rng = np.random.default_rng(seed)
-    for i, n in enumerate(_sizes(samples, n_vars)):
-        table = random_spb(n, seed + i)
+    for s, _, table in _draws(random_spb, seed, samples, n_vars):
         oracle = CiOracle(table)
         names = list(table.universe.variables)
         for _ in range(3):
@@ -155,21 +154,17 @@ def suite_dsep_soundness(seed: int = 0, n_vars: int = 5, samples: int = 200) -> 
                     if d_separated(dag, q) and not oracle.ci({a}, {b}, z_set):
                         _fail(
                             report,
-                            case=i,
+                            case=s - seed,
                             order=list(order),
                             pair=[a, b],
-                            table_seed=seed + i,
+                            table_seed=s,
                             z=sorted(z_set),
                         )
-    return report
 
 
-def suite_components(seed: int = 0, n_vars: int = 4, samples: int = 100) -> SuiteReport:
+def suite_components(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
     """Component structure must not depend on the construction order."""
-    _require_n_vars("components", n_vars, 2, 6)
-    report = SuiteReport("components", seed, {"n_vars": n_vars, "samples": samples})
-    for i in range(samples):
-        table = random_spb(n_vars, seed + i)
+    for s, _, table in _draws(random_spb, seed, samples, n_vars, n_vars):
         oracle = CiOracle(table)
         partitions = {
             connected_components(build_network(oracle, perm))
@@ -179,11 +174,10 @@ def suite_components(seed: int = 0, n_vars: int = 4, samples: int = 100) -> Suit
         if len(partitions) != 1:
             _fail(
                 report,
-                case=i,
+                case=s - seed,
                 distinct_partitions=sorted(str(p) for p in partitions),
-                table_seed=seed + i,
+                table_seed=s,
             )
-    return report
 
 
 def _relation_checks(report: SuiteReport, oracle: CiOracle, label: str) -> None:
@@ -200,15 +194,12 @@ def _relation_checks(report: SuiteReport, oracle: CiOracle, label: str) -> None:
             _fail(report, kind="relevant_implies_coupled", source=label, pair=[a, b])
 
 
-def suite_relations(seed: int = 0, n_vars: int = 4, samples: int = 100) -> SuiteReport:
+def suite_relations(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
     """Uncoupled must equal unrelated, and relevance must imply coupling.
 
     The paired-coin fixture must show the strict gap between irrelevance and
     uncoupling, with the known non-transitivity witness.
     """
-    _require_n_vars("relations", n_vars, 2, 5)
-    report = SuiteReport("relations", seed, {"n_vars": n_vars, "samples": samples})
-
     xor = CiOracle(xor_table())
     report.cases += 1
     gap_ok = (
@@ -221,13 +212,10 @@ def suite_relations(seed: int = 0, n_vars: int = 4, samples: int = 100) -> Suite
         _fail(report, kind="xor_fixture", gap_ok=gap_ok,
               transitive=trans.holds, witness=list(trans.witness or ()))
 
-    for i in range(samples):
-        table = random_spb(n_vars, seed + i)
-        _relation_checks(report, CiOracle(table), f"spb:{seed + i}")
-    for i in range(max(1, samples // 4)):
-        g = random_gaussian(n_vars, seed + 10_000 + i)
-        _relation_checks(report, CiOracle(g), f"gaussian:{seed + 10_000 + i}")
-    return report
+    for s, _, table in _draws(random_spb, seed, samples, n_vars, n_vars):
+        _relation_checks(report, CiOracle(table), f"spb:{s}")
+    for s, _, g in _draws(random_gaussian, seed + 10_000, max(1, samples // 4), n_vars, n_vars):
+        _relation_checks(report, CiOracle(g), f"gaussian:{s}")
 
 
 @functools.cache
@@ -282,7 +270,7 @@ def _clean_sweep(report: SuiteReport, dist, label: str) -> None:
                           x1=sorted(x[0]), y1=sorted(y[0]), z1=sorted(z[0]))
 
 
-def suite_clean(seed: int = 0, n_vars: int = 5, samples: int = 500) -> SuiteReport:
+def suite_clean(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
     """The partition-triple implication must never be violated.
 
     Exhaustive over every partition triple with both cells non-empty, through
@@ -290,15 +278,11 @@ def suite_clean(seed: int = 0, n_vars: int = 5, samples: int = 500) -> SuiteRepo
     ``outcomes`` counts the cases by the first premise that fails, or by the
     conclusion's status when all three hold.
     """
-    _require_n_vars("clean", n_vars, 3, 5)
-    report = SuiteReport("clean", seed, {"n_vars": n_vars, "samples": samples},
-                         outcomes=dict.fromkeys(CLEAN_OUTCOMES, 0))
-    for i, n in enumerate(_sizes(samples, n_vars, n_min=3)):
-        _clean_sweep(report, random_spb(n, seed + i), f"spb:{seed + i}")
-    for i, n in enumerate(_sizes(samples, n_vars, n_min=3)):
-        g_seed = seed + 100_000 + i
-        _clean_sweep(report, random_gaussian(n, g_seed), f"gaussian:{g_seed}")
-    return report
+    report.outcomes = dict.fromkeys(CLEAN_OUTCOMES, 0)
+    for s, _, table in _draws(random_spb, seed, samples, n_vars, 3):
+        _clean_sweep(report, table, f"spb:{s}")
+    for s, _, g in _draws(random_gaussian, seed + 100_000, samples, n_vars, 3):
+        _clean_sweep(report, g, f"gaussian:{s}")
 
 
 def _random_blocks(rng: np.random.Generator, ground: list[str]) -> PtBinBlocks:
@@ -312,18 +296,15 @@ def _random_blocks(rng: np.random.Generator, ground: list[str]) -> PtBinBlocks:
             return PtBinBlocks(*groups)
 
 
-def suite_pt_bin(seed: int = 0, n_vars: int = 5, samples: int = 200) -> SuiteReport:
+def suite_pt_bin(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
     """The eight-block reformulation must agree with the partition form.
 
     Agreement is checked on random (table, blocks) pairs whose first blocks
     are non-empty (the partition form requires non-empty intersection cells),
     and no sweep may produce a violation.
     """
-    _require_n_vars("pt-bin", n_vars, 3, 5)
-    report = SuiteReport("pt-bin", seed, {"n_vars": n_vars, "samples": samples})
     rng = np.random.default_rng(seed)
-    for i, n in enumerate(_sizes(samples, n_vars, n_min=3)):
-        table = random_spb(n, seed + i)
+    for s, _, table in _draws(random_spb, seed, samples, n_vars, 3):
         names = sorted(table.universe.variables)
         e_var = names[int(rng.integers(len(names)))]
         ground = [v for v in names if v != e_var]
@@ -337,60 +318,47 @@ def suite_pt_bin(seed: int = 0, n_vars: int = 5, samples: int = 200) -> SuiteRep
             by_partitions.r1_holds,
             by_partitions.r2_holds,
         ):
-            _fail(report, kind="disagreement", table_seed=seed + i, e=e_var,
+            _fail(report, kind="disagreement", table_seed=s, e=e_var,
                   blocks=[sorted(b) for b in blocks.as_tuple()],
                   block_result=by_blocks.to_json_dict(),
                   partition_result=by_partitions.to_json_dict())
         if by_blocks.status == VIOLATION:
-            _fail(report, kind="violation", table_seed=seed + i, e=e_var,
+            _fail(report, kind="violation", table_seed=s, e=e_var,
                   blocks=[sorted(b) for b in blocks.as_tuple()])
-    return report
 
 
-def suite_gaussian_props(seed: int = 0, n_vars: int = 5, samples: int = 100) -> SuiteReport:
+def suite_gaussian_props(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
     """Composition and marginal weak transitivity must hold for Gaussians."""
-    _require_n_vars("gaussian-props", n_vars, 3, 6)
-    report = SuiteReport(
-        "gaussian-props",
-        seed,
-        {"n_vars": n_vars, "samples": samples, "unification": "structurally_satisfied"},
-    )
-    for i, n in enumerate(_sizes(samples, n_vars, n_min=3)):
-        g = random_gaussian(n, seed + i)
+    report.params["unification"] = "structurally_satisfied"
+    for s, _, g in _draws(random_gaussian, seed, samples, n_vars, 3):
         violations = gaussian_axioms_check(g)
         report.cases += 1
         if violations:
-            _fail(report, case=i, model_seed=seed + i,
+            _fail(report, case=s - seed, model_seed=s,
                   violations=[v.prop for v in violations[:5]])
-    return report
 
 
-def suite_transitivity(seed: int = 0, n_vars: int = 5, samples: int = 200) -> SuiteReport:
+def suite_transitivity(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
     """Random binary tables and Gaussians must be transitive; the paired-coin
     fixture must not be."""
-    _require_n_vars("transitivity", n_vars, 2, 5)
-    report = SuiteReport("transitivity", seed, {"n_vars": n_vars, "samples": samples})
-
     report.cases += 1
     xor_result = is_transitive(CiOracle(xor_table()))
     if xor_result.holds or xor_result.witness != ("x", "z", "y"):
         _fail(report, kind="xor_fixture", holds=xor_result.holds,
               witness=list(xor_result.witness or ()))
 
-    for i, n in enumerate(_sizes(samples, n_vars)):
+    for s, _, table in _draws(random_spb, seed, samples, n_vars):
         report.cases += 1
-        result = is_transitive(CiOracle(random_spb(n, seed + i)))
+        result = is_transitive(CiOracle(table))
         if not result.holds:
-            _fail(report, kind="spb", table_seed=seed + i,
+            _fail(report, kind="spb", table_seed=s,
                   witness=list(result.witness))
-    for i, n in enumerate(_sizes(max(1, samples // 2), n_vars)):
-        g_seed = seed + 100_000 + i
+    for s, _, g in _draws(random_gaussian, seed + 100_000, max(1, samples // 2), n_vars):
         report.cases += 1
-        result = is_transitive(CiOracle(random_gaussian(n, g_seed)))
+        result = is_transitive(CiOracle(g))
         if not result.holds:
-            _fail(report, kind="gaussian", model_seed=g_seed,
+            _fail(report, kind="gaussian", model_seed=s,
                   witness=list(result.witness))
-    return report
 
 
 def xor_hypothesis_table() -> JointTable:
@@ -408,15 +376,12 @@ def _chain_rule_errors(table: JointTable, cover: HypothesisCover, net_type: int)
         yield ln, factorization_max_error(local, ln.dag)
 
 
-def suite_simnet_equiv(seed: int = 0, n_vars: int = 5, samples: int = 50) -> SuiteReport:
+def suite_simnet_equiv(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
     """The two inclusion rules must coincide on strictly positive tables.
 
     The paired-coin hypothesis fixture must diverge exactly on the second
     coin, and every local network must reconstruct its restricted joint.
     """
-    _require_n_vars("simnet-equiv", n_vars, 2, 5)
-    report = SuiteReport("simnet-equiv", seed, {"n_vars": n_vars, "samples": samples})
-
     fixture = xor_hypothesis_table()
     fixture_cover = HypothesisCover("h", ((0, 1),))
     outcome = types_equivalent(fixture, fixture_cover)
@@ -424,35 +389,43 @@ def suite_simnet_equiv(seed: int = 0, n_vars: int = 5, samples: int = 50) -> Sui
     if outcome.equivalent or [d.only_related for d in outcome.divergences] != [("y",)]:
         _fail(report, kind="xor_fixture", report=outcome.to_json_dict())
 
-    for i, n in enumerate(_sizes(samples, n_vars)):
-        table = random_spb(n, seed + i)
+    for s, _, table in _draws(random_spb, seed, samples, n_vars):
         h = table.universe.variables[0]
         cover = HypothesisCover(h, ((0, 1),))
         report.cases += 1
         outcome = types_equivalent(table, cover)
         if not outcome.equivalent:
-            _fail(report, kind="divergence", table_seed=seed + i,
+            _fail(report, kind="divergence", table_seed=s,
                   report=outcome.to_json_dict())
         for net_type in (1, 2):
             for ln, err in _chain_rule_errors(table, cover, net_type):
                 report.cases += 1
                 if err > CHAIN_RULE_TOL:
-                    _fail(report, kind="chain_rule", table_seed=seed + i,
+                    _fail(report, kind="chain_rule", table_seed=s,
                           net_type=net_type, hypotheses=list(ln.hypotheses),
                           error=err)
-    return report
+
+
+class Suite(NamedTuple):
+    """A suite body, the ``n_vars`` range it runs at, and its default scale."""
+
+    run: Callable[[SuiteReport, int, int, int], None]
+    low: int
+    high: int
+    n_vars: int
+    samples: int
 
 
 SUITES = {
-    "axioms": suite_axioms,
-    "dsep-soundness": suite_dsep_soundness,
-    "components": suite_components,
-    "relations": suite_relations,
-    "clean": suite_clean,
-    "pt-bin": suite_pt_bin,
-    "gaussian-props": suite_gaussian_props,
-    "transitivity": suite_transitivity,
-    "simnet-equiv": suite_simnet_equiv,
+    "axioms": Suite(suite_axioms, 2, 4, 4, 200),
+    "dsep-soundness": Suite(suite_dsep_soundness, 2, 5, 5, 200),
+    "components": Suite(suite_components, 2, 6, 4, 100),
+    "relations": Suite(suite_relations, 2, 5, 4, 100),
+    "clean": Suite(suite_clean, 3, 5, 5, 500),
+    "pt-bin": Suite(suite_pt_bin, 3, 5, 5, 200),
+    "gaussian-props": Suite(suite_gaussian_props, 3, 6, 5, 100),
+    "transitivity": Suite(suite_transitivity, 2, 5, 5, 200),
+    "simnet-equiv": Suite(suite_simnet_equiv, 2, 5, 5, 50),
 }
 
 
@@ -462,20 +435,22 @@ def run_suite(
     n_vars: int | None = None,
     samples: int | None = None,
 ) -> SuiteReport:
-    """Run a named suite.
+    """Run a named suite at ``n_vars`` and ``samples``, by default its own scale.
 
     Unknown names raise KeyError; ``samples < 1`` and an ``n_vars`` outside
-    the sizes the suite runs at raise ValueError.
+    the sizes the suite runs at raise ValueError before anything is drawn.
+    The report records the scale that ran and the wall time of the run.
     """
-    fn = SUITES[name]
-    if samples is not None and samples < 1:
+    suite = SUITES[name]
+    n_vars = suite.n_vars if n_vars is None else n_vars
+    samples = suite.samples if samples is None else samples
+    if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    kwargs: dict = {"seed": seed}
-    if n_vars is not None:
-        kwargs["n_vars"] = n_vars
-    if samples is not None:
-        kwargs["samples"] = samples
+    # Reject an n_vars the suite would not run at, rather than clamp it.
+    if not suite.low <= n_vars <= suite.high:
+        raise ValueError(f"suite {name} runs at n_vars {suite.low}..{suite.high}, got {n_vars}")
+    report = SuiteReport(name, seed, {"n_vars": n_vars, "samples": samples})
     started = time.perf_counter()
-    report = fn(**kwargs)
+    suite.run(report, seed, n_vars, samples)
     report.wall_time = time.perf_counter() - started
     return report

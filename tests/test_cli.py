@@ -195,6 +195,20 @@ class TestRandgenAndCleanCheck:
         assert main(["randgen", "gaussian", "3", "--seed", "9", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bad_env_seed_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GRAPHOID_SEED", "x")
+        assert main(["randgen", "spb", "3", "--out", str(tmp_path / "a.json")]) == 2
+        assert "GRAPHOID_SEED must be an integer, got 'x'" in capsys.readouterr().err
+        monkeypatch.setenv("GRAPHOID_SEED", "-4")
+        assert main(["randgen", "spb", "3", "--out", str(tmp_path / "b.json")]) == 2
+        assert "GRAPHOID_SEED must be a non-negative integer, got -4" in capsys.readouterr().err
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        assert main(["randgen", "spb", "3", "--seed", "-2", "--out", str(path)]) == 2
+        assert "--seed must be a non-negative integer, got -2" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_clean_check(self, tmp_path, capsys):
         dist = tmp_path / "spb.json"
         assert main(["randgen", "spb", "4", "--seed", "3", "--out", str(dist)]) == 0
@@ -318,6 +332,23 @@ class TestSuite:
         args = ["suite", "axioms", "--n-vars", "4", "--samples", "3", "--report", str(path)]
         assert main(args) == 0
         assert json.loads(path.read_text())["params"]["n_vars"] == 4
+
+    def test_negative_suite_seed_is_named(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        assert main(["suite", "axioms", "--seed", "-1", "--report", str(path)]) == 2
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_simnet_equiv_failure_exits_1_with_a_report(self, tmp_path, monkeypatch, capsys):
+        from graphoid import suites
+
+        monkeypatch.setattr(suites, "random_spb", lambda n, seed: suites.xor_hypothesis_table())
+        path = tmp_path / "r.json"
+        args = ["suite", "simnet-equiv", "--samples", "4", "--report", str(path)]
+        assert main(args) == 1
+        data = json.loads(path.read_text())
+        assert {f["kind"] for f in data["failures"]} >= {"divergence"}
+        assert "failure(s)" in capsys.readouterr().out
 
     def test_usage_error_without_args(self, capsys):
         assert main([]) == 2

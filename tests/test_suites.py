@@ -54,7 +54,7 @@ def brute_force_clean_sweep(report, dist, label):
 def reference_suite_clean(monkeypatch, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(suites, "_clean_sweep", brute_force_clean_sweep)
-        return suites.suite_clean(**kwargs)
+        return suites.run_suite("clean", **kwargs)
 
 
 def empty_clean_report():
@@ -116,7 +116,7 @@ def test_live_triples_are_exactly_those_with_both_cells_non_empty(ground_size):
 def test_clean_report_equals_the_reference(monkeypatch, n_vars, seed):
     # samples=4 runs random_spb and random_gaussian at n = 3 up to n_vars.
     kwargs = {"seed": seed, "n_vars": n_vars, "samples": 4}
-    report = suites.suite_clean(**kwargs)
+    report = suites.run_suite("clean", **kwargs)
     reference = reference_suite_clean(monkeypatch, **kwargs)
     assert_outcomes_cover_cases(report)
     assert report.to_json() == reference.to_json()
@@ -160,20 +160,32 @@ def test_failure_records_match_the_reference_in_order(monkeypatch, n_vars):
             assert got.outcomes == want.outcomes
 
 
+def _forced_violation(oracle, first, second, e_var, ground):
+    return CheckResult(VIOLATION, False, False)
+
+
+def _product_spb(n, seed):
+    left = 1 if n == 3 else 2
+    return two_block_product(left, n - left, seed)
+
+
 def test_clean_suite_fails_when_the_conclusion_fails(monkeypatch):
-    def forced_violation(oracle, first, second, e_var, ground):
-        return CheckResult(VIOLATION, False, False)
-
-    def product_spb(n, seed):
-        left = 1 if n == 3 else 2
-        return two_block_product(left, n - left, seed)
-
-    monkeypatch.setattr(suites, "random_spb", product_spb)
-    monkeypatch.setattr(relevance, "_conclusion", forced_violation)
-    report = suites.suite_clean(seed=0, n_vars=5, samples=3)
+    monkeypatch.setattr(suites, "random_spb", _product_spb)
+    monkeypatch.setattr(relevance, "_conclusion", _forced_violation)
+    report = suites.run_suite("clean", seed=0, n_vars=5, samples=3)
     assert not report.ok
     assert report.outcomes[VIOLATION] > 0
     assert report.outcomes[CONSEQUENT_HOLDS] == 0
     assert len(report.failures) == report.outcomes[VIOLATION]
     assert_outcomes_cover_cases(report)
 
+
+def test_pt_bin_suite_fails_when_the_conclusion_fails(monkeypatch):
+    # On product tables about a third of the random block assignments meet
+    # all three premises; each of those must then be reported as a violation
+    # on which both forms agree.
+    monkeypatch.setattr(suites, "random_spb", _product_spb)
+    monkeypatch.setattr(relevance, "_conclusion", _forced_violation)
+    report = suites.run_suite("pt-bin", seed=0, samples=5)
+    assert not report.ok
+    assert {f["kind"] for f in report.failures} == {"violation"}
