@@ -1,116 +1,88 @@
-"""Graphoid-based relevance reasoning over discrete and Gaussian distributions."""
+"""Graphoid-based relevance reasoning over discrete and Gaussian distributions.
 
-from .bayesnet import (
-    Dag,
-    SeparationQuery,
-    Trail,
-    build_network,
-    burglary_network,
-    connected_components,
-    d_separated,
-    d_separated_by_enumeration,
-    factorization_max_error,
-    minimal_parents,
-)
-from .dist_oracle import (
-    CiOracle,
-    GaussianModel,
-    JointTable,
-    ci_holds_discrete,
-    ci_holds_gaussian,
-    condition_on,
-    extract_model,
-    marginalize,
-    product_table,
-    random_gaussian,
-    random_spb,
-    xor_table,
-)
-from .model_core import (
-    AxiomViolation,
-    DependencyModel,
-    Triplet,
-    Universe,
-    check_graphoid_axioms,
-    graphoid_closure,
-    restrict,
-)
-from .relevance import (
-    CheckResult,
-    PartitionTriple,
-    PtBinBlocks,
-    RelationVerdict,
-    TransitivityResult,
-    check_clean,
-    check_pt_bin,
-    gaussian_axioms_check,
-    is_transitive,
-    mutually_irrelevant,
-    uncoupled,
-    unrelated,
-)
-from .simnet import (
-    HypothesisCover,
-    LocalNetwork,
-    SimilarityNetwork,
-    build_local,
-    build_similarity,
-    restrict_to_hypotheses,
-    types_equivalent,
-)
-from .suites import SuiteReport, run_suite
+Public names load on first access (PEP 562); ``import graphoid`` loads no submodule.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomViolation",
-    "CheckResult",
-    "CiOracle",
-    "Dag",
-    "DependencyModel",
-    "GaussianModel",
-    "HypothesisCover",
-    "JointTable",
-    "LocalNetwork",
-    "PartitionTriple",
-    "PtBinBlocks",
-    "RelationVerdict",
-    "SeparationQuery",
-    "SimilarityNetwork",
-    "SuiteReport",
-    "Trail",
-    "TransitivityResult",
-    "Triplet",
-    "Universe",
-    "build_local",
-    "build_network",
-    "build_similarity",
-    "burglary_network",
-    "check_clean",
-    "check_graphoid_axioms",
-    "check_pt_bin",
-    "ci_holds_discrete",
-    "ci_holds_gaussian",
-    "condition_on",
-    "connected_components",
-    "d_separated",
-    "d_separated_by_enumeration",
-    "extract_model",
-    "factorization_max_error",
-    "gaussian_axioms_check",
-    "graphoid_closure",
-    "is_transitive",
-    "marginalize",
-    "minimal_parents",
-    "mutually_irrelevant",
-    "product_table",
-    "random_gaussian",
-    "random_spb",
-    "restrict",
-    "restrict_to_hypotheses",
-    "run_suite",
-    "types_equivalent",
-    "uncoupled",
-    "unrelated",
-    "xor_table",
-]
+# Public names, grouped by the submodule that defines them.
+_EXPORTS = {
+    "bayesnet": (
+        "Dag",
+        "SeparationQuery",
+        "Trail",
+        "build_network",
+        "burglary_network",
+        "connected_components",
+        "d_separated",
+        "d_separated_by_enumeration",
+        "factorization_max_error",
+        "minimal_parents",
+    ),
+    "dist_oracle": (
+        "CiOracle",
+        "GaussianModel",
+        "JointTable",
+        "ci_holds_discrete",
+        "ci_holds_gaussian",
+        "condition_on",
+        "extract_model",
+        "marginalize",
+        "product_table",
+        "random_gaussian",
+        "random_spb",
+        "xor_table",
+    ),
+    "model_core": (
+        "AxiomViolation",
+        "DependencyModel",
+        "Triplet",
+        "Universe",
+        "check_graphoid_axioms",
+        "graphoid_closure",
+        "restrict",
+    ),
+    "relevance": (
+        "CheckResult",
+        "PartitionTriple",
+        "PtBinBlocks",
+        "RelationVerdict",
+        "TransitivityResult",
+        "check_clean",
+        "check_pt_bin",
+        "gaussian_axioms_check",
+        "is_transitive",
+        "mutually_irrelevant",
+        "uncoupled",
+        "unrelated",
+    ),
+    "simnet": (
+        "HypothesisCover",
+        "LocalNetwork",
+        "SimilarityNetwork",
+        "build_local",
+        "build_similarity",
+        "restrict_to_hypotheses",
+        "types_equivalent",
+    ),
+    "suites": ("SuiteReport", "run_suite"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    # The first read imports all six modules and binds every public name at
+    # once, never one module at a time; later reads are plain dict lookups.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module, names in _EXPORTS.items():
+        defining = importlib.import_module(f".{module}", __name__)
+        globals().update((n, getattr(defining, n)) for n in names)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,12 +14,15 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dist_oracle import CiOracle, JointTable, _validate_sets
 from .errors import InvalidOrder, InvalidSets
-from .model_core import Triplet, Universe, names_from_json, subsets
+from .model_core import Triplet, Universe, _validate_sets, names_from_json, subsets
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dist_oracle import CiOracle, JointTable
 
 
 @dataclass(frozen=True)
@@ -325,6 +328,8 @@ def factorization_max_error(table: JointTable, dag: Dag) -> float:
     Conditionals with zero-probability parent assignments contribute a zero
     factor, matching the joint they reconstruct.
     """
+    import numpy as np
+
     if dag.universe.names != table.universe.names:
         raise InvalidSets("table and network must share a universe")
     node_margs = {}

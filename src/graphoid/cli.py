@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success or a holding property, 1 for a failing property,
 2 for usage or input errors.  JSON is the only machine-readable surface;
-anything human-oriented goes to stderr or is clearly prose.
+anything human-oriented goes to stderr or is clearly prose.  Each subcommand
+imports what it runs inside its function, so a call loads only those modules.
 """
 
 from __future__ import annotations
@@ -12,27 +13,7 @@ import json
 import os
 import sys
 
-from .bayesnet import Dag, build_network, connected_components, d_separated
-from .dist_oracle import (
-    CiOracle,
-    GaussianModel,
-    JointTable,
-    random_gaussian,
-    random_spb,
-)
 from .errors import GraphoidError
-from .model_core import DependencyModel, Triplet
-from .relevance import (
-    VIOLATION,
-    PartitionTriple,
-    check_clean,
-    is_transitive,
-    mutually_irrelevant,
-    uncoupled,
-    unrelated,
-)
-from .simnet import HypothesisCover, build_similarity, types_equivalent
-from .suites import SUITES, run_suite
 
 DEFAULT_SEED = 0
 
@@ -64,6 +45,17 @@ def _parse_names(text: str | None) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _parse_indices(text: str, flag: str) -> tuple[int, ...]:
+    """Comma-separated value indices; a non-integer token names ``flag``."""
+    values = []
+    for token in _parse_names(text):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"{flag} takes integer value indices, got {token!r}") from None
+    return tuple(values)
+
+
 def _load_json_object(path: str) -> dict:
     """Read a JSON artifact whose top level must be an object."""
     with open(path) as fh:
@@ -75,6 +67,9 @@ def _load_json_object(path: str) -> dict:
 
 def load_distribution(path: str):
     """Read a JSON artifact: joint table, Gaussian model, or dependency model."""
+    from .dist_oracle import GaussianModel, JointTable
+    from .model_core import DependencyModel
+
     data = _load_json_object(path)
     if "probs" in data:
         return JointTable.from_json_dict(data)
@@ -95,6 +90,9 @@ def _emit(data: dict, out: str | None) -> None:
 
 
 def cmd_ci(args: argparse.Namespace) -> int:
+    from .dist_oracle import CiOracle
+    from .model_core import DependencyModel
+
     dist = load_distribution(args.dist_file)
     oracle = CiOracle(dist)
     x, y, z = [args.x], [args.y], _parse_names(args.given)
@@ -108,6 +106,9 @@ def cmd_ci(args: argparse.Namespace) -> int:
 
 
 def cmd_build_net(args: argparse.Namespace) -> int:
+    from .bayesnet import build_network, connected_components
+    from .dist_oracle import CiOracle
+
     dist = load_distribution(args.dist_file)
     order = _parse_names(args.order) or None
     dag = build_network(CiOracle(dist), order)
@@ -118,6 +119,9 @@ def cmd_build_net(args: argparse.Namespace) -> int:
 
 
 def cmd_dsep(args: argparse.Namespace) -> int:
+    from .bayesnet import Dag, d_separated
+    from .model_core import Triplet
+
     dag = Dag.from_json_dict(_load_json_object(args.dag_file))
     q = Triplet.make(_parse_names(args.x), _parse_names(args.y), _parse_names(args.given))
     separated = d_separated(dag, q)
@@ -126,6 +130,9 @@ def cmd_dsep(args: argparse.Namespace) -> int:
 
 
 def cmd_relations(args: argparse.Namespace) -> int:
+    from .dist_oracle import CiOracle
+    from .relevance import mutually_irrelevant, uncoupled, unrelated
+
     oracle = CiOracle(load_distribution(args.dist_file))
     verdicts = {
         "mutually_irrelevant": mutually_irrelevant(oracle, args.x, args.y).to_json_dict(),
@@ -137,12 +144,18 @@ def cmd_relations(args: argparse.Namespace) -> int:
 
 
 def cmd_transitive(args: argparse.Namespace) -> int:
+    from .dist_oracle import CiOracle
+    from .relevance import is_transitive
+
     result = is_transitive(CiOracle(load_distribution(args.dist_file)))
     _emit(result.to_json_dict(), args.out)
     return 0 if result.holds else 1
 
 
 def cmd_clean_check(args: argparse.Namespace) -> int:
+    from .model_core import DependencyModel
+    from .relevance import VIOLATION, PartitionTriple, check_clean
+
     dist = load_distribution(args.dist_file)
     if isinstance(dist, DependencyModel):
         raise ValueError("clean-check needs a table or Gaussian artifact")
@@ -150,7 +163,7 @@ def cmd_clean_check(args: argparse.Namespace) -> int:
     x1 = frozenset(_parse_names(args.x1))
     y1 = frozenset(_parse_names(args.y1))
     z1 = frozenset(_parse_names(args.z1))
-    values = tuple(int(v) for v in _parse_names(args.e_values)) or (0, 1)
+    values = _parse_indices(args.e_values, "--e-values") or (0, 1)
     pt = PartitionTriple(
         x1, ground - x1, y1, ground - y1, z1, ground - z1, args.e, values
     )
@@ -164,11 +177,14 @@ def _parse_cover(text: str) -> tuple[tuple[int, ...], ...]:
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if chunk:
-            subsets.append(tuple(int(v) for v in _parse_names(chunk)))
+            subsets.append(_parse_indices(chunk, "--cover"))
     return tuple(subsets)
 
 
 def cmd_simnet(args: argparse.Namespace) -> int:
+    from .dist_oracle import JointTable
+    from .simnet import HypothesisCover, build_similarity, types_equivalent
+
     dist = load_distribution(args.dist_file)
     if not isinstance(dist, JointTable):
         raise ValueError("simnet needs a joint-table artifact")
@@ -183,6 +199,8 @@ def cmd_simnet(args: argparse.Namespace) -> int:
 
 
 def cmd_randgen(args: argparse.Namespace) -> int:
+    from .dist_oracle import random_gaussian, random_spb
+
     generate = random_spb if args.kind == "spb" else random_gaussian
     artifact = generate(args.n, _seed(args))
     _emit(artifact.to_json_dict(), args.out)
@@ -190,6 +208,8 @@ def cmd_randgen(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
+    from .suites import SUITES, run_suite
+
     if args.name not in SUITES:
         raise ValueError(f"unknown suite {args.name!r}; choose from {sorted(SUITES)}")
     report = run_suite(args.name, seed=_seed(args), n_vars=args.n_vars, samples=args.samples)
@@ -284,7 +304,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (GraphoidError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except KeyError as exc:  # only an artifact's field lookups raise it here
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return 2
+    except (GraphoidError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

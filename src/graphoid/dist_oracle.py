@@ -19,7 +19,6 @@ from .errors import (
     InvalidSets,
     SingularConditioning,
     UniverseTooLarge,
-    UnknownVariable,
     ZeroProbabilityEvidence,
 )
 from .model_core import (
@@ -27,6 +26,7 @@ from .model_core import (
     Triplet,
     Universe,
     _as_name_set,
+    _validate_sets,
     graphoid_closure,
     iter_disjoint_triples,
     names_from_json,
@@ -40,24 +40,6 @@ CONDITION_LIMIT = 1e12
 SPB_ENTRY_FLOOR = 1e-3
 GAUSSIAN_RIDGE = 1e-2
 MAX_EXTRACT_VARS = 5
-
-
-def _validate_sets(
-    universe: Universe,
-    x_set: Iterable[str] | str,
-    y_set: Iterable[str] | str,
-    z_set: Iterable[str] | str,
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Check disjointness and membership; return the sets as sorted tuples."""
-    try:
-        xs = universe.require(x_set)
-        ys = universe.require(y_set)
-        zs = universe.require(z_set)
-    except UnknownVariable as exc:
-        raise InvalidSets(f"unknown variable: {exc}") from None
-    if xs & ys or xs & zs or ys & zs:
-        raise InvalidSets("query sets must be pairwise disjoint")
-    return tuple(sorted(xs)), tuple(sorted(ys)), tuple(sorted(zs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .errors import InvalidTriplet, UniverseTooLarge, UnknownVariable
+from .errors import InvalidSets, InvalidTriplet, UniverseTooLarge, UnknownVariable
 
 VariableId = str
 
@@ -101,6 +101,24 @@ class Universe:
         kept = self.require(keep)
         pairs = [(v, d) for v, d in zip(self.variables, self.domains) if v in kept]
         return Universe(tuple(v for v, _ in pairs), tuple(d for _, d in pairs))
+
+
+def _validate_sets(
+    universe: Universe,
+    x_set: Iterable[str] | str,
+    y_set: Iterable[str] | str,
+    z_set: Iterable[str] | str,
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """Check disjointness and membership; return the sets as sorted tuples."""
+    try:
+        xs = universe.require(x_set)
+        ys = universe.require(y_set)
+        zs = universe.require(z_set)
+    except UnknownVariable as exc:
+        raise InvalidSets(f"unknown variable: {exc}") from None
+    if xs & ys or xs & zs or ys & zs:
+        raise InvalidSets("query sets must be pairwise disjoint")
+    return tuple(sorted(xs)), tuple(sorted(ys)), tuple(sorted(zs))
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,11 @@ class TestDsep:
         assert main(["dsep", str(dag_path), "a", "b"]) == 2
         assert "parents" in capsys.readouterr().err
 
+    def test_table_given_as_network_names_missing_field(self, tmp_path, capsys):
+        # used to print a bare "error: 'order'"
+        assert main(["dsep", write_xor(tmp_path), "x", "y"]) == 2
+        assert "error: missing field 'order'" in capsys.readouterr().err
+
 
 class TestNameListsInArtifacts:
     """A string where a list of names belongs is rejected, not split into letters."""
@@ -152,6 +157,11 @@ class TestNameListsInArtifacts:
     def test_dependency_model_z_defaults_to_empty(self, tmp_path, capsys):
         artifact = {"variables": ["a", "b"], "triplets": [{"x": ["a"], "y": ["b"]}]}
         assert self._run_ci(tmp_path, artifact) == 0
+
+    def test_table_without_variables_names_missing_field(self, tmp_path, capsys):
+        artifact = {"probs": [0.25, 0.25, 0.25, 0.25]}
+        assert self._run_ci(tmp_path, artifact) == 2
+        assert "error: missing field 'variables'" in capsys.readouterr().err
 
     def test_joint_table_names_and_values_exit_2(self, tmp_path, capsys):
         good = xor_table().to_json_dict()
@@ -243,6 +253,14 @@ class TestRandgenAndCleanCheck:
         assert main(args + ["--e-values", "0,1,1"]) == 2
         assert "two pivot values" in capsys.readouterr().err
 
+    def test_non_integer_pivot_value_names_flag(self, tmp_path, capsys):
+        dist = tmp_path / "spb.json"
+        assert main(["randgen", "spb", "4", "--seed", "3", "--out", str(dist)]) == 0
+        capsys.readouterr()
+        args = ["clean-check", str(dist), "--e", "u4", "--x1", "u1", "--y1", "u1,u2", "--z1", "u1"]
+        assert main(args + ["--e-values", "0,x"]) == 2
+        assert "--e-values takes integer value indices, got 'x'" in capsys.readouterr().err
+
 
 class TestSimnet:
     def test_compare_types_on_fixture(self, tmp_path, capsys):
@@ -277,6 +295,14 @@ class TestSimnet:
             args = ["simnet", str(dist), "--hypothesis", "u1", "--cover", "0,1;1,2"]
             assert main(args + mode) == 2
             assert "value index out of range for u1" in capsys.readouterr().err
+
+    def test_non_integer_cover_value_names_flag(self, tmp_path, capsys):
+        dist = tmp_path / "spb.json"
+        main(["randgen", "spb", "3", "--seed", "2", "--out", str(dist)])
+        capsys.readouterr()
+        args = ["simnet", str(dist), "--hypothesis", "u1", "--cover", "0,x"]
+        assert main(args) == 2
+        assert "--cover takes integer value indices, got 'x'" in capsys.readouterr().err
 
 
 class TestSuite:
