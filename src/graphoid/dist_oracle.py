@@ -42,6 +42,19 @@ GAUSSIAN_RIDGE = 1e-2
 MAX_EXTRACT_VARS = 5
 
 
+def _numbers_from_json(value: object, what: str) -> object:
+    """``value`` itself when it is a JSON number or nested lists of them; a
+    bool, string, object or null anywhere in it raises ValueError."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{what} must hold only numbers, not {type(item).__name__}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Dense discrete joint distribution over a universe.
@@ -117,7 +130,8 @@ class JointTable:
             names_from_json(v["values"], f"values of {name}")
             for name, v in zip(names, variables)
         )
-        return cls(Universe(names, domains), np.asarray(data["probs"], dtype=float))
+        probs = _numbers_from_json(data["probs"], "probs")
+        return cls(Universe(names, domains), np.asarray(probs, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +193,9 @@ class GaussianModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GaussianModel":
         universe = Universe.reals(*names_from_json(data["variables"], "variables"))
-        return cls(universe, np.asarray(data["mean"]), np.asarray(data["cov"]))
+        mean = _numbers_from_json(data["mean"], "mean")
+        cov = _numbers_from_json(data["cov"], "cov")
+        return cls(universe, np.asarray(mean), np.asarray(cov))
 
 
 def marginalize(table: JointTable, keep: Iterable[str]) -> JointTable:

@@ -40,6 +40,46 @@ class TestCi:
             assert main(["ci", str(path), "x", "y"]) == 2
             assert "JSON object" in capsys.readouterr().err
 
+    def test_dependency_model_answer_needs_contraction(self, tmp_path, capsys):
+        # (a, c | {}) follows only by contracting (a, b | {}) and (a, c | b)
+        # to (a, bc | {}) and decomposing; (a, b | c) then by weak union.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "variables": ["a", "b", "c"],
+            "triplets": [{"x": ["a"], "y": ["b"], "z": []}, {"x": ["a"], "y": ["c"], "z": ["b"]}],
+        }))
+        assert main(["ci", str(path), "a", "c"]) == 0
+        assert main(["ci", str(path), "c", "a"]) == 0
+        assert main(["ci", str(path), "a", "b", "--given", "c"]) == 0
+        assert main(["ci", str(path), "b", "c"]) == 1
+        assert capsys.readouterr().out.split() == ["holds", "holds", "holds", "fails"]
+
+    @pytest.mark.parametrize(
+        "probs, kind",
+        [([{"a": 1}, 0.5, 0.25, 0.25], "dict"), ([True, False, False, False], "bool"),
+         ([[0.25, 0.25], [0.25, "0.25"]], "str"), ([0.25, 0.25, 0.25, None], "NoneType")],
+        ids=["object", "bools", "string", "null"],
+    )
+    def test_non_number_probs_exit_2(self, tmp_path, capsys, probs, kind):
+        artifact = dict(xor_table().to_json_dict(), probs=probs)
+        artifact["variables"] = artifact["variables"][:2]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(artifact))
+        assert main(["ci", str(path), "x", "y"]) == 2
+        assert f"error: probs must hold only numbers, not {kind}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("mean", [True, 0.0]), ("cov", [[True, 0.0], [0.0, 1.0]])]
+    )
+    def test_bool_in_gaussian_exits_2(self, tmp_path, capsys, field, value):
+        artifact = {"variables": ["a", "b"], "mean": [0, 0.0], "cov": [[1, 0.0], [0.0, 1.0]]}
+        path = tmp_path / "gaussian.json"
+        path.write_text(json.dumps(artifact))
+        assert main(["ci", str(path), "a", "b"]) == 0  # an integer is a number
+        path.write_text(json.dumps(dict(artifact, **{field: value})))
+        assert main(["ci", str(path), "a", "b"]) == 2
+        assert f"error: {field} must hold only numbers, not bool" in capsys.readouterr().err
+
 
 class TestBuildNet:
     def test_xor_natural_order(self, tmp_path, capsys):

@@ -38,6 +38,19 @@ def t(x, y, z=()):
     return Triplet.make(x, y, z)
 
 
+def dense_model(n):
+    """Every singleton pair independent under every conditioning set."""
+    names = tuple(f"v{i}" for i in range(n))
+    return DependencyModel.of(
+        Universe.binary(*names),
+        (
+            t({a}, {b}, z)
+            for a, b in itertools.combinations(names, 2)
+            for z in subsets(set(names) - {a, b})
+        ),
+    )
+
+
 def model(*triplets, names=("x", "y", "w")):
     return DependencyModel.of(Universe.binary(*names), triplets)
 
@@ -108,6 +121,16 @@ class TestClosure:
             closed = graphoid_closure(model(t({a, b}, c), t(a, b), names=tuple("pqrst")))
             assert t(a, {b, c}) in closed.triplets
 
+    def test_elementary_rule_fires_from_either_premise(self):
+        # Closing this model derives an (a, c | K) after its partner
+        # (a, b | K+c) was expanded, so the rule must also fire from the
+        # (a, c | K) side.
+        m = model(
+            t("v1", {"v0", "v2"}, "v3"), t("v2", "v0", "v1"), t("v3", {"v0", "v1"}),
+            names=("v0", "v1", "v2", "v3"),
+        )
+        assert graphoid_closure(m).triplets == reference_closure(m).triplets
+
     def test_closure_is_a_graphoid(self):
         closed = graphoid_closure(model(t("x", "y"), t("x", "w", "y")))
         assert check_graphoid_axioms(closed) == []
@@ -115,16 +138,7 @@ class TestClosure:
     def test_dense_model_at_the_bound(self):
         # Every singleton pair independent under every Z closes to all 4^8
         # disjoint triples at n = 8, the largest universe the bound admits.
-        names = tuple(f"v{i}" for i in range(8))
-        dense = DependencyModel.of(
-            Universe.binary(*names),
-            (
-                t({a}, {b}, z)
-                for a, b in itertools.combinations(names, 2)
-                for z in subsets(set(names) - {a, b})
-            ),
-        )
-        closed = graphoid_closure(dense)
+        closed = graphoid_closure(dense_model(8))
         assert len(closed.triplets) == 4**8
         assert check_graphoid_axioms(closed) == []
 
@@ -339,6 +353,94 @@ def wide_models(draw):
 def test_mask_closure_and_check_match_reference(m):
     assert graphoid_closure(m).triplets == reference_closure(m).triplets
     assert check_graphoid_axioms(m) == reference_check(m)
+
+
+def fixpoint_closure(model):
+    """The mask fixpoint the elementary-triplet closure replaced, kept as a
+    second reference where ``reference_closure`` is too slow (dense n=7).
+
+    A work stack of derived triplets applies symmetry, decomposition and weak
+    union, and finds each contraction partner in an index.
+    """
+    table = subset_table(model.universe.variables)
+    sets, mask_of = table.by_mask, table.mask_of
+    full = len(sets) - 1
+    closed = {(x, 0, z) for z in range(full + 1) for x in range(full + 1) if not x & z}
+    closed |= {(0, x, z) for x, _, z in closed}
+    stack = []
+    as_second = {}  # (x, z) -> y of each (x, y | z)
+    as_first = {}  # (x, y | z) -> (y, z) of each (x, y | z)
+
+    def add(x, y, z):
+        if (x, y, z) not in closed:
+            closed.add((x, y, z))
+            as_second.setdefault((x, z), []).append(y)
+            as_first.setdefault((x, y | z), []).append((y, z))
+            stack.append((x, y, z))
+
+    for trip in model.triplets:
+        if trip.x_set and trip.y_set:
+            add(mask_of[trip.x_set], mask_of[trip.y_set], mask_of[trip.z_set])
+    while stack:
+        x, y, z = stack.pop()
+        add(y, x, z)
+        sub = (y - 1) & y
+        while sub:
+            add(x, sub, z)
+            add(x, sub, z | (y ^ sub))
+            sub = (sub - 1) & y
+        for w in as_second.get((x, z | y), ()):
+            add(x, y | w, z)
+        for first_y, first_z in as_first.get((x, z), ()):
+            add(x, first_y | y, first_z)
+
+    return DependencyModel(
+        model.universe, frozenset(Triplet(sets[x], sets[y], sets[z]) for x, y, z in closed)
+    )
+
+
+def test_closure_matches_reference_on_every_small_model():
+    # Every model of at most three non-trivial generators over three
+    # variables: 1 + 18 + 153 + 816 = 988 models.
+    names = ("c", "a", "b")
+    universe = Universe.binary(*names)
+    pool = [Triplet(x, y, z) for x, y, z in iter_disjoint_triples(names) if x and y]
+    assert len(pool) == 18
+    count = 0
+    for size in range(4):
+        for generators in itertools.combinations(pool, size):
+            m = DependencyModel.of(universe, generators)
+            assert graphoid_closure(m).triplets == reference_closure(m).triplets, generators
+            count += 1
+    assert count == 988
+
+
+@pytest.mark.parametrize("n, count", [(4, 60), (5, 30), (6, 12)])
+def test_closure_matches_reference_on_seeded_sparse_models(n, count):
+    rnd = random.Random(n)
+    names = _wide_names[:4] + tuple(f"u{i}" for i in range(n - 4))
+    for _ in range(count):
+        size, generators = rnd.randint(1, 6), []
+        while len(generators) < size:
+            codes = [rnd.randrange(4) for _ in names]
+            x, y, z = (frozenset(v for v, c in zip(names, codes) if c == k) for k in (1, 2, 3))
+            if x and y:
+                generators.append(Triplet(x, y, z))
+        m = DependencyModel.of(Universe.binary(*names), generators)
+        closed = graphoid_closure(m).triplets
+        assert closed == fixpoint_closure(m).triplets, generators
+        if n <= 5:  # the definitional closure takes seconds at n=6
+            assert closed == reference_closure(m).triplets, generators
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_dense_closure_matches_reference(n):
+    dense = dense_model(n)
+    closed = graphoid_closure(dense).triplets
+    assert len(closed) == 4**n
+    assert closed == fixpoint_closure(dense).triplets
+    if n <= 6:
+        assert closed == reference_closure(dense).triplets
 
 
 def reference_subsets(names):
