@@ -3,7 +3,7 @@
 Two families are supported: discrete joint tables (dense arrays over the
 Cartesian product of finite domains) and regular Gaussian models (mean vector
 plus positive-definite covariance).  An explicit dependency model can also
-back the oracle, answering by set membership after graphoid closure.
+back the oracle, answering from the variable masks of its graphoid closure.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from .model_core import (
     Triplet,
     Universe,
     _as_name_set,
+    _closed_masks,
     _validate_sets,
-    graphoid_closure,
     iter_disjoint_triples,
     names_from_json,
+    subset_table,
 )
 
 DISCRETE_TOL = 1e-9
@@ -334,19 +335,23 @@ def _oriented(x: frozenset[str], y: frozenset[str], z: frozenset[str]):
 class CiOracle:
     """Uniform conditional-independence query surface over any backend.
 
-    The backend is a JointTable, a GaussianModel, or a DependencyModel; a
-    model backend answers by set membership after graphoid closure.  A
-    table or Gaussian oracle memoizes its verdicts, keyed on the unordered
-    pair {x_set, y_set} and z_set; a model oracle keeps no memo, since its
-    answer is already one lookup in the closure.  Every query is answered in
-    one canonical orientation (the smaller sorted tuple first), so
-    ``ci(x, y, z) == ci(y, x, z)`` whichever was asked first.  The oracle
-    and its backends are immutable, which keeps the memo valid for the
-    oracle's lifetime.  Besides the verdict memo ``_memo``, an oracle keeps
-    ``_given``, the conditioned oracles through which ``ci_given_value``
-    answers value-specific statements about a table, and ``_screening``, the
-    minimal screening set found by network construction for each node and
-    predecessor set, so a network rebuilt on the same oracle asks nothing.
+    The backend is a JointTable, a GaussianModel, or a DependencyModel.  A
+    model backend answers from the closure's masks: its first query computes
+    the graphoid closure once as a set of ``(x, y, z)`` variable masks, and
+    every query is one membership test of its three masks in that set, with
+    no ``Triplet`` built (a model past the closure bound raises
+    UniverseTooLarge at every query).  A table or Gaussian oracle memoizes
+    its verdicts, keyed on the unordered pair {x_set, y_set} and z_set; a
+    model oracle keeps no memo, since its answer is already one lookup.
+    Every query is answered in one canonical orientation (the smaller
+    sorted tuple first), so ``ci(x, y, z) == ci(y, x, z)`` whichever was
+    asked first.  The oracle and its backends are immutable, which keeps
+    the memo valid for the oracle's lifetime.  Besides the verdict memo
+    ``_memo``, an oracle keeps ``_given``, the conditioned oracles through
+    which ``ci_given_value`` answers value-specific statements about a
+    table, and ``_screening``, the minimal screening set found by network
+    construction for each node and predecessor set, so a network rebuilt
+    on the same oracle asks nothing.
     The tolerance must be finite and non-negative; None picks the backend's
     default.  It is the only tolerance the checks in ``relevance`` use.
     """
@@ -370,13 +375,20 @@ class CiOracle:
             memo = {}
         elif isinstance(backend, DependencyModel):
             tol = 0.0 if tol is None else tol
+            universe = backend.universe
+
             # Neither callable refers back to the oracle: a cycle would keep
             # the oracle and its closure alive until the cycle collector runs.
-            closed = functools.cache(lambda: graphoid_closure(backend).triplets)
+            @functools.cache
+            def closed() -> tuple[set[tuple[int, int, int]], dict[frozenset[str], int]]:
+                held = _closed_masks(backend)  # checks the bound first
+                return held, subset_table(universe.variables).mask_of
 
             def holds(xs, ys, zs) -> bool:
-                _validate_sets(backend.universe, xs, ys, zs)
-                return Triplet.make(xs, ys, zs) in closed()
+                _validate_sets(universe, xs, ys, zs)
+                held, mask_of = closed()
+                return (mask_of[frozenset(xs)], mask_of[frozenset(ys)],
+                        mask_of[frozenset(zs)]) in held
 
             gap = None
             # One closure lookup answers a query; a memo would only keep a

@@ -315,16 +315,16 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def graphoid_closure(model: DependencyModel) -> DependencyModel:
-    """Least superset of ``model`` closed under the five graphoid axioms.
+def _closed_masks(model: DependencyModel) -> set[tuple[int, int, int]]:
+    """The graphoid closure of ``model`` as ``(x, y, z)`` masks over
+    ``subset_table(model.universe.variables)``, both orientations included.
 
     The five axioms are the semi-graphoid axioms, and a semi-graphoid is
     determined by its elementary triplets (a, b | K) (Matus, "Ascending and
     descending conditional independence relations", 1992; Studeny,
     "Probabilistic Conditional Independence Structures", 2005, sec. 2.2):
     (X, Y | Z) holds iff (a, b | K) does for every a in X, b in Y and K with
-    Z <= K <= XYZ - ab.  Triplets are worked on as ``(x, y, z)`` variable masks
-    in three steps:
+    Z <= K <= XYZ - ab.  The closure is built in two steps:
 
     1. each generator is expanded into its elementary triplets, which follow
        by decomposition and weak union, and a work stack closes them under
@@ -334,13 +334,12 @@ def graphoid_closure(model: DependencyModel) -> DependencyModel:
        from two settled ones: (X, Y | Z) holds iff (a, Y | Z) and
        (X-a, Y | Z+a) do, a the lowest variable of X, and for a single x
        variable the same split is made on Y.  Y is only drawn from the
-       variables that every x variable is elementarily independent of under Z;
-    3. the held triplets are materialized once.
+       variables that every x variable is elementarily independent of under Z.
     """
     _check_bound(model.universe)
     table = subset_table(model.universe.variables)
-    sets, mask_of = table.by_mask, table.mask_of
-    full = len(sets) - 1
+    mask_of = table.mask_of
+    full = len(table.by_mask) - 1
     bits = [1 << i for i in range(len(table.names))]
 
     # Every verdict that holds: the elementary closure first, then the walk's.
@@ -407,7 +406,17 @@ def graphoid_closure(model: DependencyModel) -> DependencyModel:
                         held.add((a, y, z))
                 elif (a, y, z) in held and (x ^ a, y, z | a) in held:
                     held.add((x, y, z))
+    return held
 
+
+def graphoid_closure(model: DependencyModel) -> DependencyModel:
+    """Least superset of ``model`` closed under the five graphoid axioms.
+
+    ``_closed_masks`` decides every triplet on variable masks; the held ones
+    are materialized here, once.
+    """
+    held = _closed_masks(model)
+    sets = subset_table(model.universe.variables).by_mask
     return DependencyModel(
         model.universe, frozenset(Triplet(sets[x], sets[y], sets[z]) for x, y, z in held)
     )

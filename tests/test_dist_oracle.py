@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphoid.dist_oracle as dist_oracle
+import graphoid.model_core as model_core
 from graphoid import (
     CiOracle,
     GaussianModel,
@@ -392,6 +394,24 @@ def test_model_oracle_keeps_no_memo(xor):
     table_oracle = CiOracle(xor)
     table_oracle.ci("x", "y")
     assert table_oracle._memo
+
+
+def test_model_oracle_past_the_bound_raises_at_every_query(monkeypatch):
+    tables = []
+    real_table = model_core.subset_table
+
+    def counting_table(names):
+        tables.append(1)
+        return real_table(names)
+
+    for mod in (model_core, dist_oracle):
+        monkeypatch.setattr(mod, "subset_table", counting_table)
+    big = DependencyModel.of(Universe.binary(*(f"u{i}" for i in range(9))))
+    oracle = CiOracle(big)
+    for _ in range(2):
+        with pytest.raises(UniverseTooLarge):
+            oracle.ci("u0", "u1")
+    assert tables == []  # the bound is checked before any 2^n subset table
 
 
 def test_oracle_is_freed_without_the_cycle_collector(xor):

@@ -18,7 +18,7 @@ from graphoid import (
     random_spb,
     restrict,
 )
-from graphoid.errors import InvalidTriplet, UniverseTooLarge, UnknownVariable
+from graphoid.errors import InvalidSets, InvalidTriplet, UniverseTooLarge, UnknownVariable
 from graphoid.model_core import (
     AXIOM_CONTRACTION,
     AXIOM_DECOMPOSITION,
@@ -415,8 +415,9 @@ def test_closure_matches_reference_on_every_small_model():
     assert count == 988
 
 
-@pytest.mark.parametrize("n, count", [(4, 60), (5, 30), (6, 12)])
-def test_closure_matches_reference_on_seeded_sparse_models(n, count):
+def seeded_sparse_models(n, count):
+    """``count`` models of 1-6 seeded generators with non-empty x and y, over
+    n variables in a universe order that differs from name order."""
     rnd = random.Random(n)
     names = _wide_names[:4] + tuple(f"u{i}" for i in range(n - 4))
     for _ in range(count):
@@ -426,11 +427,16 @@ def test_closure_matches_reference_on_seeded_sparse_models(n, count):
             x, y, z = (frozenset(v for v, c in zip(names, codes) if c == k) for k in (1, 2, 3))
             if x and y:
                 generators.append(Triplet(x, y, z))
-        m = DependencyModel.of(Universe.binary(*names), generators)
+        yield DependencyModel.of(Universe.binary(*names), generators)
+
+
+@pytest.mark.parametrize("n, count", [(4, 60), (5, 30), (6, 12)])
+def test_closure_matches_reference_on_seeded_sparse_models(n, count):
+    for m in seeded_sparse_models(n, count):
         closed = graphoid_closure(m).triplets
-        assert closed == fixpoint_closure(m).triplets, generators
+        assert closed == fixpoint_closure(m).triplets, m.triplets
         if n <= 5:  # the definitional closure takes seconds at n=6
-            assert closed == reference_closure(m).triplets, generators
+            assert closed == reference_closure(m).triplets, m.triplets
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -441,6 +447,33 @@ def test_dense_closure_matches_reference(n):
     assert closed == fixpoint_closure(dense).triplets
     if n <= 6:
         assert closed == reference_closure(dense).triplets
+
+
+def assert_oracle_answers_closure_membership(m):
+    closed = graphoid_closure(m).triplets
+    oracle = CiOracle(m)
+    for x, y, z in iter_disjoint_triples(m.universe.variables):
+        assert oracle.ci(x, y, z) == (Triplet(x, y, z) in closed), (x, y, z)
+        assert oracle.ci(y, x, z) == (Triplet(y, x, z) in closed), (y, x, z)
+    a, b = sorted(m.universe.variables)[:2]
+    for x, y, z in [({a}, {a, b}, ()), ({a}, (), {a}), ({a}, {b}, {b}), ({a}, {"nope"}, ())]:
+        with pytest.raises(InvalidSets):
+            oracle.ci(x, y, z)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_model_oracle_answers_dense_closure_membership(n):
+    dense = dense_model(n)
+    # Reversed, the universe order differs from sorted name order.
+    universe = Universe.binary(*reversed(dense.universe.variables))
+    assert_oracle_answers_closure_membership(DependencyModel(universe, dense.triplets))
+
+
+@pytest.mark.parametrize("n, count", [(4, 12), (5, 6), (6, 3)])
+def test_model_oracle_answers_sparse_closure_membership(n, count):
+    for m in seeded_sparse_models(n, count):
+        assert m.universe.variables != tuple(sorted(m.universe.variables))
+        assert_oracle_answers_closure_membership(m)
 
 
 def reference_subsets(names):

@@ -5,13 +5,20 @@ memo raises the kernel count; a defeated screening-set memo raises the
 ``CiOracle.ci`` count, since every rebuilt network asks its queries again;
 a defeated per-conditioning-set factor cache raises the Cholesky count;
 a discrete kernel that stops taking its mask-free path on strictly positive
-tables raises the ``np.divide`` count, which only its masked body makes.
+tables raises the ``np.divide`` count, which only its masked body makes;
+a model oracle that leaves its closure's masks builds ``Triplet`` objects.
 """
 
+import itertools
+import sys
+
 import numpy as np
+from test_model_core import dense_model
 
 import graphoid.dist_oracle as dist_oracle
+import graphoid.model_core as model_core
 from graphoid.dist_oracle import CiOracle, random_spb, xor_table
+from graphoid.model_core import Triplet, subsets
 from graphoid.simnet import HypothesisCover, types_equivalent
 from graphoid.suites import run_suite
 
@@ -99,3 +106,40 @@ def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):
     # factorized its own block).
     assert len(kernel_calls) == 388
     assert len(cholesky_calls) == 44
+
+
+def test_model_oracle_answers_from_one_mask_closure(monkeypatch):
+    model = dense_model(6)
+    built, closures, materialized = [], [], []
+    real_post_init, real_masks = Triplet.__post_init__, dist_oracle._closed_masks
+    real_closure = model_core.graphoid_closure
+
+    def counting_post_init(self):
+        built.append(1)
+        real_post_init(self)
+
+    def counting_masks(m):
+        closures.append(1)
+        return real_masks(m)
+
+    def counting_closure(m):
+        materialized.append(1)
+        return real_closure(m)
+
+    monkeypatch.setattr(Triplet, "__post_init__", counting_post_init)
+    monkeypatch.setattr(dist_oracle, "_closed_masks", counting_masks)
+    for name, mod in list(sys.modules.items()):  # every binding, copied names too
+        if name == "graphoid" or name.startswith("graphoid."):
+            for attr, value in list(vars(mod).items()):
+                if value is real_closure:
+                    monkeypatch.setattr(mod, attr, counting_closure)
+    names = model.universe.variables
+    pairs = [({a}, {b}, z) for a, b in itertools.combinations(names, 2)
+             for z in subsets(set(names) - {a, b})]
+    assert len(pairs) == 240
+    for oracles in (1, 2):
+        oracle = CiOracle(model)
+        assert closures == [1] * (oracles - 1)  # none yet: the first query pays
+        assert all(oracle.ci(x, y, z) and oracle.ci(y, x, z) for x, y, z in pairs)
+        assert closures == [1] * oracles  # once per oracle, never shared
+    assert built == [] and materialized == []
