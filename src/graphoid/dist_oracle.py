@@ -30,7 +30,6 @@ from .model_core import (
     _validate_sets,
     iter_disjoint_triples,
     names_from_json,
-    subset_table,
 )
 
 DISCRETE_TOL = 1e-9
@@ -381,8 +380,8 @@ class CiOracle:
             # the oracle and its closure alive until the cycle collector runs.
             @functools.cache
             def closed() -> tuple[set[tuple[int, int, int]], dict[frozenset[str], int]]:
-                held = _closed_masks(backend)  # checks the bound first
-                return held, subset_table(universe.variables).mask_of
+                held, table = _closed_masks(backend)  # checks the bound first
+                return held, table.mask_of
 
             def holds(xs, ys, zs) -> bool:
                 _validate_sets(universe, xs, ys, zs)

@@ -315,9 +315,12 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def _closed_masks(model: DependencyModel) -> set[tuple[int, int, int]]:
-    """The graphoid closure of ``model`` as ``(x, y, z)`` masks over
-    ``subset_table(model.universe.variables)``, both orientations included.
+def _closed_masks(model: DependencyModel) -> tuple[set[tuple[int, int, int]], SubsetTable]:
+    """The graphoid closure of ``model`` as a set of ``(x, y, z)`` masks,
+    both orientations included, and the subset table that reads them.
+
+    The table is ``subset_table(model.universe.variables)``, built only after
+    the bound check; callers map masks to sets through it and nothing else.
 
     The five axioms are the semi-graphoid axioms, and a semi-graphoid is
     determined by its elementary triplets (a, b | K) (Matus, "Ascending and
@@ -406,7 +409,7 @@ def _closed_masks(model: DependencyModel) -> set[tuple[int, int, int]]:
                         held.add((a, y, z))
                 elif (a, y, z) in held and (x ^ a, y, z | a) in held:
                     held.add((x, y, z))
-    return held
+    return held, table
 
 
 def graphoid_closure(model: DependencyModel) -> DependencyModel:
@@ -415,8 +418,8 @@ def graphoid_closure(model: DependencyModel) -> DependencyModel:
     ``_closed_masks`` decides every triplet on variable masks; the held ones
     are materialized here, once.
     """
-    held = _closed_masks(model)
-    sets = subset_table(model.universe.variables).by_mask
+    held, table = _closed_masks(model)
+    sets = table.by_mask
     return DependencyModel(
         model.universe, frozenset(Triplet(sets[x], sets[y], sets[z]) for x, y, z in held)
     )

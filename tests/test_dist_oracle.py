@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graphoid.dist_oracle as dist_oracle
 import graphoid.model_core as model_core
 from graphoid import (
     CiOracle,
@@ -404,8 +403,7 @@ def test_model_oracle_past_the_bound_raises_at_every_query(monkeypatch):
         tables.append(1)
         return real_table(names)
 
-    for mod in (model_core, dist_oracle):
-        monkeypatch.setattr(mod, "subset_table", counting_table)
+    monkeypatch.setattr(model_core, "subset_table", counting_table)
     big = DependencyModel.of(Universe.binary(*(f"u{i}" for i in range(9))))
     oracle = CiOracle(big)
     for _ in range(2):
