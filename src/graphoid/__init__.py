@@ -19,7 +19,6 @@ _EXPORTS = {
         "d_separated",
         "d_separated_by_enumeration",
         "factorization_max_error",
-        "minimal_parents",
     ),
     "dist_oracle": (
         "CiOracle",
@@ -42,7 +41,6 @@ _EXPORTS = {
         "Universe",
         "check_graphoid_axioms",
         "graphoid_closure",
-        "restrict",
     ),
     "relevance": (
         "CheckResult",

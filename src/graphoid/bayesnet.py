@@ -9,6 +9,7 @@ enumeration of active trails.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections.abc import Sequence
@@ -52,18 +53,15 @@ class Dag:
             seen.add(v)
 
     def children(self, v: str) -> frozenset[str]:
-        return self._children_map()[v]
+        return self._children[v]
 
-    def _children_map(self) -> dict[str, frozenset[str]]:
-        cached = self.__dict__.get("_children")
-        if cached is None:
-            out: dict[str, set[str]] = {v: set() for v in self.construction_order}
-            for child, pars in self.parents.items():
-                for p in pars:
-                    out[p].add(child)
-            cached = {v: frozenset(c) for v, c in out.items()}
-            self.__dict__["_children"] = cached
-        return cached
+    @functools.cached_property
+    def _children(self) -> dict[str, frozenset[str]]:
+        out: dict[str, set[str]] = {v: set() for v in self.construction_order}
+        for child, pars in self.parents.items():
+            for p in pars:
+                out[p].add(child)
+        return {v: frozenset(c) for v, c in out.items()}
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self.parents[v] | self.children(v)
@@ -106,21 +104,12 @@ class Trail:
 SeparationQuery = Triplet
 
 
-def minimal_parents(oracle: CiOracle, order: Sequence[str], position: int) -> frozenset[str]:
-    """Smallest predecessor subset screening the node at ``position`` (1-based).
+def _screening_set(oracle: CiOracle, node: str, preceding: frozenset[str]) -> frozenset[str]:
+    """The first subset of ``preceding`` that screens ``node`` off from the rest.
 
     Candidates are scanned in ascending cardinality, lexicographically within
     a cardinality, so the first hit has no qualifying proper subset and ties
     break deterministically.
-    """
-    order = _validated_order(oracle.universe, order)
-    if not 1 <= position <= len(order):
-        raise InvalidOrder(f"position {position} outside 1..{len(order)}")
-    return _screening_set(oracle, order[position - 1], frozenset(order[: position - 1]))
-
-
-def _screening_set(oracle: CiOracle, node: str, preceding: frozenset[str]) -> frozenset[str]:
-    """The first subset of ``preceding`` that screens ``node`` off from the rest.
 
     The answer depends only on the node and the set of its predecessors, so
     it is kept on the oracle and every later build reuses it.  Any object
@@ -163,20 +152,18 @@ def _validated_order(universe: Universe, order: Sequence[str] | None) -> tuple[s
 
 def ancestors(dag: Dag, v: str) -> frozenset[str]:
     """Nodes with a directed path of positive length to ``v``."""
-    out: set[str] = set()
-    stack = list(dag.parents[v])
-    while stack:
-        u = stack.pop()
-        if u not in out:
-            out.add(u)
-            stack.extend(dag.parents[u])
-    return frozenset(out)
+    return _ancestral(dag, dag.parents[v])
 
 
 def _ancestral(dag: Dag, z_set: frozenset[str]) -> frozenset[str]:
+    """``z_set`` and every ancestor of its members, in one walk up."""
     closed = set(z_set)
-    for z in z_set:
-        closed.update(ancestors(dag, z))
+    stack = list(z_set)
+    while stack:
+        for p in dag.parents[stack.pop()]:
+            if p not in closed:
+                closed.add(p)
+                stack.append(p)
     return frozenset(closed)
 
 
@@ -198,7 +185,7 @@ def d_separated(dag: Dag, q: Triplet) -> bool:
     in the conditioning set.
     """
     _validate_query(dag, q)
-    children = dag._children_map()
+    children = dag._children
     for x in q.x_set:
         if not (q.y_set.isdisjoint(dag.parents[x]) and q.y_set.isdisjoint(children[x])):
             return False
@@ -218,10 +205,10 @@ def d_separated(dag: Dag, q: Triplet) -> bool:
         if from_child:
             if node not in conditioned:
                 stack.extend((p, True) for p in dag.parents[node])
-                stack.extend((c, False) for c in dag.children(node))
+                stack.extend((c, False) for c in children[node])
         else:
             if node not in conditioned:
-                stack.extend((c, False) for c in dag.children(node))
+                stack.extend((c, False) for c in children[node])
             if node in collider_open:
                 stack.extend((p, True) for p in dag.parents[node])
     return True
@@ -326,33 +313,30 @@ def factorization_max_error(table: JointTable, dag: Dag) -> float:
     """Largest gap between the joint and the product of per-node conditionals.
 
     Conditionals with zero-probability parent assignments contribute a zero
-    factor, matching the joint they reconstruct.
+    factor, matching the joint they reconstruct.  Each conditional is laid on
+    the table's axes (size 1 where it does not depend on a variable) and
+    multiplied in construction order, one array product for all assignments.
     """
     import numpy as np
 
     if dag.universe.names != table.universe.names:
         raise InvalidSets("table and network must share a universe")
-    node_margs = {}
-    parent_margs = {}
+    variables, sizes = table.universe.variables, table.probs.shape
+
+    def on_axes(names: frozenset[str]) -> np.ndarray:
+        """The marginal over ``names``, laid on the table's axes."""
+        marginal = table.marginal(tuple(v for v in variables if v in names))
+        return marginal.reshape([n if v in names else 1 for v, n in zip(variables, sizes)])
+
+    prod = np.ones(sizes)
     for node in dag.construction_order:
-        pars = tuple(sorted(dag.parents[node]))
-        node_margs[node] = (pars, table.marginal((node,) + pars))
-        parent_margs[node] = table.marginal(pars) if pars else None
-    axis_of = {v: i for i, v in enumerate(table.universe.variables)}
-    worst = 0.0
-    for assignment in np.ndindex(table.probs.shape):
-        prod = 1.0
-        for node in dag.construction_order:
-            pars, joint_m = node_margs[node]
-            idx = (assignment[axis_of[node]],) + tuple(assignment[axis_of[p]] for p in pars)
-            num = float(joint_m[idx])
-            if pars:
-                den = float(parent_margs[node][tuple(assignment[axis_of[p]] for p in pars)])
-            else:
-                den = 1.0
-            prod *= num / den if den > 0.0 else 0.0
-        worst = max(worst, abs(prod - float(table.probs[assignment])))
-    return worst
+        pars = dag.parents[node]
+        factor = on_axes(pars | {node})
+        if pars:
+            den = on_axes(pars)
+            factor = np.divide(factor, den, out=np.zeros(factor.shape), where=den > 0.0)
+        prod *= factor
+    return float(np.abs(prod - table.probs).max())
 
 
 def random_dag(n_nodes: int, max_edges: int, rng: np.random.Generator) -> Dag:

@@ -15,17 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidSets,
-    SingularConditioning,
-    UniverseTooLarge,
-    ZeroProbabilityEvidence,
-)
+from .errors import InvalidSets, SingularConditioning, ZeroProbabilityEvidence
 from .model_core import (
     DependencyModel,
     Triplet,
     Universe,
     _as_name_set,
+    _check_bound,
     _closed_masks,
     _validate_sets,
     iter_disjoint_triples,
@@ -148,7 +144,7 @@ class GaussianModel:
         cov = np.asarray(self.covariance, dtype=float).reshape(n, n)
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
-        if float(np.abs(cov - cov.T).max()) > COV_SYMMETRY_TOL:
+        if float(np.abs(cov - cov.T).max(initial=0.0)) > COV_SYMMETRY_TOL:
             raise ValueError("covariance must be symmetric")
         try:
             np.linalg.cholesky(cov)
@@ -481,14 +477,10 @@ class CiOracle:
 
 def extract_model(oracle: CiOracle) -> DependencyModel:
     """Dependency model holding exactly the triplets the oracle affirms."""
-    names = oracle.universe.variables
-    if len(names) > MAX_EXTRACT_VARS:
-        raise UniverseTooLarge(
-            f"{len(names)} variables exceed the extraction bound of {MAX_EXTRACT_VARS}"
-        )
+    _check_bound(oracle.universe, MAX_EXTRACT_VARS, "extraction bound")
     held = (
         Triplet(x, y, z)
-        for x, y, z in iter_disjoint_triples(names)
+        for x, y, z in iter_disjoint_triples(oracle.universe.variables)
         if oracle.ci(x, y, z)
     )
     return DependencyModel.of(oracle.universe, held)

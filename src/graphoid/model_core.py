@@ -85,7 +85,7 @@ class Universe:
         try:
             return self.variables.index(name)
         except ValueError:
-            raise UnknownVariable(name) from None
+            raise UnknownVariable(f"unknown variable: {name}") from None
 
     def domain(self, name: str) -> tuple[str, ...]:
         return self.domains[self.index(name)]
@@ -95,7 +95,7 @@ class Universe:
         wanted = _as_name_set(names)
         missing = wanted - self.names
         if missing:
-            raise UnknownVariable(", ".join(sorted(missing)))
+            raise UnknownVariable("unknown variable: " + ", ".join(sorted(missing)))
         return wanted
 
     def restricted_to(self, keep: Iterable[str]) -> "Universe":
@@ -116,7 +116,7 @@ def _validate_sets(
         ys = universe.require(y_set)
         zs = universe.require(z_set)
     except UnknownVariable as exc:
-        raise InvalidSets(f"unknown variable: {exc}") from None
+        raise InvalidSets(str(exc)) from None
     if xs & ys or xs & zs or ys & zs:
         raise InvalidSets("query sets must be pairwise disjoint")
     return tuple(sorted(xs)), tuple(sorted(ys)), tuple(sorted(zs))
@@ -147,9 +147,6 @@ class Triplet:
         z_set: Iterable[str] | str = (),
     ) -> "Triplet":
         return cls(_as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set))
-
-    def mentioned(self) -> frozenset[str]:
-        return self.x_set | self.y_set | self.z_set
 
     def symmetric(self) -> "Triplet":
         return Triplet(self.y_set, self.x_set, self.z_set)
@@ -188,25 +185,10 @@ class DependencyModel:
     def of(cls, universe: Universe, triplets: Iterable[Triplet] = ()) -> "DependencyModel":
         return cls(universe, frozenset(triplets))
 
-    def contains(self, t: Triplet) -> bool:
-        """Exact set membership; no axiom inference is performed."""
-        known = self.universe.names
-        if not (t.x_set <= known and t.y_set <= known and t.z_set <= known):
-            raise InvalidTriplet(
-                f"triplet {t.sort_key()} mentions variables outside the universe"
-            )
-        return t in self.triplets
-
-    def __contains__(self, t: Triplet) -> bool:
-        return self.contains(t)
-
-    def sorted_triplets(self) -> list[Triplet]:
-        return sorted(self.triplets, key=Triplet.sort_key)
-
     def to_json_dict(self) -> dict:
         return {
             "variables": list(self.universe.variables),
-            "triplets": [t.to_json_dict() for t in self.sorted_triplets()],
+            "triplets": [t.to_json_dict() for t in sorted(self.triplets, key=Triplet.sort_key)],
         }
 
     @classmethod
@@ -298,11 +280,13 @@ def iter_disjoint_triples(
         yield x, y, z
 
 
-def _check_bound(universe: Universe) -> None:
-    if len(universe.variables) > MAX_CLOSURE_VARS:
-        raise UniverseTooLarge(
-            f"{len(universe.variables)} variables exceed the bound of {MAX_CLOSURE_VARS}"
-        )
+def _check_bound(
+    universe: Universe, limit: int = MAX_CLOSURE_VARS, bound: str = "bound"
+) -> None:
+    """Raise UniverseTooLarge past ``limit`` variables; ``bound`` names the limit."""
+    if len(universe.variables) > limit:
+        n = len(universe.variables)
+        raise UniverseTooLarge(f"{n} variables exceed the {bound} of {limit}")
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -472,9 +456,3 @@ def check_graphoid_axioms(model: DependencyModel) -> list[AxiomViolation]:
     out.sort(key=AxiomViolation.sort_key)
     return out
 
-
-def restrict(model: DependencyModel, keep: Iterable[str]) -> DependencyModel:
-    """Model over the reduced universe with exactly the triplets inside ``keep``."""
-    kept = model.universe.require(keep)
-    reduced = model.universe.restricted_to(kept)
-    return DependencyModel.of(reduced, (t for t in model.triplets if t.mentioned() <= kept))

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 from .bayesnet import build_network, connecting_trail
 from .dist_oracle import CiOracle, GaussianModel, JointTable, is_value_index
-from .errors import InvalidPartition, UniverseTooLarge
-from .model_core import _submasks, subset_table, subsets_lex
+from .errors import InvalidPartition
+from .model_core import _check_bound, _submasks, subset_table, subsets_lex
 
 MAX_PAIR_SWEEP_VARS = 12
 MAX_TRANSITIVITY_VARS = 8
@@ -66,14 +66,10 @@ class RelationVerdict:
 
 def _pair_rest(oracle: CiOracle, x: str, y: str) -> frozenset[str]:
     """The variables a pair sweep ranges over: the universe minus x and y."""
-    names = oracle.universe.names
-    if len(names) > MAX_PAIR_SWEEP_VARS:
-        raise UniverseTooLarge(
-            f"{len(names)} variables exceed the sweep bound of {MAX_PAIR_SWEEP_VARS}"
-        )
+    _check_bound(oracle.universe, MAX_PAIR_SWEEP_VARS, "sweep bound")
     if x == y:
         raise ValueError("x and y must differ")
-    return names - oracle.universe.require({x, y})
+    return oracle.universe.names - oracle.universe.require({x, y})
 
 
 def mutually_irrelevant(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
@@ -137,11 +133,8 @@ def is_transitive(oracle: CiOracle) -> TransitivityResult:
     triple (a, b, c) with relevant(a,b), relevant(b,c), irrelevant(a,c)
     is returned.
     """
+    _check_bound(oracle.universe, MAX_TRANSITIVITY_VARS)
     names = sorted(oracle.universe.variables)
-    if len(names) > MAX_TRANSITIVITY_VARS:
-        raise UniverseTooLarge(
-            f"{len(names)} variables exceed the bound of {MAX_TRANSITIVITY_VARS}"
-        )
     relevant: dict[tuple[str, str], bool] = {}
     for a, b in itertools.combinations(names, 2):
         r = not mutually_irrelevant(oracle, a, b).holds
@@ -379,11 +372,8 @@ def gaussian_axioms_check(g: GaussianModel) -> list[GaussianPropertyViolation]:
     properties are symmetric in a pair of sets (Y and W; X and Y), so a
     violation is listed once, with the pair's smaller sorted tuple first.
     """
+    _check_bound(g.universe, MAX_GAUSSIAN_SWEEP_VARS, "sweep bound")
     names = sorted(g.universe.variables)
-    if len(names) > MAX_GAUSSIAN_SWEEP_VARS:
-        raise UniverseTooLarge(
-            f"{len(names)} variables exceed the sweep bound of {MAX_GAUSSIAN_SWEEP_VARS}"
-        )
     out: list[GaussianPropertyViolation] = []
     ci = CiOracle(g).ci
     sets = subset_table(names).by_mask

@@ -9,6 +9,7 @@ from graphoid import (
     CiOracle,
     Dag,
     DependencyModel,
+    JointTable,
     SeparationQuery,
     Triplet,
     Universe,
@@ -18,11 +19,10 @@ from graphoid import (
     d_separated,
     d_separated_by_enumeration,
     factorization_max_error,
-    minimal_parents,
     random_spb,
 )
 from graphoid import model_core
-from graphoid.bayesnet import ancestors, connecting_trail, random_dag
+from graphoid.bayesnet import _screening_set, ancestors, connecting_trail, random_dag
 from graphoid.errors import InvalidOrder, InvalidSets
 from graphoid.model_core import subsets, subsets_lex
 
@@ -92,21 +92,22 @@ def brute_force_parent_sets(oracle, order, position):
 
 class TestMinimalParents:
     def test_xor_natural_order(self, xor_oracle):
-        assert minimal_parents(xor_oracle, ("x", "y", "z"), 3) == {"x", "y"}
+        assert build_network(xor_oracle, ("x", "y", "z")).parents["z"] == {"x", "y"}
 
     def test_xor_pair_first_order(self, xor_oracle):
-        assert minimal_parents(xor_oracle, ("z", "x", "y"), 3) == {"z"}
+        assert build_network(xor_oracle, ("z", "x", "y")).parents["y"] == {"z"}
 
     def test_first_position_empty(self, xor_oracle):
-        assert minimal_parents(xor_oracle, ("x", "y", "z"), 1) == frozenset()
+        assert build_network(xor_oracle, ("x", "y", "z")).parents["x"] == frozenset()
 
     def test_matches_brute_force_minimum(self):
         for seed in range(5):
             table = random_spb(4, seed)
             oracle = CiOracle(table)
             order = table.universe.variables
+            dag = build_network(oracle, order)
             for i in range(1, 5):
-                got = minimal_parents(oracle, order, i)
+                got = dag.parents[order[i - 1]]
                 candidates = brute_force_parent_sets(oracle, order, i)
                 smallest = min(len(c) for c in candidates)
                 least = min(
@@ -133,7 +134,7 @@ class TestMinimalParents:
         names = [f"v{i:02d}" for i in range(21)]
         oracle = ChainOracle(names)
         tables_before = model_core._subset_table.cache_info().currsize
-        assert minimal_parents(oracle, names, 21) == {"v19"}
+        assert _screening_set(oracle, "v20", frozenset(names[:20])) == {"v19"}
         # The empty set, then the singletons up to {v19}: 21 of 2^20 candidates.
         assert oracle.asked == 21
         assert model_core._subset_table.cache_info().currsize == tables_before
@@ -325,7 +326,59 @@ class TestNonDescendantScreening:
             assert oracle.ci(set(one), set(two))
 
 
+def reference_factorization_max_error(table, dag):
+    """The per-assignment loop the array product replaced: every node's
+    conditional multiplied in construction order, one assignment at a time."""
+    node_margs = {}
+    parent_margs = {}
+    for node in dag.construction_order:
+        pars = tuple(sorted(dag.parents[node]))
+        node_margs[node] = (pars, table.marginal((node,) + pars))
+        parent_margs[node] = table.marginal(pars) if pars else None
+    axis_of = {v: i for i, v in enumerate(table.universe.variables)}
+    worst = 0.0
+    for assignment in np.ndindex(table.probs.shape):
+        prod = 1.0
+        for node in dag.construction_order:
+            pars, joint_m = node_margs[node]
+            idx = (assignment[axis_of[node]],) + tuple(assignment[axis_of[p]] for p in pars)
+            num = float(joint_m[idx])
+            if pars:
+                den = float(parent_margs[node][tuple(assignment[axis_of[p]] for p in pars)])
+            else:
+                den = 1.0
+            prod *= num / den if den > 0.0 else 0.0
+        worst = max(worst, abs(prod - float(table.probs[assignment])))
+    return worst
+
+
+def seeded_factorization_pairs(count, seed=16):
+    """(table, DAG) pairs over 1..5 variables: binary and ternary domains,
+    about 40% zero cells, random construction orders and parent sets."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        names = tuple(f"v{i}" for i in range(int(rng.integers(1, 6))))
+        domains = tuple(("a", "b", "c")[: int(rng.integers(2, 4))] for _ in names)
+        probs = rng.random([len(d) for d in domains])
+        probs[rng.random(probs.shape) < 0.4] = 0.0
+        if not probs.any():
+            probs.flat[0] = 1.0
+        table = JointTable(Universe(names, domains), probs / probs.sum())
+        order = tuple(names[int(i)] for i in rng.permutation(len(names)))
+        parents = {
+            v: frozenset(u for u in order[:i] if rng.random() < 0.5)
+            for i, v in enumerate(order)
+        }
+        yield table, Dag(Universe.binary(*names), parents, order)
+
+
 class TestFactorization:
+    def test_array_product_equals_the_per_assignment_loop(self):
+        for table, dag in seeded_factorization_pairs(300):
+            assert factorization_max_error(table, dag) == reference_factorization_max_error(
+                table, dag
+            )
+
     def test_reconstructs_random_tables(self):
         for seed in range(5):
             table = random_spb(4, seed)

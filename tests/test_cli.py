@@ -230,6 +230,20 @@ class TestRelationsAndTransitive:
         data = json.loads(capsys.readouterr().out)
         assert data == {"holds": False, "witness": ["x", "z", "y"]}
 
+    def test_relations_names_an_unknown_variable(self, tmp_path, capsys):
+        assert main(["relations", write_xor(tmp_path), "x", "u9"]) == 2
+        assert capsys.readouterr().err == "error: unknown variable: u9\n"
+
+    def test_zero_variable_artifacts_are_transitive(self, tmp_path, capsys):
+        for artifact in (
+            {"variables": [], "probs": [1.0]},
+            {"variables": [], "mean": [], "cov": []},
+        ):
+            path = tmp_path / "empty.json"
+            path.write_text(json.dumps(artifact))
+            assert main(["transitive", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out) == {"holds": True, "witness": None}
+
 
 class TestRandgenAndCleanCheck:
     def test_randgen_deterministic(self, tmp_path):
@@ -343,6 +357,13 @@ class TestSimnet:
         args = ["simnet", str(dist), "--hypothesis", "u1", "--cover", "0,x"]
         assert main(args) == 2
         assert "--cover takes integer value indices, got 'x'" in capsys.readouterr().err
+
+    def test_unknown_hypothesis_variable_is_named(self, tmp_path, capsys):
+        dist = tmp_path / "spb.json"
+        main(["randgen", "spb", "3", "--seed", "2", "--out", str(dist)])
+        capsys.readouterr()
+        assert main(["simnet", str(dist), "--hypothesis", "u9", "--cover", "0,1"]) == 2
+        assert capsys.readouterr().err == "error: unknown variable: u9\n"
 
 
 class TestSuite:

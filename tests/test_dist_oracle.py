@@ -219,7 +219,8 @@ class TestExtractModel:
 
     def test_bound(self):
         g = random_gaussian(6, 0)
-        with pytest.raises(UniverseTooLarge):
+        message = "^6 variables exceed the extraction bound of 5$"
+        with pytest.raises(UniverseTooLarge, match=message):
             extract_model(CiOracle(g))
 
 

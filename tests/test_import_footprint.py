@@ -23,9 +23,9 @@ PUBLIC_NAMES = [
     "ci_holds_discrete", "ci_holds_gaussian", "condition_on",
     "connected_components", "d_separated", "d_separated_by_enumeration",
     "extract_model", "factorization_max_error", "gaussian_axioms_check",
-    "graphoid_closure", "is_transitive", "marginalize", "minimal_parents",
-    "mutually_irrelevant", "product_table", "random_gaussian", "random_spb",
-    "restrict", "restrict_to_hypotheses", "run_suite", "types_equivalent",
+    "graphoid_closure", "is_transitive", "marginalize", "mutually_irrelevant",
+    "product_table", "random_gaussian", "random_spb", "restrict_to_hypotheses",
+    "run_suite", "types_equivalent",
     "uncoupled", "unrelated", "xor_table",
 ]
 

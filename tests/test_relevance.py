@@ -76,6 +76,11 @@ class TestMutuallyIrrelevant:
         with pytest.raises(ValueError):
             mutually_irrelevant(xor_oracle, "x", "x")
 
+    def test_bound(self):
+        big = GaussianModel(Universe.reals(*[f"u{i}" for i in range(13)]), np.zeros(13), np.eye(13))
+        with pytest.raises(UniverseTooLarge, match="^13 variables exceed the sweep bound of 12$"):
+            mutually_irrelevant(CiOracle(big), "u0", "u1")
+
 
 class TestUncoupled:
     def test_xor_coins_coupled(self, xor_oracle):
@@ -162,7 +167,7 @@ class TestTransitivity:
                     assert not mutually_irrelevant(oracle, a, b).holds
 
     def test_bound(self):
-        with pytest.raises(UniverseTooLarge):
+        with pytest.raises(UniverseTooLarge, match="^9 variables exceed the bound of 8$"):
             is_transitive(
                 CiOracle(
                     GaussianModel(
@@ -617,7 +622,7 @@ class TestGaussianAxioms:
         assert gaussian_axioms_check(g) == []
 
     def test_bound(self):
-        with pytest.raises(UniverseTooLarge):
+        with pytest.raises(UniverseTooLarge, match="^7 variables exceed the sweep bound of 6$"):
             gaussian_axioms_check(
                 GaussianModel(
                     Universe.reals(*[f"u{i}" for i in range(7)]),
