@@ -39,12 +39,8 @@ class Dag:
     construction_order: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        names = self.universe.names
-        if frozenset(self.construction_order) != names or len(
-            self.construction_order
-        ) != len(names):
-            raise InvalidOrder("construction order must list every variable exactly once")
-        if set(self.parents) != set(names):
+        _validated_order(self.universe, self.construction_order)
+        if set(self.parents) != self.universe.names:
             raise ValueError("parents must be given for every variable")
         seen: set[str] = set()
         for v in self.construction_order:
@@ -264,48 +260,47 @@ def d_separated_by_enumeration(dag: Dag, q: Triplet) -> bool:
     return True
 
 
+def _reach(dag: Dag, start: str) -> dict[str, str]:
+    """Every node trail-connected to ``start``, mapped to its predecessor on
+    a shortest trail from ``start`` (``start`` maps to itself).
+
+    The walk is breadth-first and visits each node's neighbours in name order.
+    """
+    back = {start: start}
+    queue = [start]
+    for v in queue:
+        for u in sorted(dag.neighbors(v)):
+            if u not in back:
+                back[u] = v
+                queue.append(u)
+    return back
+
+
 def connecting_trail(dag: Dag, start: str, end: str) -> Trail | None:
     """Shortest undirected path between two nodes, or None if disconnected."""
     if start == end:
         return None
-    back: dict[str, str] = {start: start}
-    frontier = [start]
-    while frontier:
-        nxt: list[str] = []
-        for v in frontier:
-            for u in sorted(dag.neighbors(v)):
-                if u not in back:
-                    back[u] = v
-                    if u == end:
-                        nodes = [end]
-                        while nodes[-1] != start:
-                            nodes.append(back[nodes[-1]])
-                        return Trail(tuple(reversed(nodes)))
-                    nxt.append(u)
-        frontier = nxt
-    return None
+    back = _reach(dag, start)
+    if end not in back:
+        return None
+    nodes = [end]
+    while nodes[-1] != start:
+        nodes.append(back[nodes[-1]])
+    return Trail(tuple(reversed(nodes)))
 
 
 def connected_components(dag: Dag) -> tuple[tuple[str, ...], ...]:
     """Partition into maximal trail-connected node sets.
 
-    Members are sorted by name and components by their least member.
+    Members are sorted by name and components by their least member: each
+    walk starts from the least name not yet placed.
     """
     remaining = set(dag.universe.variables)
     comps: list[tuple[str, ...]] = []
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for u in dag.neighbors(v):
-                if u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        remaining -= comp
+        comp = _reach(dag, min(remaining))
+        remaining.difference_update(comp)
         comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
     return tuple(comps)
 
 

@@ -160,9 +160,8 @@ def cmd_clean_check(args: argparse.Namespace) -> int:
     if isinstance(dist, DependencyModel):
         raise ValueError("clean-check needs a table or Gaussian artifact")
     ground = dist.universe.names - {args.e}
-    x1 = frozenset(_parse_names(args.x1))
-    y1 = frozenset(_parse_names(args.y1))
-    z1 = frozenset(_parse_names(args.z1))
+    x1, y1, z1 = (frozenset(_parse_names(side)) for side in (args.x1, args.y1, args.z1))
+    dist.universe.require(x1 | y1 | z1)
     values = _parse_indices(args.e_values, "--e-values") or (0, 1)
     pt = PartitionTriple(
         x1, ground - x1, y1, ground - y1, z1, ground - z1, args.e, values

@@ -9,11 +9,7 @@ class InvalidSets(GraphoidError):
     """Query sets overlap or mention unknown variables."""
 
 
-class InvalidTriplet(InvalidSets):
-    """Triplet sets overlap or mention variables outside the universe."""
-
-
-class UnknownVariable(GraphoidError):
+class UnknownVariable(InvalidSets):
     """A variable name is not part of the universe."""
 
 

@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .errors import InvalidSets, InvalidTriplet, UniverseTooLarge, UnknownVariable
+from .errors import InvalidSets, UniverseTooLarge, UnknownVariable
 
 VariableId = str
 
@@ -110,16 +110,14 @@ def _validate_sets(
     y_set: Iterable[str] | str,
     z_set: Iterable[str] | str,
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Check disjointness and membership; return the sets as sorted tuples."""
-    try:
-        xs = universe.require(x_set)
-        ys = universe.require(y_set)
-        zs = universe.require(z_set)
-    except UnknownVariable as exc:
-        raise InvalidSets(str(exc)) from None
+    """Check membership over all three sets, then disjointness; return the
+    sets as sorted tuples.  An overlap is reported as ``Triplet`` reports it."""
+    xs, ys, zs = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
+    universe.require(xs | ys | zs)
+    key = tuple(sorted(xs)), tuple(sorted(ys)), tuple(sorted(zs))
     if xs & ys or xs & zs or ys & zs:
-        raise InvalidSets("query sets must be pairwise disjoint")
-    return tuple(sorted(xs)), tuple(sorted(ys)), tuple(sorted(zs))
+        raise InvalidSets(f"overlapping sets in {key}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ class Triplet:
     def __post_init__(self) -> None:
         x, y, z = self.x_set, self.y_set, self.z_set
         if not (x.isdisjoint(y) and x.isdisjoint(z) and y.isdisjoint(z)):
-            raise InvalidTriplet(f"overlapping sets in {self.sort_key()}")
+            raise InvalidSets(f"overlapping sets in {self.sort_key()}")
 
     @classmethod
     def make(
@@ -177,9 +175,7 @@ class DependencyModel:
         known = self.universe.names
         for t in self.triplets:
             if not (t.x_set <= known and t.y_set <= known and t.z_set <= known):
-                raise InvalidTriplet(
-                    f"triplet {t.sort_key()} mentions variables outside the universe"
-                )
+                raise InvalidSets(f"triplet {t.sort_key()} mentions variables outside the universe")
 
     @classmethod
     def of(cls, universe: Universe, triplets: Iterable[Triplet] = ()) -> "DependencyModel":
@@ -225,6 +221,11 @@ class SubsetTable:
     by_mask: tuple[frozenset[str], ...]
     mask_of: dict[frozenset[str], int]
 
+    @functools.cached_property
+    def lex(self) -> tuple[frozenset[str], ...]:
+        """Every subset in lexicographic order of its sorted tuple."""
+        return tuple(sorted(self.by_mask, key=sorted))
+
 
 @functools.cache
 def _subset_table(names: tuple[str, ...]) -> SubsetTable:
@@ -254,20 +255,6 @@ def subsets(names: Iterable[str]) -> Iterator[frozenset[str]]:
     pool = sorted(names)
     for size in range(len(pool) + 1):
         yield from map(frozenset, itertools.combinations(pool, size))
-
-
-def subsets_lex(names: Iterable[str]) -> Iterator[frozenset[str]]:
-    """All subsets of ``names`` in lexicographic order of their sorted tuples."""
-    pool = sorted(names)
-
-    def gen(prefix: list[str], start: int) -> Iterator[frozenset[str]]:
-        yield frozenset(prefix)
-        for i in range(start, len(pool)):
-            prefix.append(pool[i])
-            yield from gen(prefix, i + 1)
-            prefix.pop()
-
-    return gen([], 0)
 
 
 def iter_disjoint_triples(

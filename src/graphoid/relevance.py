@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .bayesnet import build_network, connecting_trail
 from .dist_oracle import CiOracle, GaussianModel, JointTable, is_value_index
 from .errors import InvalidPartition
-from .model_core import _check_bound, _submasks, subset_table, subsets_lex
+from .model_core import _check_bound, _submasks, subset_table
 
 MAX_PAIR_SWEEP_VARS = 12
 MAX_TRANSITIVITY_VARS = 8
@@ -78,7 +78,7 @@ def mutually_irrelevant(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
     On failure the witness is the lexicographically least violating Z.
     """
     rest = _pair_rest(oracle, x, y)
-    for z_set in subsets_lex(rest):
+    for z_set in subset_table(rest).lex:
         if not oracle.ci({x}, {y}, z_set):
             return RelationVerdict(MUTUALLY_IRRELEVANT, False, z_set)
     return RelationVerdict(MUTUALLY_IRRELEVANT, True)
@@ -92,7 +92,7 @@ def uncoupled(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
     first qualifying partition in lexicographic scan order.
     """
     rest = _pair_rest(oracle, x, y)
-    for with_x in subsets_lex(rest):
+    for with_x in subset_table(rest).lex:
         side_x = with_x | {x}
         side_y = (rest - with_x) | {y}
         if oracle.ci(side_x, side_y, ()):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .bayesnet import Dag, build_network, connected_components
+from .bayesnet import Dag, _reach, build_network
 from .dist_oracle import CiOracle, JointTable, is_value_index, marginalize
 from .errors import InvalidPartition, ZeroProbabilityEvidence
 from .model_core import Universe
@@ -104,11 +104,7 @@ def _included_variables(oracle: CiOracle, h: str, net_type: int) -> frozenset[st
     """Variables of the oracle's universe that type ``net_type`` keeps beside ``h``."""
     others = [v for v in oracle.universe.variables if v != h]
     if net_type == 1:
-        dag = build_network(oracle)
-        for comp in connected_components(dag):
-            if h in comp:
-                return frozenset(comp) - {h}
-        raise AssertionError("h always lands in some component")
+        return frozenset(_reach(build_network(oracle), h)) - {h}
     if net_type == 2:
         return frozenset(v for v in others if not mutually_irrelevant(oracle, v, h).holds)
     raise ValueError(f"net_type must be 1 or 2, got {net_type}")

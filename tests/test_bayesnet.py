@@ -11,6 +11,7 @@ from graphoid import (
     DependencyModel,
     JointTable,
     SeparationQuery,
+    Trail,
     Triplet,
     Universe,
     build_network,
@@ -24,7 +25,7 @@ from graphoid import (
 from graphoid import model_core
 from graphoid.bayesnet import _screening_set, ancestors, connecting_trail, random_dag
 from graphoid.errors import InvalidOrder, InvalidSets
-from graphoid.model_core import subsets, subsets_lex
+from graphoid.model_core import subset_table, subsets
 
 Q = SeparationQuery.make
 
@@ -55,7 +56,7 @@ def audit_minimality(dag, oracle):
     out = []
     for node in dag.construction_order:
         pars = dag.parents[node]
-        for sub in subsets_lex(pars):
+        for sub in subset_table(pars).lex:
             if sub and oracle.ci({node}, sub, pars - sub):
                 out.append(MinimalityViolation(node, sub))
     return out
@@ -162,6 +163,14 @@ class TestBuildNetwork:
         with pytest.raises(InvalidOrder):
             build_network(xor_oracle, ("x", "y"))
 
+    def test_a_bad_order_has_one_message(self, xor_oracle):
+        message = "^order must be a permutation of the universe$"
+        with pytest.raises(InvalidOrder, match=message):
+            build_network(xor_oracle, ("x", "y", "y"))
+        u = xor_oracle.universe
+        with pytest.raises(InvalidOrder, match=message):
+            Dag(u, {v: frozenset() for v in u.variables}, ("x", "y", "y"))
+
     def test_rebuilds_on_one_oracle_equal_fresh_builds(self, blocks_table):
         model = DependencyModel.of(
             Universe.binary("u1", "u2", "u3", "u4"),
@@ -267,6 +276,82 @@ class TestComponents:
     def test_xor_single_component(self, xor_oracle):
         dag = build_network(xor_oracle, ("x", "y", "z"))
         assert connected_components(dag) == (("x", "y", "z"),)
+
+
+def reference_connected_components(dag):
+    """The depth-first walk ``connected_components`` used before it shared
+    the breadth-first ``_reach``: unordered neighbours, a final sort."""
+    remaining = set(dag.universe.variables)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            v = frontier.pop()
+            for u in dag.neighbors(v):
+                if u not in comp:
+                    comp.add(u)
+                    frontier.append(u)
+        remaining -= comp
+        comps.append(tuple(sorted(comp)))
+    comps.sort(key=lambda c: c[0])
+    return tuple(comps)
+
+
+def reference_connecting_trail(dag, start, end):
+    """The layered breadth-first search ``connecting_trail`` used before it
+    shared ``_reach``: it stops as soon as ``end`` is reached."""
+    if start == end:
+        return None
+    back = {start: start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in sorted(dag.neighbors(v)):
+                if u not in back:
+                    back[u] = v
+                    if u == end:
+                        nodes = [end]
+                        while nodes[-1] != start:
+                            nodes.append(back[nodes[-1]])
+                        return Trail(tuple(reversed(nodes)))
+                    nxt.append(u)
+        frontier = nxt
+    return None
+
+
+def seeded_walk_dags(seed=17):
+    """Seeded ``random_dag`` graphs at n=2..8, sparse ones included so that
+    many have several components."""
+    rng = np.random.default_rng(seed)
+    return [
+        random_dag(n, max_edges, rng)
+        for n in range(2, 9)
+        for max_edges in (1, n - 2, n, 2 * n)
+        for _ in range(6)
+    ]
+
+
+class TestWalkReferences:
+    def test_components_match_the_reference(self):
+        several = 0
+        for dag in seeded_walk_dags():
+            comps = connected_components(dag)
+            assert comps == reference_connected_components(dag)
+            several += len(comps) > 1
+        assert several > 50
+
+    def test_trails_match_the_reference_on_every_ordered_pair(self):
+        found = missing = 0
+        for dag in seeded_walk_dags():
+            for a, b in itertools.permutations(dag.universe.variables, 2):
+                trail = connecting_trail(dag, a, b)
+                assert trail == reference_connecting_trail(dag, a, b)
+                found += trail is not None
+                missing += trail is None
+        assert found > 0 and missing > 0
 
 
 class TestAncestry:

@@ -307,6 +307,15 @@ class TestRandgenAndCleanCheck:
         assert main(args + ["--e-values", "0,1,1"]) == 2
         assert "two pivot values" in capsys.readouterr().err
 
+    def test_clean_check_names_an_unknown_side_variable(self, tmp_path, capsys):
+        # an unknown side name is named, not reported as a cover mismatch
+        dist = tmp_path / "spb.json"
+        assert main(["randgen", "spb", "4", "--seed", "3", "--out", str(dist)]) == 0
+        capsys.readouterr()
+        args = ["clean-check", str(dist), "--e", "u4", "--x1", "u9", "--y1", "u1", "--z1", "u1"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: unknown variable: u9\n"
+
     def test_non_integer_pivot_value_names_flag(self, tmp_path, capsys):
         dist = tmp_path / "spb.json"
         assert main(["randgen", "spb", "4", "--seed", "3", "--out", str(dist)]) == 0
@@ -439,3 +448,53 @@ class TestSuite:
 
     def test_usage_error_without_args(self, capsys):
         assert main([]) == 2
+
+
+@pytest.fixture(scope="module")
+def error_table_artifacts(tmp_path_factory):
+    """A four-variable table and the network built from it, as CLI arguments."""
+    root = tmp_path_factory.mktemp("error_table")
+    spb, net = str(root / "spb.json"), str(root / "net.json")
+    assert main(["randgen", "spb", "4", "--seed", "3", "--out", spb]) == 0
+    assert main(["build-net", spb, "--out", net]) == 0
+    return {"spb.json": spb, "net.json": net}
+
+
+UNKNOWN_PAIR = "unknown variable: u8, u9"
+OVERLAP_XY = "overlapping sets in (('u1',), ('u1',), ())"
+OVERLAP_XZ = "overlapping sets in (('u1',), ('u2',), ('u1',))"
+BAD_ORDER = "order must be a permutation of the universe"
+
+# One row per bad invocation; rows with the same fault share one message.
+ERROR_TABLE = [
+    ("ci spb.json u8 u9", UNKNOWN_PAIR),
+    ("dsep net.json u8 u9", UNKNOWN_PAIR),
+    ("relations spb.json u8 u9", UNKNOWN_PAIR),
+    ("ci spb.json u1 u2 --given u9", "unknown variable: u9"),
+    ("ci spb.json u1 u1", OVERLAP_XY),
+    ("dsep net.json u1 u1", OVERLAP_XY),
+    ("ci spb.json u1 u2 --given u1", OVERLAP_XZ),
+    ("dsep net.json u1 u2 --given u1", OVERLAP_XZ),
+    ("relations spb.json u1 u1", "x and y must differ"),
+    ("build-net spb.json --order u2,u1", BAD_ORDER),
+    ("build-net spb.json --order u1,u1,u2,u3", BAD_ORDER),
+    ("clean-check spb.json --e u9 --x1 u1 --y1 u1,u2 --z1 u1", "unknown pivot variable u9"),
+    ("clean-check spb.json --e u4 --x1 u9 --y1 u1 --z1 u1", "unknown variable: u9"),
+    (
+        "clean-check spb.json --e u4 --x1 u1 --y1 u1,u2 --z1 u1 --e-values 0,5",
+        "pivot value index 5 out of range",
+    ),
+    ("simnet spb.json --hypothesis u9 --cover 0,1", "unknown variable: u9"),
+    ("simnet spb.json --hypothesis u1 --cover 0,1;1,2", "value index out of range for u1"),
+]
+
+
+@pytest.mark.parametrize("command, message", ERROR_TABLE, ids=[row[0] for row in ERROR_TABLE])
+def test_bad_invocations_print_one_error_line(error_table_artifacts, capsys, command, message):
+    capsys.readouterr()
+    argv = [error_table_artifacts.get(token, token) for token in command.split()]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

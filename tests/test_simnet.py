@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from graphoid import (
+    CiOracle,
     HypothesisCover,
     JointTable,
     Universe,
     build_local,
+    build_network,
     build_similarity,
+    connected_components,
     factorization_max_error,
     marginalize,
+    product_table,
     random_spb,
     restrict_to_hypotheses,
     types_equivalent,
@@ -113,6 +117,23 @@ class TestBuildLocal:
         for net_type in (1, 2):
             local = build_local(table, "h", (0, 1, 2), net_type)
             assert local.included == {"u2"}
+
+    def test_type_1_drops_the_block_without_the_hypothesis(self):
+        # h and u1 depend on each other, u2 and u3 too, and the two pairs are
+        # independent: the network has two components, and only h's is kept.
+        pair_h = JointTable(
+            Universe(("h", "u1"), (("h1", "h2", "h3"), ("0", "1"))),
+            np.array([[0.3, 0.05], [0.05, 0.3], [0.15, 0.15]]),
+        )
+        pair_u = JointTable(Universe.binary("u2", "u3"), np.array([[0.4, 0.1], [0.1, 0.4]]))
+        table = product_table(pair_h, pair_u)
+        assert connected_components(build_network(CiOracle(table))) == (
+            ("h", "u1"), ("u2", "u3"),
+        )
+        for net_type in (1, 2):
+            local = build_local(table, "h", (0, 1), net_type)
+            assert local.included == {"u1"}
+            assert local.dag.construction_order == ("h", "u1")
 
     def test_xor_fixture_divergence(self):
         table = xor_hypothesis_table()
