@@ -18,7 +18,7 @@ from importlib import resources
 from typing import TYPE_CHECKING
 
 from .errors import InvalidOrder, InvalidSets
-from .model_core import Triplet, Universe, _validate_sets, names_from_json, subsets
+from .model_core import Triplet, Universe, names_from_json, subsets
 
 if TYPE_CHECKING:
     import numpy as np
@@ -164,7 +164,9 @@ def _ancestral(dag: Dag, z_set: frozenset[str]) -> frozenset[str]:
 
 
 def _validate_query(dag: Dag, q: Triplet) -> None:
-    _validate_sets(dag.universe, q.x_set, q.y_set, q.z_set)
+    """A ``Triplet``'s sets are disjoint by construction, so only membership
+    and non-empty sides are checked."""
+    dag.universe.require(q.x_set | q.y_set | q.z_set)
     if not q.x_set or not q.y_set:
         raise InvalidSets("x_set and y_set must be non-empty")
 

@@ -123,8 +123,10 @@ def cmd_dsep(args: argparse.Namespace) -> int:
     from .model_core import Triplet
 
     dag = Dag.from_json_dict(_load_json_object(args.dag_file))
-    q = Triplet.make(_parse_names(args.x), _parse_names(args.y), _parse_names(args.given))
-    separated = d_separated(dag, q)
+    x, y, z = _parse_names(args.x), _parse_names(args.y), _parse_names(args.given)
+    # membership before overlap, in the order ``graphoid ci`` reports them
+    dag.universe.require(x + y + z)
+    separated = d_separated(dag, Triplet.make(x, y, z))
     print("d-separated" if separated else "connected")
     return 0 if separated else 1
 

@@ -76,6 +76,7 @@ class JointTable:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "_axes", {v: i for i, v in enumerate(self.universe.variables)})
         object.__setattr__(self, "_marginals", {})  # sorted axis tuple -> summed array
         object.__setattr__(self, "_views", {})  # requested name tuple -> transposed view
         object.__setattr__(self, "_floor", floor)  # smallest entry
@@ -96,7 +97,10 @@ class JointTable:
         names = tuple(names)
         view = self._views.get(names)
         if view is None:
-            keep = [self.universe.index(n) for n in names]
+            try:
+                keep = [self._axes[n] for n in names]
+            except KeyError:
+                keep = [self.universe.index(n) for n in names]  # raises UnknownVariable
             ordered = tuple(sorted(keep))
             m = self._marginals.get(ordered)
             if m is None:
@@ -242,6 +246,17 @@ def ci_discrepancy_discrete(
     the one the masked computation gives.
     """
     xs, ys, zs = _validate_sets(table.universe, x_set, y_set, z_set)
+    return _discrete_gap(table, xs, ys, zs, tol)
+
+
+def _discrete_gap(
+    table: JointTable,
+    xs: tuple[str, ...],
+    ys: tuple[str, ...],
+    zs: tuple[str, ...],
+    tol: float,
+) -> float:
+    """``ci_discrepancy_discrete`` on a query already validated into sorted tuples."""
     if not xs or not ys:
         return 0.0
     m = table.marginal(xs + ys + zs)
@@ -295,6 +310,16 @@ def ci_residual_gaussian(
     validation, as in the discrete kernel.
     """
     xs, ys, zs = _validate_sets(g.universe, x_set, y_set, z_set)
+    return _gaussian_residual(g, xs, ys, zs)
+
+
+def _gaussian_residual(
+    g: GaussianModel,
+    xs: tuple[str, ...],
+    ys: tuple[str, ...],
+    zs: tuple[str, ...],
+) -> float:
+    """``ci_residual_gaussian`` on a query already validated into sorted tuples."""
     if not xs or not ys:
         return 0.0
     index = g._index
@@ -320,12 +345,6 @@ def ci_holds_gaussian(
     return ci_residual_gaussian(g, x_set, y_set, z_set) <= tol
 
 
-def _oriented(x: frozenset[str], y: frozenset[str], z: frozenset[str]):
-    """The query with x and y as sorted tuples, the smaller first."""
-    xs, ys = tuple(sorted(x)), tuple(sorted(y))
-    return (ys, xs, z) if ys < xs else (xs, ys, z)
-
-
 @dataclass(frozen=True)
 class CiOracle:
     """Uniform conditional-independence query surface over any backend.
@@ -338,11 +357,15 @@ class CiOracle:
     UniverseTooLarge at every query).  A table or Gaussian oracle memoizes
     its verdicts, keyed on the unordered pair {x_set, y_set} and z_set; a
     model oracle keeps no memo, since its answer is already one lookup.
+    Each variable set is validated and sorted once per oracle: ``_sorted``
+    maps every set of a valid query to its sorted tuple, so a later query
+    over known, pairwise disjoint sets skips ``_validate_sets``, and the
+    backend gets sorted tuples it does not check again.
     Every query is answered in one canonical orientation (the smaller
     sorted tuple first), so ``ci(x, y, z) == ci(y, x, z)`` whichever was
     asked first.  The oracle and its backends are immutable, which keeps
-    the memo valid for the oracle's lifetime.  Besides the verdict memo
-    ``_memo``, an oracle keeps ``_given``, the conditioned oracles through
+    the memo valid for the oracle's lifetime.  Besides ``_memo`` and
+    ``_sorted``, an oracle keeps ``_given``, the conditioned oracles through
     which ``ci_given_value`` answers value-specific statements about a
     table, and ``_screening``, the minimal screening set found by network
     construction for each node and predecessor set, so a network rebuilt
@@ -360,17 +383,20 @@ class CiOracle:
             raise ValueError("tolerance must be finite and non-negative")
         if isinstance(backend, JointTable):
             tol = DISCRETE_TOL if tol is None else tol
-            holds = functools.partial(ci_holds_discrete, backend, tol=tol)
-            gap = functools.partial(ci_discrepancy_discrete, backend, tol=tol)
+
+            def gap(xs, ys, zs) -> float:
+                return _discrete_gap(backend, xs, ys, zs, tol)
+
             memo = {}
         elif isinstance(backend, GaussianModel):
             tol = GAUSSIAN_TOL if tol is None else tol
-            holds = functools.partial(ci_holds_gaussian, backend, tol=tol)
-            gap = functools.partial(ci_residual_gaussian, backend)
+
+            def gap(xs, ys, zs) -> float:
+                return _gaussian_residual(backend, xs, ys, zs)
+
             memo = {}
         elif isinstance(backend, DependencyModel):
             tol = 0.0 if tol is None else tol
-            universe = backend.universe
 
             # Neither callable refers back to the oracle: a cycle would keep
             # the oracle and its closure alive until the cycle collector runs.
@@ -380,7 +406,6 @@ class CiOracle:
                 return held, table.mask_of
 
             def holds(xs, ys, zs) -> bool:
-                _validate_sets(universe, xs, ys, zs)
                 held, mask_of = closed()
                 return (mask_of[frozenset(xs)], mask_of[frozenset(ys)],
                         mask_of[frozenset(zs)]) in held
@@ -391,16 +416,42 @@ class CiOracle:
             memo = None
         else:
             raise TypeError(f"unsupported backend {type(backend).__name__}")
+        if gap is not None:
+
+            def holds(xs, ys, zs) -> bool:
+                return gap(xs, ys, zs) <= tol
+
         object.__setattr__(self, "tolerance", tol)
         object.__setattr__(self, "_holds", holds)
         object.__setattr__(self, "_gap", gap)
         object.__setattr__(self, "_memo", memo)
+        # frozenset of names -> its sorted tuple, for every set of a valid query
+        object.__setattr__(self, "_sorted", {})
         # (pivot, value index) -> oracle over the table conditioned on that
         # value, or None when the value has no usable mass; tables only.
         object.__setattr__(self, "_given", {})
         # (node, frozenset of its predecessors) -> minimal screening set;
         # read and written by ``bayesnet._screening_set`` only.
         object.__setattr__(self, "_screening", {})
+
+    def _sorted_query(
+        self, x: frozenset[str], y: frozenset[str], z: frozenset[str]
+    ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """The query as sorted tuples, x and y swapped when y's tuple is smaller.
+
+        A query whose sets are all in ``_sorted`` and pairwise disjoint needs
+        no other check.  Any other query goes through ``_validate_sets``,
+        which raises on an unknown name or an overlap before anything is
+        stored.
+        """
+        known = self._sorted
+        xs, ys, zs = known.get(x), known.get(y), known.get(z)
+        if xs is None or ys is None or zs is None or not (
+            x.isdisjoint(y) and x.isdisjoint(z) and y.isdisjoint(z)
+        ):
+            xs, ys, zs = _validate_sets(self.backend.universe, x, y, z)
+            known[x], known[y], known[z] = xs, ys, zs
+        return (ys, xs, zs) if ys < xs else (xs, ys, zs)
 
     @property
     def universe(self) -> Universe:
@@ -415,13 +466,13 @@ class CiOracle:
         x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
         memo = self._memo
         if memo is None:
-            return self._holds(*_oriented(x, y, z))
+            return self._holds(*self._sorted_query(x, y, z))
         key = (frozenset((x, y)), z)
         verdict = memo.get(key)
         if verdict is None:
-            # The backend validates the query and raises before the store, so
-            # only valid queries enter the memo and a hit needs no check.
-            verdict = memo[key] = self._holds(*_oriented(x, y, z))
+            # ``_sorted_query`` raises on an invalid query before the store,
+            # so only valid queries enter the memo and a hit needs no check.
+            verdict = memo[key] = self._holds(*self._sorted_query(x, y, z))
         return verdict
 
     def ci_given_value(
@@ -472,7 +523,7 @@ class CiOracle:
         if self._gap is None:
             raise TypeError("discrepancy is undefined for a dependency-model backend")
         x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
-        return self._gap(*_oriented(x, y, z))
+        return self._gap(*self._sorted_query(x, y, z))
 
 
 def extract_model(oracle: CiOracle) -> DependencyModel:

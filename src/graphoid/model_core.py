@@ -2,9 +2,12 @@
 
 A dependency model is an explicit finite set of triplets ``(X, Y | Z)`` over
 a universe of variables, read as "X is independent of Y given Z".  The model
-is a *graphoid* when it is closed under five axioms: trivial independence,
-symmetry, decomposition, weak union, and contraction.  This module computes
-and checks that closure by exhaustive enumeration at desk scale.
+is a *semi-graphoid* when it is closed under five axioms: trivial
+independence, symmetry, decomposition, weak union, and contraction; Pearl
+(1988, ch. 3) calls it a *graphoid* only when it is also closed under
+intersection, which nothing here checks.  The names ``graphoid_closure`` and
+``check_graphoid_axioms`` refer to the five.  This module computes and
+checks that closure by exhaustive enumeration at desk scale.
 """
 
 from __future__ import annotations
@@ -384,7 +387,7 @@ def _closed_masks(model: DependencyModel) -> tuple[set[tuple[int, int, int]], Su
 
 
 def graphoid_closure(model: DependencyModel) -> DependencyModel:
-    """Least superset of ``model`` closed under the five graphoid axioms.
+    """Least superset of ``model`` closed under the five semi-graphoid axioms.
 
     ``_closed_masks`` decides every triplet on variable masks; the held ones
     are materialized here, once.
@@ -397,7 +400,7 @@ def graphoid_closure(model: DependencyModel) -> DependencyModel:
 
 
 def check_graphoid_axioms(model: DependencyModel) -> list[AxiomViolation]:
-    """Exhaustively instantiate the five axioms; empty result means graphoid.
+    """Exhaustively instantiate the five axioms; empty result means semi-graphoid.
 
     Each violated axiom instance is reported once, with the instantiating
     triplets as premises and the absent member as the witness.  The list is

@@ -143,23 +143,25 @@ def suite_dsep_soundness(report: SuiteReport, seed: int, n_vars: int, samples: i
     for s, _, table in _draws(random_spb, seed, samples, n_vars):
         oracle = CiOracle(table)
         names = list(table.universe.variables)
+        queries = [
+            (a, b, Triplet.make({a}, {b}, z_set))
+            for a, b in itertools.combinations(sorted(names), 2)
+            for z_set in subsets(frozenset(names) - {a, b})
+        ]
         for _ in range(3):
             order = tuple(names[k] for k in rng.permutation(len(names)))
             dag = build_network(oracle, order)
-            for a, b in itertools.combinations(sorted(names), 2):
-                rest = frozenset(names) - {a, b}
-                for z_set in subsets(rest):
-                    report.cases += 1
-                    q = Triplet.make({a}, {b}, z_set)
-                    if d_separated(dag, q) and not oracle.ci({a}, {b}, z_set):
-                        _fail(
-                            report,
-                            case=s - seed,
-                            order=list(order),
-                            pair=[a, b],
-                            table_seed=s,
-                            z=sorted(z_set),
-                        )
+            for a, b, q in queries:
+                report.cases += 1
+                if d_separated(dag, q) and not oracle.ci(q.x_set, q.y_set, q.z_set):
+                    _fail(
+                        report,
+                        case=s - seed,
+                        order=list(order),
+                        pair=[a, b],
+                        table_seed=s,
+                        z=sorted(q.z_set),
+                    )
 
 
 def suite_components(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:

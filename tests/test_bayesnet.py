@@ -187,13 +187,13 @@ class TestBuildNetwork:
         import graphoid.dist_oracle as dist_oracle
 
         calls = []
-        real_kernel = dist_oracle.ci_discrepancy_discrete
+        real_kernel = dist_oracle._discrete_gap
 
         def counting_kernel(*args, **kwargs):
             calls.append(args[1:4])
             return real_kernel(*args, **kwargs)
 
-        monkeypatch.setattr(dist_oracle, "ci_discrepancy_discrete", counting_kernel)
+        monkeypatch.setattr(dist_oracle, "_discrete_gap", counting_kernel)
         oracle = CiOracle(random_spb(5, 2))
         order = ("u3", "u1", "u5", "u2", "u4")
         first = build_network(oracle, order)

@@ -471,6 +471,11 @@ ERROR_TABLE = [
     ("dsep net.json u8 u9", UNKNOWN_PAIR),
     ("relations spb.json u8 u9", UNKNOWN_PAIR),
     ("ci spb.json u1 u2 --given u9", "unknown variable: u9"),
+    # an unknown name is reported before an overlap
+    ("ci spb.json u8 u8", "unknown variable: u8"),
+    ("dsep net.json u8 u8", "unknown variable: u8"),
+    ("ci spb.json u1 u9 --given u9", "unknown variable: u9"),
+    ("dsep net.json u1 u9 --given u9", "unknown variable: u9"),
     ("ci spb.json u1 u1", OVERLAP_XY),
     ("dsep net.json u1 u1", OVERLAP_XY),
     ("ci spb.json u1 u2 --given u1", OVERLAP_XZ),

@@ -369,7 +369,7 @@ def test_memoized_oracle_matches_uncached_verdicts(backend):
             for _ in range(3):
                 with pytest.raises(InvalidSets):
                     oracle.ci(x, y, z)
-            if closed is None:  # the backend validates a gap query, as it does a verdict
+            if closed is None:  # a gap query is validated as a verdict is
                 with pytest.raises(InvalidSets):
                     oracle.discrepancy(x, y, z)
 
@@ -729,3 +729,93 @@ def test_tolerance_must_be_finite_and_non_negative(xor, tol):
     for backend in (random_spb(3, 0), random_gaussian(3, 0), model):
         with pytest.raises(ValueError):
             CiOracle(backend, tolerance=tol)
+
+
+def _assert_oracle_answers_as_the_public_kernels(oracle):
+    """Every disjoint triple, asked in both orientations, gets the public
+    kernel's verdict and gap in the oracle's canonical orientation."""
+    backend = oracle.backend
+    if isinstance(backend, JointTable):
+        holds, gap = ci_holds_discrete, ci_discrepancy_discrete
+    else:
+        holds, gap = ci_holds_gaussian, ci_residual_gaussian
+    tol = oracle.tolerance
+    for x, y, z in iter_disjoint_triples(backend.universe.variables):
+        for a, b in ((x, y), (y, x)):
+            query = _canonical(a, b, z)
+            assert oracle.ci(a, b, z) == holds(backend, *query, tol=tol)
+            assert oracle.discrepancy(a, b, z) == gap(backend, *query)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [random_spb(n, 90 + n) for n in range(2, 6)]
+    + [xor_table(), _sparse_table(3)]
+    + [random_gaussian(n, 90 + n) for n in range(2, 6)],
+    ids=lambda b: f"{type(b).__name__}-{len(b.universe.variables)}",
+)
+def test_the_once_validated_oracle_answers_as_the_public_kernels(backend):
+    oracle = CiOracle(backend)
+    for _ in range(2):  # the second pass reads the memo and the sorted tuples
+        _assert_oracle_answers_as_the_public_kernels(oracle)
+
+
+@pytest.mark.parametrize("table", [random_spb(4, 7), xor_table()], ids=["spb", "xor"])
+def test_a_conditioned_oracle_answers_as_the_public_kernels(table):
+    base = CiOracle(table)
+    pivot = table.universe.variables[-1]
+    first, second = table.universe.variables[:2]
+    for value in range(table.domain_size(pivot)):
+        conditioned = condition_on(table, pivot, value)
+        verdict = base.ci_given_value(first, second, pivot, value)
+        assert verdict == ci_holds_discrete(conditioned, first, second)
+        given = base._given[(pivot, value)]
+        assert given.backend.universe == conditioned.universe
+        _assert_oracle_answers_as_the_public_kernels(given)
+
+
+def _rejection(universe, x, y, z):
+    """The exception class and text ``_validate_sets`` raises for a query."""
+    with pytest.raises(InvalidSets) as info:
+        model_core._validate_sets(universe, x, y, z)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["table", "gaussian", "model"])
+def test_a_warmed_oracle_rejects_every_bad_query(kind):
+    if kind == "table":
+        backend = random_spb(4, 5)
+    elif kind == "gaussian":
+        backend = random_gaussian(4, 5)
+    else:
+        universe = Universe.binary("u1", "u2", "u3", "u4")
+        backend = DependencyModel.of(universe, [Triplet.make("u1", "u2", "u3")])
+    oracle = CiOracle(backend)
+    for x, y, z in [({"u1"}, {"u2"}, ()), ({"u3"}, {"u1"}, {"u2"}), ({"u2", "u3"}, {"u4"}, ())]:
+        oracle.ci(x, y, z)
+    memo = None if oracle._memo is None else dict(oracle._memo)
+    known = dict(oracle._sorted)
+    assert known and all(tuple(sorted(s)) == t for s, t in known.items())
+    bad = [
+        ({"u9"}, {"u2"}, ()),  # unknown in x
+        ({"u1"}, {"u9"}, ()),  # unknown in y
+        ({"u1"}, {"u2"}, {"u9"}),  # unknown in z
+        ({"u8"}, {"u9"}, ()),  # two unknown names
+        ({"u9"}, {"u9"}, ()),  # unknown and overlapping
+        ({"u1"}, {"u1"}, ()),  # x meets y, every set cached
+        ({"u1"}, {"u2"}, {"u1"}),  # x meets z
+        ({"u1"}, {"u2"}, {"u2"}),  # y meets z
+        ({"u1", "u4"}, {"u4"}, ()),  # a new set meets a cached one
+        ({"u1"}, {"u2"}, {"u3", "u9"}),  # cached sets with a new unknown one
+        ({"u2", "u3"}, {"u8"}, {"u2"}),  # a cached set, an unknown one and an overlap
+    ]
+    asks = [oracle.ci] if kind == "model" else [oracle.ci, oracle.discrepancy]
+    for x, y, z in bad:
+        want = _rejection(backend.universe, x, y, z)
+        for ask in asks:
+            for _ in range(2):
+                with pytest.raises(InvalidSets) as info:
+                    ask(x, y, z)
+                assert (type(info.value), str(info.value)) == want
+    assert oracle._sorted == known
+    assert oracle._memo == memo

@@ -6,7 +6,8 @@ memo raises the kernel count; a defeated screening-set memo raises the
 a defeated per-conditioning-set factor cache raises the Cholesky count;
 a discrete kernel that stops taking its mask-free path on strictly positive
 tables raises the ``np.divide`` count, which only its masked body makes;
-a model oracle that leaves its closure's masks builds ``Triplet`` objects.
+a model oracle that leaves its closure's masks builds ``Triplet`` objects;
+an oracle that stops keeping each query set's sorted tuple validates again.
 """
 
 import itertools
@@ -24,15 +25,16 @@ from graphoid.suites import run_suite
 
 
 def _count_kernel_calls(monkeypatch):
-    """Lists that grow by one per non-trivial and per empty-side kernel call."""
+    """Lists that grow by one per non-trivial and per empty-side call of the
+    discrete kernel's body, which is what the oracle runs on a memo miss."""
     kernel_calls, trivial_calls = [], []
-    real_kernel = dist_oracle.ci_discrepancy_discrete
+    real_kernel = dist_oracle._discrete_gap
 
     def counting_kernel(table, x_set, y_set, *args, **kwargs):
         (kernel_calls if x_set and y_set else trivial_calls).append(1)
         return real_kernel(table, x_set, y_set, *args, **kwargs)
 
-    monkeypatch.setattr(dist_oracle, "ci_discrepancy_discrete", counting_kernel)
+    monkeypatch.setattr(dist_oracle, "_discrete_gap", counting_kernel)
     return kernel_calls, trivial_calls
 
 
@@ -54,6 +56,23 @@ def test_components_suite_query_counts(monkeypatch):
     assert len(kernel_calls) == 156
     assert len(trivial_calls) == 96
     assert len(ci_calls) == 324
+
+
+def test_each_query_set_is_validated_once_per_oracle(monkeypatch):
+    validated = []
+    real_validate = dist_oracle._validate_sets
+
+    def counting_validate(*args):
+        validated.append(1)
+        return real_validate(*args)
+
+    monkeypatch.setattr(dist_oracle, "_validate_sets", counting_validate)
+    report = run_suite("components", seed=0, samples=3)
+    assert report.ok and report.cases == 3
+    # Per table, 12 of the 84 distinct queries bring a set the oracle has
+    # not seen; the other 72 and every memo hit read its sorted tuples
+    # (252 when every kernel call validated its query).
+    assert len(validated) == 36
 
 
 def test_strictly_positive_tables_skip_the_masked_kernel(monkeypatch):
@@ -85,7 +104,7 @@ def test_both_inclusion_rules_share_one_oracle(monkeypatch):
 
 def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):
     kernel_calls, cholesky_calls = [], []
-    real_kernel = dist_oracle.ci_residual_gaussian
+    real_kernel = dist_oracle._gaussian_residual
     real_cholesky = np.linalg.cholesky
 
     def counting_kernel(*args, **kwargs):
@@ -96,7 +115,7 @@ def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):
         cholesky_calls.append(1)
         return real_cholesky(a, *args, **kwargs)
 
-    monkeypatch.setattr(dist_oracle, "ci_residual_gaussian", counting_kernel)
+    monkeypatch.setattr(dist_oracle, "_gaussian_residual", counting_kernel)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     report = run_suite("gaussian-props", seed=0, samples=6)
     assert report.ok and report.cases == 6

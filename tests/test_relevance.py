@@ -503,16 +503,17 @@ def _reference_gaussian_axioms_check(g):
 
 
 def _with_kernel_queries(monkeypatch, check, g):
-    """``check(g)`` and the list of queries it sent to the Gaussian kernel."""
+    """``check(g)`` and the list of queries it sent to the Gaussian kernel's
+    body, which is what the oracle runs on a memo miss."""
     asked = []
-    real_kernel = dist_oracle.ci_residual_gaussian
+    real_kernel = dist_oracle._gaussian_residual
 
     def recording_kernel(model, x_set, y_set, z_set=()):
         asked.append((frozenset(x_set), frozenset(y_set), frozenset(z_set)))
         return real_kernel(model, x_set, y_set, z_set)
 
     with monkeypatch.context() as patch:
-        patch.setattr(dist_oracle, "ci_residual_gaussian", recording_kernel)
+        patch.setattr(dist_oracle, "_gaussian_residual", recording_kernel)
         return check(g), asked
 
 
