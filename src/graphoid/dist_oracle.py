@@ -250,11 +250,7 @@ def ci_discrepancy_discrete(
 
 
 def _discrete_gap(
-    table: JointTable,
-    xs: tuple[str, ...],
-    ys: tuple[str, ...],
-    zs: tuple[str, ...],
-    tol: float,
+    table: JointTable, xs: tuple[str, ...], ys: tuple[str, ...], zs: tuple[str, ...], tol: float
 ) -> float:
     """``ci_discrepancy_discrete`` on a query already validated into sorted tuples."""
     if not xs or not ys:
@@ -314,10 +310,7 @@ def ci_residual_gaussian(
 
 
 def _gaussian_residual(
-    g: GaussianModel,
-    xs: tuple[str, ...],
-    ys: tuple[str, ...],
-    zs: tuple[str, ...],
+    g: GaussianModel, xs: tuple[str, ...], ys: tuple[str, ...], zs: tuple[str, ...]
 ) -> float:
     """``ci_residual_gaussian`` on a query already validated into sorted tuples."""
     if not xs or not ys:
