@@ -48,11 +48,8 @@ class Dag:
                 raise ValueError(f"parents of {v} must precede it in the construction order")
             seen.add(v)
 
-    def children(self, v: str) -> frozenset[str]:
-        return self._children[v]
-
     @functools.cached_property
-    def _children(self) -> dict[str, frozenset[str]]:
+    def children(self) -> dict[str, frozenset[str]]:
         out: dict[str, set[str]] = {v: set() for v in self.construction_order}
         for child, pars in self.parents.items():
             for p in pars:
@@ -60,7 +57,7 @@ class Dag:
         return {v: frozenset(c) for v, c in out.items()}
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return self.parents[v] | self.children(v)
+        return self.parents[v] | self.children[v]
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,11 +143,6 @@ def _validated_order(universe: Universe, order: Sequence[str] | None) -> tuple[s
     return order
 
 
-def ancestors(dag: Dag, v: str) -> frozenset[str]:
-    """Nodes with a directed path of positive length to ``v``."""
-    return _ancestral(dag, dag.parents[v])
-
-
 def _ancestral(dag: Dag, z_set: frozenset[str]) -> frozenset[str]:
     """``z_set`` and every ancestor of its members, in one walk up."""
     closed = set(z_set)
@@ -183,7 +175,7 @@ def d_separated(dag: Dag, q: Triplet) -> bool:
     in the conditioning set.
     """
     _validate_query(dag, q)
-    children = dag._children
+    children = dag.children
     for x in q.x_set:
         if not (q.y_set.isdisjoint(dag.parents[x]) and q.y_set.isdisjoint(children[x])):
             return False

@@ -76,14 +76,9 @@ class JointTable:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "_axes", {v: i for i, v in enumerate(self.universe.variables)})
         object.__setattr__(self, "_marginals", {})  # sorted axis tuple -> summed array
         object.__setattr__(self, "_views", {})  # requested name tuple -> transposed view
         object.__setattr__(self, "_floor", floor)  # smallest entry
-
-    @property
-    def strictly_positive(self) -> bool:
-        return self._floor > 0.0
 
     def domain_size(self, name: str) -> int:
         return len(self.universe.domain(name))
@@ -97,10 +92,7 @@ class JointTable:
         names = tuple(names)
         view = self._views.get(names)
         if view is None:
-            try:
-                keep = [self._axes[n] for n in names]
-            except KeyError:
-                keep = [self.universe.index(n) for n in names]  # raises UnknownVariable
+            keep = [self.universe.index(n) for n in names]
             ordered = tuple(sorted(keep))
             m = self._marginals.get(ordered)
             if m is None:
@@ -158,7 +150,6 @@ class GaussianModel:
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.universe.variables)})
         # |covariance| as nested Python lists, so an unconditioned block's
         # largest entry is an exact ``max`` with no array built.
         object.__setattr__(self, "_abs_rows", np.abs(cov).tolist())
@@ -173,7 +164,7 @@ class GaussianModel:
         """
         found = self._factors.get(zs)
         if found is None:
-            zi = [self._index[v] for v in zs]
+            zi = [self.universe.index(v) for v in zs]
             z_rows = self.covariance[zi]
             s_zz = z_rows[:, zi]
             eigs = np.linalg.eigvalsh(s_zz)
@@ -315,9 +306,9 @@ def _gaussian_residual(
     """``ci_residual_gaussian`` on a query already validated into sorted tuples."""
     if not xs or not ys:
         return 0.0
-    index = g._index
-    xi = [index[v] for v in xs]
-    yi = [index[v] for v in ys]
+    index = g.universe.index
+    xi = [index(v) for v in xs]
+    yi = [index(v) for v in ys]
     if not zs:
         abs_rows = g._abs_rows
         return max(abs_rows[i][j] for i in xi for j in yi)
@@ -343,13 +334,15 @@ class CiOracle:
     """Uniform conditional-independence query surface over any backend.
 
     The backend is a JointTable, a GaussianModel, or a DependencyModel.  A
-    model backend answers from the closure's masks: its first query computes
-    the graphoid closure once as a set of ``(x, y, z)`` variable masks, and
-    every query is one membership test of its three masks in that set, with
-    no ``Triplet`` built (a model past the closure bound raises
-    UniverseTooLarge at every query).  A table or Gaussian oracle memoizes
-    its verdicts, keyed on the unordered pair {x_set, y_set} and z_set; a
-    model oracle keeps no memo, since its answer is already one lookup.
+    table or Gaussian oracle's verdict is its backend's gap (``_gap``, the
+    kernel body) at most the tolerance, memoized per oracle on the unordered
+    pair {x_set, y_set} and z_set.  A model backend answers from the
+    closure's masks: its first query computes the graphoid closure once as a
+    set of ``(x, y, z)`` variable masks, and every query is one membership
+    test of the masks of its three validated sets in that set, with no
+    ``Triplet`` built (a model past the closure bound raises
+    UniverseTooLarge at every query); it keeps no memo, since its answer is
+    already one lookup.
     Each variable set is validated and sorted once per oracle: ``_sorted``
     maps every set of a valid query to its sorted tuple, so a later query
     over known, pairwise disjoint sets skips ``_validate_sets``, and the
@@ -363,8 +356,9 @@ class CiOracle:
     table, and ``_screening``, the minimal screening set found by network
     construction for each node and predecessor set, so a network rebuilt
     on the same oracle asks nothing.
-    The tolerance must be finite and non-negative; None picks the backend's
-    default.  It is the only tolerance the checks in ``relevance`` use.
+    The tolerance must be a finite, non-negative number, never a bool; None
+    picks the backend's default.  It is the only tolerance the checks in
+    ``relevance`` use.
     """
 
     backend: JointTable | GaussianModel | DependencyModel
@@ -372,52 +366,35 @@ class CiOracle:
 
     def __post_init__(self) -> None:
         backend, tol = self.backend, self.tolerance
-        if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        if tol is not None and (isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0.0)):
             raise ValueError("tolerance must be finite and non-negative")
+        closed = None
         if isinstance(backend, JointTable):
             tol = DISCRETE_TOL if tol is None else tol
 
             def gap(xs, ys, zs) -> float:
                 return _discrete_gap(backend, xs, ys, zs, tol)
 
-            memo = {}
         elif isinstance(backend, GaussianModel):
             tol = GAUSSIAN_TOL if tol is None else tol
 
             def gap(xs, ys, zs) -> float:
                 return _gaussian_residual(backend, xs, ys, zs)
 
-            memo = {}
         elif isinstance(backend, DependencyModel):
             tol = 0.0 if tol is None else tol
-
-            # Neither callable refers back to the oracle: a cycle would keep
-            # the oracle and its closure alive until the cycle collector runs.
-            @functools.cache
-            def closed() -> tuple[set[tuple[int, int, int]], dict[frozenset[str], int]]:
-                held, table = _closed_masks(backend)  # checks the bound first
-                return held, table.mask_of
-
-            def holds(xs, ys, zs) -> bool:
-                held, mask_of = closed()
-                return (mask_of[frozenset(xs)], mask_of[frozenset(ys)],
-                        mask_of[frozenset(zs)]) in held
-
             gap = None
-            # One closure lookup answers a query; a memo would only keep a
-            # second copy of the answers.
-            memo = None
+            # Refers only to the backend: a cycle through the oracle would keep
+            # the oracle and its closure alive until the cycle collector runs.
+            closed = functools.cache(lambda: _closed_masks(backend))  # checks the bound first
         else:
             raise TypeError(f"unsupported backend {type(backend).__name__}")
-        if gap is not None:
-
-            def holds(xs, ys, zs) -> bool:
-                return gap(xs, ys, zs) <= tol
-
         object.__setattr__(self, "tolerance", tol)
-        object.__setattr__(self, "_holds", holds)
         object.__setattr__(self, "_gap", gap)
-        object.__setattr__(self, "_memo", memo)
+        object.__setattr__(self, "_closed", closed)
+        # One closure lookup answers a model query; a memo would only keep a
+        # second copy of the answers.
+        object.__setattr__(self, "_memo", None if gap is None else {})
         # frozenset of names -> its sorted tuple, for every set of a valid query
         object.__setattr__(self, "_sorted", {})
         # (pivot, value index) -> oracle over the table conditioned on that
@@ -459,13 +436,16 @@ class CiOracle:
         x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
         memo = self._memo
         if memo is None:
-            return self._holds(*self._sorted_query(x, y, z))
+            self._sorted_query(x, y, z)  # validates the query
+            held, table = self._closed()
+            mask_of = table.mask_of
+            return (mask_of[x], mask_of[y], mask_of[z]) in held
         key = (frozenset((x, y)), z)
         verdict = memo.get(key)
         if verdict is None:
             # ``_sorted_query`` raises on an invalid query before the store,
             # so only valid queries enter the memo and a hit needs no check.
-            verdict = memo[key] = self._holds(*self._sorted_query(x, y, z))
+            verdict = memo[key] = self._gap(*self._sorted_query(x, y, z)) <= self.tolerance
         return verdict
 
     def ci_given_value(

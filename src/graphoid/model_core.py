@@ -58,15 +58,17 @@ class Universe:
 
     variables: tuple[VariableId, ...]
     domains: tuple[tuple[str, ...], ...]
-    # The variables as a set, built once; it takes no part in equality,
-    # hashing or repr.
+    # The variables as a set and each variable's position, built once; they
+    # take no part in equality, hashing or repr.
     names: frozenset[VariableId] = field(init=False, repr=False, compare=False)
+    _positions: dict[VariableId, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = frozenset(self.variables)
         if len(names) != len(self.variables):
             raise ValueError("duplicate variable names")
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_positions", {v: i for i, v in enumerate(self.variables)})
         if any(not name for name in self.variables):
             raise ValueError("variable names must be non-empty")
         if len(self.domains) != len(self.variables):
@@ -86,8 +88,8 @@ class Universe:
 
     def index(self, name: str) -> int:
         try:
-            return self.variables.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise UnknownVariable(f"unknown variable: {name}") from None
 
     def domain(self, name: str) -> tuple[str, ...]:
@@ -148,9 +150,6 @@ class Triplet:
         z_set: Iterable[str] | str = (),
     ) -> "Triplet":
         return cls(_as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set))
-
-    def symmetric(self) -> "Triplet":
-        return Triplet(self.y_set, self.x_set, self.z_set)
 
     def sort_key(self) -> tuple[tuple[str, ...], ...]:
         return (tuple(sorted(self.x_set)), tuple(sorted(self.y_set)), tuple(sorted(self.z_set)))

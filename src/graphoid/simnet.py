@@ -11,7 +11,7 @@ mutually irrelevant).  For transitive distributions the two coincide.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bayesnet import Dag, _reach, build_network
 from .dist_oracle import CiOracle, JointTable, is_value_index, marginalize
@@ -49,11 +49,14 @@ class HypothesisCover:
 
 @dataclass(frozen=True)
 class LocalNetwork:
-    """One local network: the hypotheses it serves, the kept variables, the dag."""
+    """One local network: the hypotheses it serves, the kept variables, the dag,
+    and ``table``, the restricted marginal the dag was built from, which takes
+    no part in equality, repr or the JSON form."""
 
     hypotheses: tuple[int, ...]
     included: frozenset[str]
     dag: Dag
+    table: JointTable = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,7 +125,7 @@ def build_local(table: JointTable, h: str, hypotheses, net_type: int) -> LocalNe
     local_names = (h,) + tuple(v for v in table.universe.variables if v in included)
     local_table = marginalize(restricted, local_names)
     dag = build_network(CiOracle(local_table), local_names)
-    return LocalNetwork(tuple(sorted(set(hypotheses))), included, dag)
+    return LocalNetwork(tuple(sorted(set(hypotheses))), included, dag, local_table)
 
 
 def build_similarity(table: JointTable, cover: HypothesisCover, net_type: int) -> SimilarityNetwork:

@@ -27,7 +27,6 @@ from .dist_oracle import (
     CiOracle,
     JointTable,
     extract_model,
-    marginalize,
     random_gaussian,
     random_spb,
     xor_table,
@@ -54,7 +53,7 @@ from .relevance import (
     uncoupled,
     unrelated,
 )
-from .simnet import HypothesisCover, build_similarity, restrict_to_hypotheses, types_equivalent
+from .simnet import HypothesisCover, build_similarity, types_equivalent
 
 CHAIN_RULE_TOL = 1e-9
 
@@ -373,9 +372,7 @@ def xor_hypothesis_table() -> JointTable:
 def _chain_rule_errors(table: JointTable, cover: HypothesisCover, net_type: int):
     net = build_similarity(table, cover, net_type)
     for ln in net.locals:
-        restricted = restrict_to_hypotheses(table, cover.h, ln.hypotheses)
-        local = marginalize(restricted, ln.dag.construction_order)
-        yield ln, factorization_max_error(local, ln.dag)
+        yield ln, factorization_max_error(ln.table, ln.dag)
 
 
 def suite_simnet_equiv(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
@@ -439,13 +436,20 @@ def run_suite(
 ) -> SuiteReport:
     """Run a named suite at ``n_vars`` and ``samples``, by default its own scale.
 
-    Unknown names raise KeyError; ``samples < 1`` and an ``n_vars`` outside
-    the sizes the suite runs at raise ValueError before anything is drawn.
-    The report records the scale that ran and the wall time of the run.
+    Unknown names raise KeyError.  A ``seed``, ``n_vars`` or ``samples`` that
+    is a bool or not an int, a negative seed, ``samples < 1`` and an
+    ``n_vars`` outside the sizes the suite runs at raise ValueError before
+    anything is drawn.  The report records the scale that ran and the wall
+    time of the run.
     """
     suite = SUITES[name]
     n_vars = suite.n_vars if n_vars is None else n_vars
     samples = suite.samples if samples is None else samples
+    for arg, value in (("seed", seed), ("n_vars", n_vars), ("samples", samples)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{arg} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     # Reject an n_vars the suite would not run at, rather than clamp it.

@@ -25,6 +25,7 @@ from graphoid import (
     marginalize,
     random_gaussian,
     random_spb,
+    restrict_to_hypotheses,
     xor_table,
 )
 from graphoid.dist_oracle import (
@@ -37,6 +38,7 @@ from graphoid.errors import (
     InvalidSets,
     SingularConditioning,
     UniverseTooLarge,
+    UnknownVariable,
     ZeroProbabilityEvidence,
 )
 from graphoid.model_core import DependencyModel, graphoid_closure, iter_disjoint_triples
@@ -77,8 +79,8 @@ class TestJointTableInvariants:
             JointTable(u, [1.0])
 
     def test_strictly_positive_flag(self, xor):
-        assert not xor.strictly_positive
-        assert random_spb(3, 0).strictly_positive
+        assert not xor.probs.min() > 0
+        assert random_spb(3, 0).probs.min() > 0
 
 
 class TestDiscreteCi:
@@ -729,6 +731,31 @@ def test_tolerance_must_be_finite_and_non_negative(xor, tol):
     for backend in (random_spb(3, 0), random_gaussian(3, 0), model):
         with pytest.raises(ValueError):
             CiOracle(backend, tolerance=tol)
+
+
+@pytest.mark.parametrize("tol", [True, False])
+def test_a_bool_tolerance_is_refused(xor, tol):
+    # True would read as tolerance 1, at which every discrete statement holds.
+    model = DependencyModel.of(xor.universe, [Triplet.make("x", "y")])
+    for backend in (random_spb(3, 0), random_gaussian(3, 0), model):
+        with pytest.raises(ValueError, match="^tolerance must be finite and non-negative$"):
+            CiOracle(backend, tol)
+
+
+def test_an_unknown_name_is_reported_alike_everywhere():
+    table = random_spb(3, 0)
+    asks = [
+        lambda: table.universe.index("u9"),
+        lambda: table.universe.domain("u9"),
+        lambda: table.marginal(("u9",)),
+        lambda: table.marginal(("u1", "u9")),
+        lambda: condition_on(table, "u9", 0),
+        lambda: restrict_to_hypotheses(table, "u9", (0, 1)),
+    ]
+    for ask in asks:
+        with pytest.raises(UnknownVariable) as info:
+            ask()
+        assert str(info.value) == "unknown variable: u9"
 
 
 def _assert_oracle_answers_as_the_public_kernels(oracle):

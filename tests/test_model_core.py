@@ -62,6 +62,17 @@ def test_universe_names_stored_once_without_changing_equality():
     assert {a: 1}[b] == 1
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_universe_index_is_the_position_in_variables(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        names = [f"u{i}" for i in range(n)]
+        rng.shuffle(names)
+        u = Universe.binary(*names)
+        assert [u.index(v) for v in names] == [u.variables.index(v) for v in names]
+        assert u == Universe.binary(*names) and hash(u) == hash(Universe.binary(*names))
+
+
 class TestTriplet:
     def test_overlap_rejected(self):
         with pytest.raises(InvalidSets):
@@ -233,7 +244,7 @@ def reference_closure(model):
 
     while queue:
         trip = queue.popleft()
-        add(trip.symmetric())
+        add(Triplet(trip.y_set, trip.x_set, trip.z_set))
         for kept in subsets(trip.y_set):
             if kept == trip.y_set:
                 continue
@@ -263,7 +274,7 @@ def reference_check(model):
         by_x.setdefault(trip.x_set, []).append(trip)
 
     for trip in present:
-        sym = trip.symmetric()
+        sym = Triplet(trip.y_set, trip.x_set, trip.z_set)
         if sym not in present:
             out.append(AxiomViolation(AXIOM_SYMMETRY, (trip,), sym))
         for kept in subsets(trip.y_set):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,48 @@ class TestTypesEquivalent:
             report = types_equivalent(table, cover)
             for div in report.divergences:
                 assert div.only_relevant == ()
+
+
+def hypothesis_table(seed, n_hypotheses, position):
+    """A seeded positive table: hypothesis ``h`` with ``n_hypotheses`` values
+    at ``position`` among three binary findings."""
+    rng = np.random.default_rng(seed)
+    names = ["u1", "u2", "u3"]
+    names.insert(position, "h")
+    domains = [("0", "1")] * 3
+    domains.insert(position, tuple(f"h{i}" for i in range(n_hypotheses)))
+    shape = [len(d) for d in domains]
+    raw = rng.uniform(0.05, 1.0, size=shape)
+    return JointTable(Universe(tuple(names), tuple(domains)), raw / raw.sum())
+
+
+@pytest.mark.parametrize("net_type", [1, 2])
+@pytest.mark.parametrize(
+    "seed, n_hypotheses, position, subsets",
+    [
+        (0, 3, 0, ((0, 1), (1, 2))),
+        (1, 3, 2, ((0, 1, 2), (0, 2))),
+        (2, 4, 0, ((0, 1), (1, 2), (2, 3))),
+        (3, 4, 1, ((0, 1), (1, 2), (2, 3))),
+        (4, 4, 3, ((0, 1, 2), (1, 3))),
+    ],
+)
+def test_each_local_network_keeps_the_table_its_dag_was_built_from(
+    seed, n_hypotheses, position, subsets, net_type
+):
+    table = hypothesis_table(seed, n_hypotheses, position)
+    net = build_similarity(table, HypothesisCover("h", subsets), net_type)
+    assert len(net.locals) == len(subsets)
+    for ln in net.locals:
+        assert ln.table.universe == ln.dag.universe
+        restricted = restrict_to_hypotheses(table, "h", ln.hypotheses)
+        expected = marginalize(restricted, ln.dag.construction_order)
+        assert ln.table.universe == expected.universe
+        assert (ln.table.probs == expected.probs).all()
+        other = dataclasses.replace(ln, table=table)
+        assert other == ln
+        assert other.to_json_dict() == ln.to_json_dict()
+        assert "table" not in repr(ln) and "table" not in ln.to_json_dict()
 
 
 class TestChainingIdentity:

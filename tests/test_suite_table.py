@@ -62,6 +62,31 @@ def test_a_bad_scale_is_refused_before_anything_is_drawn(monkeypatch, name):
         run_suite(name, samples=0)
 
 
+@pytest.mark.parametrize(
+    "arg, value, message",
+    [
+        ("samples", True, "samples must be an integer, got True"),
+        ("samples", 2.5, "samples must be an integer, got 2.5"),
+        ("n_vars", 3.5, "n_vars must be an integer, got 3.5"),
+        ("n_vars", True, "n_vars must be an integer, got True"),
+        ("seed", 1.0, "seed must be an integer, got 1.0"),
+        ("seed", False, "seed must be an integer, got False"),
+        ("seed", -3, "seed must be a non-negative integer, got -3"),
+    ],
+)
+def test_a_bool_float_or_negative_argument_is_refused_before_anything_is_drawn(
+    monkeypatch, arg, value, message
+):
+    def refuse(*args):
+        raise AssertionError("a distribution was drawn")
+
+    for generator in ("random_spb", "random_gaussian", "xor_table"):
+        monkeypatch.setattr(suites, generator, refuse)
+    for name in sorted(SCALE):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite(name, **{"samples": 2, arg: value})
+
+
 @pytest.mark.parametrize("name", sorted(SCALE))
 def test_both_range_bounds_run_and_are_recorded(name):
     (low, high), _ = SCALE[name]
