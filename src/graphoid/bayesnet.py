@@ -41,12 +41,17 @@ class Dag:
     def __post_init__(self) -> None:
         _validated_order(self.universe, self.construction_order)
         if set(self.parents) != self.universe.names:
+            self.universe.require(self.parents.keys())
             raise ValueError("parents must be given for every variable")
         seen: set[str] = set()
         for v in self.construction_order:
             if not self.parents[v] <= seen:
+                self.universe.require(frozenset().union(*self.parents.values()))
                 raise ValueError(f"parents of {v} must precede it in the construction order")
             seen.add(v)
+
+    def __hash__(self) -> int:
+        return hash((self.universe, frozenset(self.parents.items()), self.construction_order))
 
     @functools.cached_property
     def children(self) -> dict[str, frozenset[str]]:
@@ -72,12 +77,8 @@ class Dag:
         given = data["parents"]
         if not isinstance(given, dict):
             raise ValueError("parents must be an object mapping variables to parent lists")
-        unknown = set(given) - set(order)
-        if unknown:
-            raise ValueError(f"parents given for variables not in order: {sorted(unknown)}")
-        parents = {
-            v: frozenset(names_from_json(given.get(v, []), f"parents of {v}")) for v in order
-        }
+        given = {**dict.fromkeys(order, []), **given}  # Dag reports a stranger key
+        parents = {v: frozenset(names_from_json(p, f"parents of {v}")) for v, p in given.items()}
         return cls(universe, parents, order)
 
 
@@ -139,6 +140,7 @@ def _validated_order(universe: Universe, order: Sequence[str] | None) -> tuple[s
         return universe.variables
     order = tuple(order)
     if len(order) != len(universe.variables) or frozenset(order) != universe.names:
+        universe.require(order)
         raise InvalidOrder("order must be a permutation of the universe")
     return order
 

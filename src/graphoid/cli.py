@@ -120,13 +120,11 @@ def cmd_build_net(args: argparse.Namespace) -> int:
 
 def cmd_dsep(args: argparse.Namespace) -> int:
     from .bayesnet import Dag, d_separated
-    from .model_core import Triplet
+    from .model_core import Triplet, _validate_sets
 
     dag = Dag.from_json_dict(_load_json_object(args.dag_file))
-    x, y, z = _parse_names(args.x), _parse_names(args.y), _parse_names(args.given)
-    # membership before overlap, in the order ``graphoid ci`` reports them
-    dag.universe.require(x + y + z)
-    separated = d_separated(dag, Triplet.make(x, y, z))
+    sets = (_parse_names(args.x), _parse_names(args.y), _parse_names(args.given))
+    separated = d_separated(dag, Triplet.make(*_validate_sets(dag.universe, *sets)))
     print("d-separated" if separated else "connected")
     return 0 if separated else 1
 

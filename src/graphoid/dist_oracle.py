@@ -198,18 +198,18 @@ def marginalize(table: JointTable, keep: Iterable[str]) -> JointTable:
     return JointTable(table.universe.restricted_to(names), table.marginal(names))
 
 
-def is_value_index(value: object, n_values: int) -> bool:
-    """Whether ``value`` is an int or numpy integer, not a bool, in [0, n_values)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        return False
-    return 0 <= value < n_values
+def _check_value_index(value: object, n_values: int, var: str, error=ValueError) -> None:
+    """Raise ``error`` unless ``value``, a value index of ``var``, is an int or
+    numpy integer, not a bool, in [0, n_values)."""
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_int and 0 <= value < n_values):
+        raise error(f"value index {value} out of range for {var}")
 
 
 def condition_on(table: JointTable, var: str, value: int) -> JointTable:
     """Conditional distribution given ``var`` equals the value at ``value`` index."""
     axis = table.universe.index(var)
-    if not is_value_index(value, table.domain_size(var)):
-        raise ValueError(f"value index {value} out of range for {var}")
+    _check_value_index(value, table.domain_size(var), var)
     slab = np.take(table.probs, value, axis=axis)
     mass = float(slab.sum())
     if mass <= 0.0:
@@ -471,8 +471,7 @@ class CiOracle:
             return self.ci(x_set, y_set, (e_var,))
         if not isinstance(backend, JointTable):
             raise TypeError("value-specific independence needs a table or Gaussian backend")
-        if not is_value_index(value, backend.domain_size(e_var)):
-            raise ValueError(f"value index {value} out of range for {e_var}")
+        _check_value_index(value, backend.domain_size(e_var), e_var)
         key = (e_var, value)
         if key not in self._given:
             mass = float(backend.marginal((e_var,))[value])

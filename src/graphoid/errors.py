@@ -2,7 +2,8 @@
 
 
 class GraphoidError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class of the package's named faults; malformed arguments and
+    artifacts raise ValueError instead, and the CLI exits 2 on either."""
 
 
 class InvalidSets(GraphoidError):

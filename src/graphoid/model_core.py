@@ -177,7 +177,10 @@ class DependencyModel:
         known = self.universe.names
         for t in self.triplets:
             if not (t.x_set <= known and t.y_set <= known and t.z_set <= known):
-                raise InvalidSets(f"triplet {t.sort_key()} mentions variables outside the universe")
+                # every name of the model, so the message does not hang on set order
+                self.universe.require(
+                    set().union(*(u.x_set | u.y_set | u.z_set for u in self.triplets))
+                )
 
     @classmethod
     def of(cls, universe: Universe, triplets: Iterable[Triplet] = ()) -> "DependencyModel":
@@ -210,9 +213,9 @@ class AxiomViolation:
         return (self.axiom, self.missing.sort_key(), tuple(p.sort_key() for p in self.premises))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetTable:
-    """Every subset of a sorted name tuple; cached, shared and read-only.
+    """Every subset of a sorted name tuple; one cached, read-only instance per tuple.
 
     ``by_mask[m]`` holds the names at the set bits of ``m`` (bit i is
     ``names[i]``) and ``mask_of`` inverts it.  Building it costs 2^n sets, so

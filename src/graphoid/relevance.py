@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .bayesnet import build_network, connecting_trail
-from .dist_oracle import CiOracle, GaussianModel, JointTable, is_value_index
+from .dist_oracle import CiOracle, GaussianModel, JointTable, _check_value_index
 from .errors import InvalidPartition
 from .model_core import _check_bound, _submasks, subset_table
 
@@ -65,8 +65,7 @@ class RelationVerdict:
 
 
 def _pair_rest(oracle: CiOracle, x: str, y: str) -> frozenset[str]:
-    """The variables a pair sweep ranges over: the universe minus x and y."""
-    _check_bound(oracle.universe, MAX_PAIR_SWEEP_VARS, "sweep bound")
+    """The universe minus x and y, which must be two different variables of it."""
     if x == y:
         raise ValueError("x and y must differ")
     return oracle.universe.names - oracle.universe.require({x, y})
@@ -77,6 +76,7 @@ def mutually_irrelevant(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
 
     On failure the witness is the lexicographically least violating Z.
     """
+    _check_bound(oracle.universe, MAX_PAIR_SWEEP_VARS, "sweep bound")
     rest = _pair_rest(oracle, x, y)
     for z_set in subset_table(rest).lex:
         if not oracle.ci({x}, {y}, z_set):
@@ -91,6 +91,7 @@ def uncoupled(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
     so network-based answers can be validated against it.  The witness is the
     first qualifying partition in lexicographic scan order.
     """
+    _check_bound(oracle.universe, MAX_PAIR_SWEEP_VARS, "sweep bound")
     rest = _pair_rest(oracle, x, y)
     for with_x in subset_table(rest).lex:
         side_x = with_x | {x}
@@ -106,9 +107,7 @@ def unrelated(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
     Component structure is the same for every construction order, so a single
     network suffices.  A connecting trail witnesses failure.
     """
-    if x == y:
-        raise ValueError("x and y must differ")
-    oracle.universe.require({x, y})
+    _pair_rest(oracle, x, y)
     dag = build_network(oracle)
     trail = connecting_trail(dag, x, y)
     if trail is None:
@@ -166,15 +165,15 @@ class PartitionTriple:
 
     def __post_init__(self) -> None:
         x1, x2, y1, y2, z1, z2 = self.x1, self.x2, self.y1, self.y2, self.z1, self.z2
+        ground, y_cover, z_cover = x1 | x2, y1 | y2, z1 | z2
+        if self.e_var in ground or self.e_var in y_cover or self.e_var in z_cover:
+            raise InvalidPartition("the pivot variable cannot be partitioned")
         if not (x1 and x2 and y1 and y2 and z1 and z2):
             raise InvalidPartition("partition sides must be non-empty")
         if x1 & x2 or y1 & y2 or z1 & z2:
             raise InvalidPartition("partition sides must be disjoint")
-        ground = x1 | x2
-        if y1 | y2 != ground or z1 | z2 != ground:
+        if y_cover != ground or z_cover != ground:
             raise InvalidPartition("all three partitions must cover the same set")
-        if self.e_var in ground:
-            raise InvalidPartition("the pivot variable cannot be partitioned")
         if len(self.e_values) != 2:
             raise InvalidPartition("exactly two pivot values are required")
         if self.e_values[0] == self.e_values[1]:
@@ -219,9 +218,8 @@ def _as_oracle(dist_or_oracle: CiOracle | JointTable | GaussianModel) -> CiOracl
 
 
 def _pivot_ground(oracle: CiOracle, e_var: str) -> frozenset[str]:
-    """The universe minus the pivot, which must be one of its variables."""
-    if e_var not in oracle.universe.names:
-        raise InvalidPartition(f"unknown pivot variable {e_var}")
+    """The universe minus the pivot; ``Universe.index`` rejects a stranger."""
+    oracle.universe.index(e_var)
     return oracle.universe.names - {e_var}
 
 
@@ -278,8 +276,7 @@ def check_clean(
     if isinstance(oracle.backend, JointTable):
         n_values = oracle.backend.domain_size(pt.e_var)
         for v in pt.e_values:
-            if not is_value_index(v, n_values):
-                raise InvalidPartition(f"pivot value index {v} out of range")
+            _check_value_index(v, n_values, pt.e_var, InvalidPartition)
 
     r1, r2 = pt.r1, pt.r2
     if not (r1 and r2):

@@ -14,7 +14,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .bayesnet import Dag, _reach, build_network
-from .dist_oracle import CiOracle, JointTable, is_value_index, marginalize
+from .dist_oracle import CiOracle, JointTable, _check_value_index, marginalize
 from .errors import InvalidPartition, ZeroProbabilityEvidence
 from .model_core import Universe
 from .relevance import mutually_irrelevant
@@ -40,8 +40,8 @@ class HypothesisCover:
         domain = universe.domain(self.h)
         covered: set[int] = set()
         for sub in self.subsets:
-            if not all(is_value_index(v, len(domain)) for v in sub):
-                raise InvalidPartition(f"value index out of range for {self.h}")
+            for v in sub:
+                _check_value_index(v, len(domain), self.h, InvalidPartition)
             covered.update(sub)
         if covered != set(range(len(domain))):
             raise InvalidPartition("cover subsets must union to the full domain")
@@ -89,8 +89,8 @@ def restrict_to_hypotheses(table: JointTable, h: str, hypotheses) -> JointTable:
     axis = table.universe.index(h)
     domain = table.universe.domain(h)
     values = tuple(sorted(set(hypotheses)))
-    if not all(is_value_index(v, len(domain)) for v in values):
-        raise InvalidPartition(f"value index out of range for {h}")
+    for v in values:
+        _check_value_index(v, len(domain), h, InvalidPartition)
     slab = np.take(table.probs, values, axis=axis)
     mass = float(slab.sum())
     if mass <= 0.0:

@@ -24,7 +24,7 @@ from graphoid import (
 )
 from graphoid import model_core
 from graphoid.bayesnet import _ancestral, _screening_set, connecting_trail, random_dag
-from graphoid.errors import InvalidOrder, InvalidSets
+from graphoid.errors import InvalidOrder, InvalidSets, UnknownVariable
 from graphoid.model_core import subset_table, subsets
 
 Q = SeparationQuery.make
@@ -501,7 +501,7 @@ def test_dag_json_round_trip():
 
 def test_dag_json_rejects_parents_of_unknown_variables():
     data = {"order": ["a", "b"], "parents": {"b": ["a"], "zz": ["a"]}}
-    with pytest.raises(ValueError, match="zz"):
+    with pytest.raises(UnknownVariable, match="zz"):
         Dag.from_json_dict(data)
 
 

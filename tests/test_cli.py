@@ -357,7 +357,7 @@ class TestSimnet:
         for mode in (["--type", "1"], ["--compare-types"]):
             args = ["simnet", str(dist), "--hypothesis", "u1", "--cover", "0,1;1,2"]
             assert main(args + mode) == 2
-            assert "value index out of range for u1" in capsys.readouterr().err
+            assert "value index 2 out of range for u1" in capsys.readouterr().err
 
     def test_non_integer_cover_value_names_flag(self, tmp_path, capsys):
         dist = tmp_path / "spb.json"
@@ -452,12 +452,22 @@ class TestSuite:
 
 @pytest.fixture(scope="module")
 def error_table_artifacts(tmp_path_factory):
-    """A four-variable table and the network built from it, as CLI arguments."""
+    """A four-variable table, the network built from it, and three artifacts
+    that name an unknown variable, as CLI arguments."""
     root = tmp_path_factory.mktemp("error_table")
     spb, net = str(root / "spb.json"), str(root / "net.json")
     assert main(["randgen", "spb", "4", "--seed", "3", "--out", spb]) == 0
     assert main(["build-net", spb, "--out", net]) == 0
-    return {"spb.json": spb, "net.json": net}
+    paths = {"spb.json": spb, "net.json": net}
+    unknown_names = {
+        "key.json": {"order": ["a", "b"], "parents": {"b": ["a"], "zz": ["a"]}},
+        "parent.json": {"order": ["a", "b"], "parents": {"b": ["zzz"]}},
+        "model.json": {"variables": ["a", "b"], "triplets": [{"x": ["a"], "y": ["zz"]}]},
+    }
+    for name, data in unknown_names.items():
+        paths[name] = str(root / name)
+        (root / name).write_text(json.dumps(data))
+    return paths
 
 
 UNKNOWN_PAIR = "unknown variable: u8, u9"
@@ -483,14 +493,24 @@ ERROR_TABLE = [
     ("relations spb.json u1 u1", "x and y must differ"),
     ("build-net spb.json --order u2,u1", BAD_ORDER),
     ("build-net spb.json --order u1,u1,u2,u3", BAD_ORDER),
-    ("clean-check spb.json --e u9 --x1 u1 --y1 u1,u2 --z1 u1", "unknown pivot variable u9"),
+    # an order, a parent key, a parent name and a triplet name are checked
+    # against the universe like a query set
+    ("build-net spb.json --order u1,u2,u9", "unknown variable: u9"),
+    ("dsep key.json a b", "unknown variable: zz"),
+    ("dsep parent.json a b", "unknown variable: zzz"),
+    ("ci model.json a b", "unknown variable: zz"),
+    ("clean-check spb.json --e u9 --x1 u1 --y1 u1,u2 --z1 u1", "unknown variable: u9"),
     ("clean-check spb.json --e u4 --x1 u9 --y1 u1 --z1 u1", "unknown variable: u9"),
     (
+        "clean-check spb.json --e u4 --x1 u4 --y1 u1 --z1 u1",
+        "the pivot variable cannot be partitioned",
+    ),
+    (
         "clean-check spb.json --e u4 --x1 u1 --y1 u1,u2 --z1 u1 --e-values 0,5",
-        "pivot value index 5 out of range",
+        "value index 5 out of range for u4",
     ),
     ("simnet spb.json --hypothesis u9 --cover 0,1", "unknown variable: u9"),
-    ("simnet spb.json --hypothesis u1 --cover 0,1;1,2", "value index out of range for u1"),
+    ("simnet spb.json --hypothesis u1 --cover 0,1;1,2", "value index 2 out of range for u1"),
 ]
 
 

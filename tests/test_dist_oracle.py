@@ -13,19 +13,27 @@ from hypothesis import strategies as st
 import graphoid.model_core as model_core
 from graphoid import (
     CiOracle,
+    Dag,
     GaussianModel,
     JointTable,
+    PartitionTriple,
+    PtBinBlocks,
     Triplet,
     Universe,
+    build_network,
+    check_clean,
     check_graphoid_axioms,
+    check_pt_bin,
     ci_holds_discrete,
     ci_holds_gaussian,
     condition_on,
     extract_model,
     marginalize,
+    product_table,
     random_gaussian,
     random_spb,
     restrict_to_hypotheses,
+    unrelated,
     xor_table,
 )
 from graphoid.dist_oracle import (
@@ -744,6 +752,9 @@ def test_a_bool_tolerance_is_refused(xor, tol):
 
 def test_an_unknown_name_is_reported_alike_everywhere():
     table = random_spb(3, 0)
+    known = {"u1": frozenset(), "u2": frozenset(), "u3": frozenset()}
+    one, two = frozenset({"u1"}), frozenset({"u2"})
+    blocks = PtBinBlocks(one, frozenset(), frozenset(), frozenset(), two, *[frozenset()] * 3)
     asks = [
         lambda: table.universe.index("u9"),
         lambda: table.universe.domain("u9"),
@@ -751,11 +762,65 @@ def test_an_unknown_name_is_reported_alike_everywhere():
         lambda: table.marginal(("u1", "u9")),
         lambda: condition_on(table, "u9", 0),
         lambda: restrict_to_hypotheses(table, "u9", (0, 1)),
+        lambda: build_network(CiOracle(table), ("u1", "u2", "u9")),
+        lambda: Dag(table.universe, {**known, "u2": frozenset({"u9"})}, ("u1", "u2", "u3")),
+        lambda: Dag.from_json_dict({"order": ["u1", "u2"], "parents": {"u9": []}}),
+        lambda: DependencyModel.of(table.universe, [Triplet.make("u1", "u9")]),
+        lambda: check_clean(table, PartitionTriple(one, two, one, two, one, two, "u9")),
+        lambda: check_pt_bin(table, blocks, "u9"),
+        lambda: unrelated(CiOracle(table), "u1", "u9"),
     ]
     for ask in asks:
         with pytest.raises(UnknownVariable) as info:
             ask()
         assert str(info.value) == "unknown variable: u9"
+
+
+def _with_axes(table, perm):
+    """The same distribution with its axes, and its universe, in ``perm`` order."""
+    u = table.universe
+    return JointTable(
+        Universe(tuple(u.variables[i] for i in perm), tuple(u.domains[i] for i in perm)),
+        np.transpose(table.probs, perm),
+    )
+
+
+def _with_values_rotated(table, var):
+    """The same distribution with ``var``'s values, labels and slices alike,
+    rotated by one place."""
+    axis = table.universe.index(var)
+    order = np.roll(np.arange(table.domain_size(var)), 1)
+    domains = list(table.universe.domains)
+    domains[axis] = tuple(domains[axis][i] for i in order)
+    return JointTable(
+        Universe(table.universe.variables, tuple(domains)),
+        np.take(table.probs, order, axis=axis),
+    )
+
+
+INVARIANCE_TABLES = {
+    **{f"spb-{n}-{seed}": random_spb(n, seed) for n in range(2, 6) for seed in (3, 17, 29)},
+    "xor": xor_table(),
+    "product-2+3": product_table(random_spb(2, 5), xor_table()),
+    "sparse": _sparse_table(7),
+}
+
+
+@pytest.mark.parametrize("table", INVARIANCE_TABLES.values(), ids=INVARIANCE_TABLES.keys())
+def test_discrete_verdicts_do_not_depend_on_axis_order_or_value_labels(table):
+    names = table.universe.variables
+    n = len(names)
+    perms = [
+        tuple(reversed(range(n))),
+        tuple(range(1, n)) + (0,),
+        tuple(int(i) for i in np.random.default_rng(n).permutation(n)),
+    ]
+    variants = [_with_axes(table, p) for p in perms]
+    variants += [_with_values_rotated(table, v) for v in names]
+    base, oracles = CiOracle(table), [CiOracle(t) for t in variants]
+    for x, y, z in iter_disjoint_triples(names):
+        expected = base.ci(x, y, z)
+        assert [o.ci(x, y, z) for o in oracles] == [expected] * len(oracles), (x, y, z)
 
 
 def _assert_oracle_answers_as_the_public_kernels(oracle):

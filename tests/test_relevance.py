@@ -218,6 +218,16 @@ class TestPartitionTriple:
                     "e", values,
                 )
 
+    def test_a_pivot_inside_any_side_is_reported_as_such(self):
+        # the pivot is tested before the covers, so a cover it alone widens
+        # does not hide it
+        sides = [frozenset({"a"}), frozenset({"b"})] * 3
+        message = "^the pivot variable cannot be partitioned$"
+        for i in range(6):
+            with_pivot = sides[:i] + [sides[i] | {"e"}] + sides[i + 1:]
+            with pytest.raises(InvalidPartition, match=message):
+                PartitionTriple(*with_pivot, "e")
+
     def test_overlapping_sides_rejected(self):
         with pytest.raises(InvalidPartition):
             PartitionTriple(

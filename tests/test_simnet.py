@@ -11,6 +11,7 @@ from graphoid import (
     build_local,
     build_network,
     build_similarity,
+    burglary_network,
     connected_components,
     factorization_max_error,
     marginalize,
@@ -20,6 +21,7 @@ from graphoid import (
     types_equivalent,
 )
 from graphoid.errors import InvalidPartition, UnknownVariable, ZeroProbabilityEvidence
+from graphoid.model_core import subset_table
 from graphoid.suites import xor_hypothesis_table
 
 
@@ -263,3 +265,15 @@ class TestChainingIdentity:
                     restricted = restrict_to_hypotheses(table, cover.h, ln.hypotheses)
                     local = marginalize(restricted, ln.dag.construction_order)
                     assert factorization_max_error(local, ln.dag) <= 1e-9
+
+
+def test_value_types_hash_as_they_compare():
+    assert burglary_network() == burglary_network()
+    assert hash(burglary_network()) == hash(burglary_network())
+    table = random_spb(3, 4)
+    first, second = (build_local(table, "u1", (0, 1), 1) for _ in range(2))
+    assert first is not second and len({first, second}) == 1
+    cover = HypothesisCover("u1", ((0, 1),))
+    assert len({build_similarity(table, cover, 2), build_similarity(table, cover, 2)}) == 1
+    # one shared table per sorted name tuple, so identity is equality
+    assert hash(subset_table("ab")) == hash(subset_table("ba"))
