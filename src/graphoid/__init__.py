@@ -14,10 +14,8 @@ _EXPORTS = {
         "SeparationQuery",
         "Trail",
         "build_network",
-        "burglary_network",
         "connected_components",
         "d_separated",
-        "d_separated_by_enumeration",
         "factorization_max_error",
     ),
     "dist_oracle": (
@@ -25,7 +23,6 @@ _EXPORTS = {
         "GaussianModel",
         "JointTable",
         "ci_holds_discrete",
-        "ci_holds_gaussian",
         "condition_on",
         "extract_model",
         "marginalize",

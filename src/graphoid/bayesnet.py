@@ -3,18 +3,17 @@
 A network is built from a conditional-independence oracle under a
 construction order: each node's parents are the smallest predecessor subset
 that screens it off from the remaining predecessors.  Separation queries run
-on a linear-time reachability scheme validated against the definitional
-enumeration of active trails.
+on one linear-time reachability scan (Bayes-ball); the definitional
+enumeration of active trails it is tested against, and the alarm-story
+network of the goldens, live in ``tests/dsep_reference.py``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from importlib import resources
 from typing import TYPE_CHECKING
 
 from .errors import InvalidOrder, InvalidSets
@@ -145,18 +144,6 @@ def _validated_order(universe: Universe, order: Sequence[str] | None) -> tuple[s
     return order
 
 
-def _ancestral(dag: Dag, z_set: frozenset[str]) -> frozenset[str]:
-    """``z_set`` and every ancestor of its members, in one walk up."""
-    closed = set(z_set)
-    stack = list(z_set)
-    while stack:
-        for p in dag.parents[stack.pop()]:
-            if p not in closed:
-                closed.add(p)
-                stack.append(p)
-    return frozenset(closed)
-
-
 def _validate_query(dag: Dag, q: Triplet) -> None:
     """A ``Triplet``'s sets are disjoint by construction, so only membership
     and non-empty sides are checked."""
@@ -170,11 +157,12 @@ def d_separated(dag: Dag, q: Triplet) -> bool:
 
     An edge between the two sides is an active trail under every z_set
     (the sets are disjoint, so neither endpoint is conditioned on), and such
-    a query is answered without a scan.  Otherwise a reachability scan runs
-    over (node, arrival-direction) states: arriving from a child permits any
-    move unless the node is conditioned on; arriving from a parent permits
-    descending, or ascending exactly when the node has itself or a descendant
-    in the conditioning set.
+    a query is answered without a scan.  Otherwise a Bayes-ball scan
+    (Shachter, UAI 1998) runs over (node, arrival-direction) states: a node
+    not in z_set passes the walk to its children, and also to its parents
+    when it was entered from a child; a node in z_set entered from a parent
+    sends the walk back to its parents.  That bounce is how a conditioned
+    descendant opens a collider, so no ancestor set is needed.
     """
     _validate_query(dag, q)
     children = dag.children
@@ -182,7 +170,6 @@ def d_separated(dag: Dag, q: Triplet) -> bool:
         if not (q.y_set.isdisjoint(dag.parents[x]) and q.y_set.isdisjoint(children[x])):
             return False
     conditioned = q.z_set
-    collider_open = _ancestral(dag, conditioned)
     seen: set[tuple[str, bool]] = set()
     # True means the node was entered from a child (or is a source).
     stack: list[tuple[str, bool]] = [(x, True) for x in sorted(q.x_set)]
@@ -194,65 +181,12 @@ def d_separated(dag: Dag, q: Triplet) -> bool:
         node, from_child = state
         if node in q.y_set:
             return False
-        if from_child:
-            if node not in conditioned:
+        if node not in conditioned:
+            stack.extend((c, False) for c in children[node])
+            if from_child:
                 stack.extend((p, True) for p in dag.parents[node])
-                stack.extend((c, False) for c in children[node])
-        else:
-            if node not in conditioned:
-                stack.extend((c, False) for c in children[node])
-            if node in collider_open:
-                stack.extend((p, True) for p in dag.parents[node])
-    return True
-
-
-def all_trails(dag: Dag, start: str, end: str) -> list[Trail]:
-    """Every simple path between two nodes in the underlying graph."""
-    out: list[Trail] = []
-    path = [start]
-    on_path = {start}
-
-    def walk(v: str) -> None:
-        if v == end:
-            out.append(Trail(tuple(path)))
-            return
-        for nxt in sorted(dag.neighbors(v)):
-            if nxt not in on_path:
-                path.append(nxt)
-                on_path.add(nxt)
-                walk(nxt)
-                path.pop()
-                on_path.remove(nxt)
-
-    if start != end:
-        walk(start)
-    return out
-
-
-def trail_active(dag: Dag, trail: Trail, z_set: frozenset[str]) -> bool:
-    """Definitional activeness: head-to-head nodes need support in z_set,
-    every other interior node must avoid it."""
-    opened = _ancestral(dag, z_set)
-    nodes = trail.nodes
-    for i in range(1, len(nodes) - 1):
-        prev_node, node, next_node = nodes[i - 1], nodes[i], nodes[i + 1]
-        head_to_head = prev_node in dag.parents[node] and next_node in dag.parents[node]
-        if head_to_head:
-            if node not in opened:
-                return False
-        elif node in z_set:
-            return False
-    return True
-
-
-def d_separated_by_enumeration(dag: Dag, q: Triplet) -> bool:
-    """Separation by explicitly enumerating trails; the definitional oracle."""
-    _validate_query(dag, q)
-    for a in sorted(q.x_set):
-        for b in sorted(q.y_set):
-            for trail in all_trails(dag, a, b):
-                if trail_active(dag, trail, q.z_set):
-                    return False
+        elif not from_child:
+            stack.extend((p, True) for p in dag.parents[node])
     return True
 
 
@@ -346,9 +280,3 @@ def random_dag(n_nodes: int, max_edges: int, rng: np.random.Generator) -> Dag:
         {v: frozenset(p) for v, p in parents.items()},
         names,
     )
-
-
-def burglary_network() -> Dag:
-    """The shipped five-node alarm-story network fixture."""
-    text = resources.files("graphoid").joinpath("data/burglary_dag.json").read_text()
-    return Dag.from_json_dict(json.loads(text))

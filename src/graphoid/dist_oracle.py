@@ -319,16 +319,6 @@ def _gaussian_residual(
     return float(np.abs(block).max())
 
 
-def ci_holds_gaussian(
-    g: GaussianModel,
-    x_set: Iterable[str] | str,
-    y_set: Iterable[str] | str,
-    z_set: Iterable[str] | str = (),
-    tol: float = GAUSSIAN_TOL,
-) -> bool:
-    return ci_residual_gaussian(g, x_set, y_set, z_set) <= tol
-
-
 @dataclass(frozen=True)
 class CiOracle:
     """Uniform conditional-independence query surface over any backend.

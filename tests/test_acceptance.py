@@ -12,9 +12,7 @@ import numpy as np
 from graphoid import (
     CiOracle,
     SeparationQuery,
-    burglary_network,
     d_separated,
-    d_separated_by_enumeration,
     is_transitive,
     mutually_irrelevant,
     random_gaussian,
@@ -25,6 +23,8 @@ from graphoid import (
 )
 from graphoid.bayesnet import random_dag
 from graphoid.suites import run_suite
+
+from dsep_reference import burglary_network, d_separated_by_enumeration
 
 SEED = 0
 

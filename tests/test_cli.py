@@ -115,7 +115,7 @@ class TestBuildNet:
 
 class TestDsep:
     def test_query_against_dag_file(self, tmp_path, capsys):
-        from graphoid import burglary_network
+        from dsep_reference import burglary_network
 
         dag_path = tmp_path / "net.json"
         dag_path.write_text(json.dumps(burglary_network().to_json_dict()))

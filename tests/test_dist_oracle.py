@@ -25,7 +25,6 @@ from graphoid import (
     check_graphoid_axioms,
     check_pt_bin,
     ci_holds_discrete,
-    ci_holds_gaussian,
     condition_on,
     extract_model,
     marginalize,
@@ -39,6 +38,7 @@ from graphoid import (
 from graphoid.dist_oracle import (
     CONDITION_LIMIT,
     DISCRETE_TOL,
+    GAUSSIAN_TOL,
     ci_discrepancy_discrete,
     ci_residual_gaussian,
 )
@@ -50,6 +50,11 @@ from graphoid.errors import (
     ZeroProbabilityEvidence,
 )
 from graphoid.model_core import DependencyModel, graphoid_closure, iter_disjoint_triples
+
+
+def ci_holds_gaussian(g, x, y, z=(), tol=GAUSSIAN_TOL):
+    """The Gaussian verdict from the residual kernel alone, with no ``CiOracle``."""
+    return ci_residual_gaussian(g, x, y, z) <= tol
 
 
 def factorization_gap(table, x, y, z, tol=1e-9):

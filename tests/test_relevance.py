@@ -16,7 +16,6 @@ from graphoid import (
     check_clean,
     check_pt_bin,
     ci_holds_discrete,
-    ci_holds_gaussian,
     condition_on,
     gaussian_axioms_check,
     is_transitive,
@@ -705,6 +704,11 @@ def reference_check_clean_discrete(table, pt, tol=1e-9):
     if c1 or c2:
         return CheckResult(CONSEQUENT_HOLDS, c1, c2)
     return CheckResult(VIOLATION, False, False)
+
+
+def ci_holds_gaussian(g, x, y, z, tol):
+    """The Gaussian verdict from the residual kernel alone, with no ``CiOracle``."""
+    return dist_oracle.ci_residual_gaussian(g, x, y, z) <= tol
 
 
 def reference_check_clean_gaussian(g, pt, tol=1e-7):

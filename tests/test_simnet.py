@@ -11,7 +11,6 @@ from graphoid import (
     build_local,
     build_network,
     build_similarity,
-    burglary_network,
     connected_components,
     factorization_max_error,
     marginalize,
@@ -23,6 +22,8 @@ from graphoid import (
 from graphoid.errors import InvalidPartition, UnknownVariable, ZeroProbabilityEvidence
 from graphoid.model_core import subset_table
 from graphoid.suites import xor_hypothesis_table
+
+from dsep_reference import burglary_network
 
 
 def discrimination_table():
