@@ -8,7 +8,6 @@ back the oracle, answering from the variable masks of its graphoid closure.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ from .model_core import (
     Universe,
     _as_name_set,
     _check_bound,
-    _closed_masks,
     _validate_sets,
     iter_disjoint_triples,
     names_from_json,
@@ -77,7 +75,6 @@ class JointTable:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "_marginals", {})  # sorted axis tuple -> summed array
-        object.__setattr__(self, "_views", {})  # requested name tuple -> transposed view
         object.__setattr__(self, "_floor", floor)  # smallest entry
 
     def domain_size(self, name: str) -> int:
@@ -87,21 +84,17 @@ class JointTable:
         """Read-only marginal array over ``names``, axes in the requested order.
 
         The sum over the dropped axes is computed once per variable subset and
-        kept on the table; the transposed view of it is kept per name tuple.
+        kept on the table; each call returns a transposed view of it.
         """
-        names = tuple(names)
-        view = self._views.get(names)
-        if view is None:
-            keep = [self.universe.index(n) for n in names]
-            ordered = tuple(sorted(keep))
-            m = self._marginals.get(ordered)
-            if m is None:
-                drop = tuple(i for i in range(self.probs.ndim) if i not in ordered)
-                m = self.probs.sum(axis=drop) if drop else self.probs
-                m.setflags(write=False)
-                self._marginals[ordered] = m
-            view = self._views[names] = m.transpose([ordered.index(k) for k in keep])
-        return view
+        keep = [self.universe.index(n) for n in names]
+        ordered = tuple(sorted(keep))
+        m = self._marginals.get(ordered)
+        if m is None:
+            drop = tuple(i for i in range(self.probs.ndim) if i not in ordered)
+            m = self.probs.sum(axis=drop) if drop else self.probs
+            m.setflags(write=False)
+            self._marginals[ordered] = m
+        return m.transpose([ordered.index(k) for k in keep])
 
     def to_json_dict(self) -> dict:
         return {
@@ -327,10 +320,10 @@ class CiOracle:
     table or Gaussian oracle's verdict is its backend's gap (``_gap``, the
     kernel body) at most the tolerance, memoized per oracle on the unordered
     pair {x_set, y_set} and z_set.  A model backend answers from the
-    closure's masks: its first query computes the graphoid closure once as a
-    set of ``(x, y, z)`` variable masks, and every query is one membership
-    test of the masks of its three validated sets in that set, with no
-    ``Triplet`` built (a model past the closure bound raises
+    closure's masks: the graphoid closure, a set of ``(x, y, z)`` variable
+    masks, is computed once per model and kept on it, and every query is one
+    membership test of the masks of its three validated sets in that set,
+    with no ``Triplet`` built (a model past the closure bound raises
     UniverseTooLarge at every query); it keeps no memo, since its answer is
     already one lookup.
     Each variable set is validated and sorted once per oracle: ``_sorted``
@@ -348,7 +341,7 @@ class CiOracle:
     on the same oracle asks nothing.
     The tolerance must be a finite, non-negative number, never a bool; None
     picks the backend's default.  It is the only tolerance the checks in
-    ``relevance`` use.
+    ``relevance`` use.  A model oracle takes none: its verdicts are exact.
     """
 
     backend: JointTable | GaussianModel | DependencyModel
@@ -358,7 +351,6 @@ class CiOracle:
         backend, tol = self.backend, self.tolerance
         if tol is not None and (isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0.0)):
             raise ValueError("tolerance must be finite and non-negative")
-        closed = None
         if isinstance(backend, JointTable):
             tol = DISCRETE_TOL if tol is None else tol
 
@@ -372,16 +364,13 @@ class CiOracle:
                 return _gaussian_residual(backend, xs, ys, zs)
 
         elif isinstance(backend, DependencyModel):
-            tol = 0.0 if tol is None else tol
-            gap = None
-            # Refers only to the backend: a cycle through the oracle would keep
-            # the oracle and its closure alive until the cycle collector runs.
-            closed = functools.cache(lambda: _closed_masks(backend))  # checks the bound first
+            if tol is not None:
+                raise ValueError("a dependency model oracle takes no tolerance")
+            tol, gap = 0.0, None
         else:
             raise TypeError(f"unsupported backend {type(backend).__name__}")
         object.__setattr__(self, "tolerance", tol)
         object.__setattr__(self, "_gap", gap)
-        object.__setattr__(self, "_closed", closed)
         # One closure lookup answers a model query; a memo would only keep a
         # second copy of the answers.
         object.__setattr__(self, "_memo", None if gap is None else {})
@@ -427,7 +416,7 @@ class CiOracle:
         memo = self._memo
         if memo is None:
             self._sorted_query(x, y, z)  # validates the query
-            held, table = self._closed()
+            held, table = self.backend._closure
             mask_of = table.mask_of
             return (mask_of[x], mask_of[y], mask_of[z]) in held
         key = (frozenset((x, y)), z)

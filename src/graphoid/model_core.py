@@ -182,6 +182,11 @@ class DependencyModel:
                     set().union(*(u.x_set | u.y_set | u.z_set for u in self.triplets))
                 )
 
+    @functools.cached_property
+    def _closure(self) -> tuple[set[tuple[int, int, int]], SubsetTable]:
+        """``_closed_masks(self)``, computed once per model (a raise caches nothing)."""
+        return _closed_masks(self)
+
     @classmethod
     def of(cls, universe: Universe, triplets: Iterable[Triplet] = ()) -> "DependencyModel":
         return cls(universe, frozenset(triplets))
@@ -391,10 +396,10 @@ def _closed_masks(model: DependencyModel) -> tuple[set[tuple[int, int, int]], Su
 def graphoid_closure(model: DependencyModel) -> DependencyModel:
     """Least superset of ``model`` closed under the five semi-graphoid axioms.
 
-    ``_closed_masks`` decides every triplet on variable masks; the held ones
-    are materialized here, once.
+    ``_closed_masks`` decides every triplet on variable masks, computed once
+    per model; the held ones are materialized here.
     """
-    held, table = _closed_masks(model)
+    held, table = model._closure
     sets = table.by_mask
     return DependencyModel(
         model.universe, frozenset(Triplet(sets[x], sets[y], sets[z]) for x, y, z in held)

@@ -320,12 +320,10 @@ class PtBinBlocks:
             (a1 | a3 | b2 | b4, b1 | b3 | a2 | a4),
         )
 
-    def as_partition_triple(
-        self, e_var: str, e_values: tuple[int, int] = (0, 1)
-    ) -> PartitionTriple:
-        """The three-partition form of ``sides()``; every side must be non-empty."""
+    def as_partition_triple(self, e_var: str) -> PartitionTriple:
+        """``sides()`` as a partition triple at pivot values 0 and 1; no side may be empty."""
         x, y, z = self.sides()
-        return PartitionTriple(*x, *y, *z, e_var, e_values)
+        return PartitionTriple(*x, *y, *z, e_var)
 
 
 def check_pt_bin(

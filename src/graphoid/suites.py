@@ -215,7 +215,8 @@ def suite_relations(report: SuiteReport, seed: int, n_vars: int, samples: int) -
 
     for s, _, table in _draws(random_spb, seed, samples, n_vars, n_vars):
         _relation_checks(report, CiOracle(table), f"spb:{s}")
-    for s, _, g in _draws(random_gaussian, seed + 10_000, max(1, samples // 4), n_vars, n_vars):
+    gaussians = report.params["gaussian_samples"] = max(1, samples // 4)
+    for s, _, g in _draws(random_gaussian, seed + 10_000, gaussians, n_vars, n_vars):
         _relation_checks(report, CiOracle(g), f"gaussian:{s}")
 
 
@@ -280,6 +281,7 @@ def suite_clean(report: SuiteReport, seed: int, n_vars: int, samples: int) -> No
     conclusion's status when all three hold.
     """
     report.outcomes = dict.fromkeys(CLEAN_OUTCOMES, 0)
+    report.params["gaussian_samples"] = samples
     for s, _, table in _draws(random_spb, seed, samples, n_vars, 3):
         _clean_sweep(report, table, f"spb:{s}")
     for s, _, g in _draws(random_gaussian, seed + 100_000, samples, n_vars, 3):
@@ -354,7 +356,8 @@ def suite_transitivity(report: SuiteReport, seed: int, n_vars: int, samples: int
         if not result.holds:
             _fail(report, kind="spb", table_seed=s,
                   witness=list(result.witness))
-    for s, _, g in _draws(random_gaussian, seed + 100_000, max(1, samples // 2), n_vars):
+    gaussians = report.params["gaussian_samples"] = max(1, samples // 2)
+    for s, _, g in _draws(random_gaussian, seed + 100_000, gaussians, n_vars):
         report.cases += 1
         result = is_transitive(CiOracle(g))
         if not result.holds:

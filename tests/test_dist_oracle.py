@@ -755,6 +755,15 @@ def test_a_bool_tolerance_is_refused(xor, tol):
             CiOracle(backend, tol)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5, 1])
+def test_a_model_oracle_takes_no_tolerance(xor, tol):
+    # A model's verdicts are closure membership, which no tolerance can move.
+    model = DependencyModel.of(xor.universe, [Triplet.make("x", "y")])
+    with pytest.raises(ValueError, match="^a dependency model oracle takes no tolerance$"):
+        CiOracle(model, tolerance=tol)
+    assert CiOracle(model).ci("x", "y")
+
+
 def test_an_unknown_name_is_reported_alike_everywhere():
     table = random_spb(3, 0)
     known = {"u1": frozenset(), "u2": frozenset(), "u3": frozenset()}

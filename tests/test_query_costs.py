@@ -6,7 +6,8 @@ memo raises the kernel count; a defeated screening-set memo raises the
 a defeated per-conditioning-set factor cache raises the Cholesky count;
 a discrete kernel that stops taking its mask-free path on strictly positive
 tables raises the ``np.divide`` count, which only its masked body makes;
-a model oracle that leaves its closure's masks builds ``Triplet`` objects;
+a model oracle that leaves its closure's masks builds ``Triplet`` objects,
+and a closure kept per oracle, not per model, is computed more than once;
 an oracle that stops keeping each query set's sorted tuple validates again.
 """
 
@@ -130,7 +131,7 @@ def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):
 def test_model_oracle_answers_from_one_mask_closure(monkeypatch):
     model = dense_model(6)
     built, closures, materialized = [], [], []
-    real_post_init, real_masks = Triplet.__post_init__, dist_oracle._closed_masks
+    real_post_init, real_masks = Triplet.__post_init__, model_core._closed_masks
     real_closure = model_core.graphoid_closure
 
     def counting_post_init(self):
@@ -146,7 +147,7 @@ def test_model_oracle_answers_from_one_mask_closure(monkeypatch):
         return real_closure(m)
 
     monkeypatch.setattr(Triplet, "__post_init__", counting_post_init)
-    monkeypatch.setattr(dist_oracle, "_closed_masks", counting_masks)
+    monkeypatch.setattr(model_core, "_closed_masks", counting_masks)
     for name, mod in list(sys.modules.items()):  # every binding, copied names too
         if name == "graphoid" or name.startswith("graphoid."):
             for attr, value in list(vars(mod).items()):
@@ -156,9 +157,11 @@ def test_model_oracle_answers_from_one_mask_closure(monkeypatch):
     pairs = [({a}, {b}, z) for a, b in itertools.combinations(names, 2)
              for z in subsets(set(names) - {a, b})]
     assert len(pairs) == 240
-    for oracles in (1, 2):
-        oracle = CiOracle(model)
-        assert closures == [1] * (oracles - 1)  # none yet: the first query pays
+    oracles = [CiOracle(model), CiOracle(model)]
+    assert closures == []  # none yet: the first query pays
+    for oracle in oracles:
         assert all(oracle.ci(x, y, z) and oracle.ci(y, x, z) for x, y, z in pairs)
-        assert closures == [1] * oracles  # once per oracle, never shared
+        assert closures == [1]  # once per model, shared by its oracles
     assert built == [] and materialized == []
+    real_closure(model)  # materializes the model's closure without computing it again
+    assert closures == [1]

@@ -20,16 +20,16 @@ EXPECTED = {
     ("dsep-soundness", 1009): "503b3f66db242435dc80462cf584eb2087deac9716cbddcd1b03affbccadeee0",
     ("components", 0): "6129c21db0e6bff51ecc02fd1c25e26f5ee31636ef3eb86e9480622f86403f3c",
     ("components", 1009): "a2ee03494eba7af4ef986b6605ac2756d2ef4645a9d7787c5d36813c95341d6e",
-    ("relations", 0): "711370ecedcbdbb361ff94af47caa0700975a163b58944d6ec94a6ffcc008343",
-    ("relations", 1009): "25999952b87de44c6553245cf33d99e1e0249c2ee59fd583e734c891242814ef",
-    ("clean", 0): "07cd2735ca4d703e987fbb5a80bb9c815b6e5c83a680f66a44751977bee4de03",
-    ("clean", 1009): "305ad39c10d4649d0b9edd9a62b18f98b87ab6d100ca844ab4d30618d3015cb8",
+    ("relations", 0): "5c7706c8be5136c7b53f1754384608e13fc1f07b9c8ddc6e40ed7c8263ee0ee0",
+    ("relations", 1009): "4c15a17cfdaaa214681a59bee97c40ee2fc4a22e7ccaf0572048714f60319bf0",
+    ("clean", 0): "14d080c3388b883078a630f84f9dc703fd158c5b2dbebc23bf7d806bb384c809",
+    ("clean", 1009): "3ce31b515c5aca3e6b8b2a5d382919e42473ad076556fe34e69af35be54939c7",
     ("pt-bin", 0): "87c16d850e7a43c7e9a4b7416ff05ab88550ca210980b8f6580e9bfac465cfa4",
     ("pt-bin", 1009): "050e9e701064847b072ce48b3bdd53f4656cc13f65a39b314961629828e93720",
     ("gaussian-props", 0): "75059c9ce1faaf33be2570f7ce7fd354d21ab490f3000d10690720a4185bcd34",
     ("gaussian-props", 1009): "b05f6876a91509b3296980f215f44b1a1cc60d2754e967ad1142affc23c71e4d",
-    ("transitivity", 0): "3f55627faab73eab3ac35cfbc708a12b2b2707c4e986fe9001fa4ec67829d217",
-    ("transitivity", 1009): "6b04435878a25e9dc416dfaeb347d085e9aca232c884634b28e54f0a3842a84e",
+    ("transitivity", 0): "f1ebf0177f52d004af748506160643a5cf14819833bd09f3743983817cd05f95",
+    ("transitivity", 1009): "9aa8b8fff62b5b649fd124aa86fc44bf197c972ef5a614e7e48a7f3814359473",
     ("simnet-equiv", 0): "2c4d9f76391f365093f30fe3709f9572f78564f0db77cd88ee168c43b504f707",
     ("simnet-equiv", 1009): "0d6b8e4ebfa83bac4259471b6ffab2aceb05717b670b329d0c9aa0b09949511b",
 }
