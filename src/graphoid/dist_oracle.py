@@ -3,27 +3,34 @@
 Two families are supported: discrete joint tables (dense arrays over the
 Cartesian product of finite domains) and regular Gaussian models (mean vector
 plus positive-definite covariance).  An explicit dependency model can also
-back the oracle, answering from the variable masks of its graphoid closure.
+back the oracle, answering from the variable masks of its graphoid closure;
+a small table answers from the same kind of mask set, built from all its
+verdicts at once.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSets, SingularConditioning, ZeroProbabilityEvidence
+from .errors import InvalidSets, SingularConditioning, UniverseTooLarge, ZeroProbabilityEvidence
 from .model_core import (
     DependencyModel,
+    SubsetTable,
     Triplet,
     Universe,
     _as_name_set,
     _check_bound,
+    _submasks,
     _validate_sets,
     iter_disjoint_triples,
     names_from_json,
+    subset_table,
 )
 
 DISCRETE_TOL = 1e-9
@@ -34,6 +41,11 @@ CONDITION_LIMIT = 1e12
 SPB_ENTRY_FLOOR = 1e-3
 GAUSSIAN_RIDGE = 1e-2
 MAX_EXTRACT_VARS = 5
+# Largest grid (2^n variable subsets x table cells) a table oracle decides
+# in one pass; a table past it, or past MAX_EXTRACT_VARS, asks the kernel
+# per query.  It keeps the pass's arrays within a few megabytes whatever
+# the domain sizes.
+VERDICT_GRID_LIMIT = 1 << 13
 
 
 def _numbers_from_json(value: object, what: str) -> object:
@@ -248,19 +260,36 @@ def _discrete_gap(
     p_yz = np.add.reduce(p_xyz, axis=0)
     p_xz = np.add.reduce(p_xyz, axis=1)
     p_z = np.add.reduce(p_yz, axis=0)
-    if table._floor > tol:
-        # A float sum of non-negative terms is at least each term, so every
-        # entry of p_yz and p_z exceeds tol too.
+    gap = _abs_gap(p_xyz, p_yz, p_xz[:, None, :], p_z, tol, table._floor > tol)
+    return float(np.maximum.reduce(gap, axis=None))
+
+
+def _abs_gap(
+    p_xyz: np.ndarray,
+    p_yz: np.ndarray,
+    p_xz: np.ndarray,
+    p_z: np.ndarray,
+    tol: float,
+    positive: bool,
+) -> np.ndarray:
+    """|P(X|Y,Z) - P(X|Z)| entry by entry over the broadcast marginals, 0
+    where P(Y,Z) or P(Z) is at most ``tol``; a new array.
+
+    ``positive`` says the table's smallest entry exceeds ``tol``: a float sum
+    of non-negative terms is at least each term, so every entry of p_yz and
+    p_z exceeds tol too, and no mask is built.
+    """
+    if positive:
         gap = p_xyz / p_yz
-        gap -= (p_xz / p_z)[:, None, :]
-        return float(np.maximum.reduce(np.abs(gap, out=gap), axis=None))
+        gap -= p_xz / p_z
+        return np.abs(gap, out=gap)
     z_usable = p_z > tol
     usable = (p_yz > tol) & z_usable
     # Unusable entries are never divided and stay 0, so no warning can arise.
     right = np.divide(p_xz, p_z, out=np.zeros(p_xz.shape), where=z_usable)
     gap = np.divide(p_xyz, p_yz, out=np.zeros(p_xyz.shape), where=usable)
-    np.subtract(gap, right[:, None, :], out=gap, where=usable)
-    return float(np.maximum.reduce(np.abs(gap, out=gap), axis=None))
+    np.subtract(gap, right, out=gap, where=usable)
+    return np.abs(gap, out=gap)
 
 
 def ci_holds_discrete(
@@ -272,6 +301,70 @@ def ci_holds_discrete(
 ) -> bool:
     """Whether (x_set, y_set | z_set) holds for the table at tolerance ``tol``."""
     return ci_discrepancy_discrete(table, x_set, y_set, z_set, tol) <= tol
+
+
+@functools.cache
+def _table_queries(n: int) -> tuple[np.ndarray, list, list, tuple]:
+    """Every query over ``n`` sorted variables, as masks (bit i is the i-th name).
+
+    Returns the gather rows ``(x|y|z, y|z, x|z, z)`` of each query with two
+    non-empty sides, as a (4, queries) index array; those queries as
+    ``(x, y, z)`` in the orientation the oracle answers them in, and again
+    with x and y swapped; and every trivially holding triple.  For disjoint
+    sets the smaller sorted tuple is the side that holds the lowest variable
+    of x|y.
+    """
+    full = (1 << n) - 1
+    queries, trivial = [], []
+    for z in range(full + 1):
+        free = full ^ z
+        for x in _submasks(free):
+            trivial += ((x, 0, z), (0, x, z))
+            if x:
+                low = x & -x
+                queries += ((x, y, z) for y in _submasks(free ^ x) if y & -y > low)
+    rows = np.array([(x | y | z, y | z, x | z, z) for x, y, z in queries], dtype=np.intp)
+    swapped = [(y, x, z) for x, y, z in queries]
+    return rows.reshape(-1, 4).T, queries, swapped, tuple(trivial)
+
+
+def _table_gaps(table: JointTable, names: tuple[str, ...], tol: float) -> np.ndarray:
+    """``_discrete_gap`` of every query of ``_table_queries`` over ``names``, in one pass.
+
+    Row m of the grid is the marginal over the names at the set bits of m,
+    broadcast back to every cell of the table.  The full row is the table;
+    step i fills every row with bit i clear and all higher bits set from the
+    row with bit i set too, by one sum over names[i].  Each query gathers its
+    four marginals from the grid; the largest gap over all cells is the
+    largest over the marginal's cells, each of which the broadcast repeats.
+    """
+    n, shape = len(names), table.probs.shape
+    grid = np.empty((1 << n,) + shape)
+    bits = grid.reshape((2,) * n + shape)  # axis k is bit n-1-k of the row
+    bits[(1,) * n] = table.probs
+    for i, name in enumerate(names):
+        higher = (1,) * (n - 1 - i)
+        axis = i + table.universe.index(name)
+        bits[higher + (0,)] = bits[higher + (1,)].sum(axis=axis, keepdims=True)
+    rows = _table_queries(n)[0]
+    p_xyz, p_yz, p_xz, p_z = grid.reshape(1 << n, -1).take(rows, axis=0)
+    gap = _abs_gap(p_xyz, p_yz, p_xz, p_z, tol, table._floor > tol)
+    return np.maximum.reduce(gap, axis=1)
+
+
+def _table_verdicts(
+    table: JointTable, tol: float
+) -> tuple[set[tuple[int, int, int]], SubsetTable]:
+    """Every verdict of ``table`` at ``tol``: the held ``(x, y, z)`` masks,
+    both orientations and the trivial triples included, and the subset table
+    that reads them, as a model's closure is kept."""
+    subsets = subset_table(table.universe.variables)
+    _, queries, swapped, trivial = _table_queries(len(subsets.names))
+    holds = (_table_gaps(table, subsets.names, tol) <= tol).tolist()
+    held = set(trivial)
+    held.update(itertools.compress(queries, holds))
+    held.update(itertools.compress(swapped, holds))
+    return held, subsets
 
 
 def ci_residual_gaussian(
@@ -316,29 +409,36 @@ def _gaussian_residual(
 class CiOracle:
     """Uniform conditional-independence query surface over any backend.
 
-    The backend is a JointTable, a GaussianModel, or a DependencyModel.  A
-    table or Gaussian oracle's verdict is its backend's gap (``_gap``, the
-    kernel body) at most the tolerance, memoized per oracle on the unordered
-    pair {x_set, y_set} and z_set.  A model backend answers from the
-    closure's masks: the graphoid closure, a set of ``(x, y, z)`` variable
-    masks, is computed once per model and kept on it, and every query is one
-    membership test of the masks of its three validated sets in that set,
-    with no ``Triplet`` built (a model past the closure bound raises
-    UniverseTooLarge at every query); it keeps no memo, since its answer is
-    already one lookup.
-    Each variable set is validated and sorted once per oracle: ``_sorted``
-    maps every set of a valid query to its sorted tuple, so a later query
-    over known, pairwise disjoint sets skips ``_validate_sets``, and the
-    backend gets sorted tuples it does not check again.
+    The backend is a JointTable, a GaussianModel, or a DependencyModel.
+    Tables of at most MAX_EXTRACT_VARS variables (and a grid within
+    VERDICT_GRID_LIMIT) and models answer by one lookup: ``_verdicts()``
+    gives the set of held ``(x, y, z)`` variable masks, both orientations
+    and the trivial triples included, and the ``SubsetTable`` that reads
+    them.  A model's set is its graphoid closure, computed once per model
+    and kept on it (a model past the closure bound raises UniverseTooLarge
+    at every query).  A table oracle builds its set on its first query, in
+    one vectorized pass over every query at its tolerance
+    (``_table_verdicts``), and keeps it.  A lookup validates its query with
+    three ``mask_of`` reads and a disjointness test of the masks; only a
+    query that fails them goes to ``_validate_sets``, for its exact error.
+    These oracles keep no memo (``_memo`` is None) and build no ``Triplet``.
+    A Gaussian oracle, and a table oracle past those bounds, answers with
+    its backend's gap (``_gap``, the kernel body) at most the tolerance,
+    memoized per oracle on the unordered pair {x_set, y_set} and z_set.
+    ``discrepancy`` always runs ``_gap``.  On that kernel path each variable
+    set is validated and sorted once per oracle: ``_sorted`` maps every set
+    of a valid query to its sorted tuple, so a later query over known,
+    pairwise disjoint sets skips ``_validate_sets``, and the backend gets
+    sorted tuples it does not check again.
     Every query is answered in one canonical orientation (the smaller
     sorted tuple first), so ``ci(x, y, z) == ci(y, x, z)`` whichever was
     asked first.  The oracle and its backends are immutable, which keeps
-    the memo valid for the oracle's lifetime.  Besides ``_memo`` and
-    ``_sorted``, an oracle keeps ``_given``, the conditioned oracles through
-    which ``ci_given_value`` answers value-specific statements about a
-    table, and ``_screening``, the minimal screening set found by network
-    construction for each node and predecessor set, so a network rebuilt
-    on the same oracle asks nothing.
+    the verdicts valid for the oracle's lifetime.  An oracle also keeps
+    ``_given``, the conditioned oracles through which ``ci_given_value``
+    answers value-specific statements about a table, and ``_screening``,
+    the minimal screening set found by network construction for each node
+    and predecessor set, so a network rebuilt on the same oracle asks
+    nothing.
     The tolerance must be a finite, non-negative number, never a bool; None
     picks the backend's default.  It is the only tolerance the checks in
     ``relevance`` use.  A model oracle takes none: its verdicts are exact.
@@ -351,11 +451,19 @@ class CiOracle:
         backend, tol = self.backend, self.tolerance
         if tol is not None and (isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0.0)):
             raise ValueError("tolerance must be finite and non-negative")
+        verdicts = None
         if isinstance(backend, JointTable):
             tol = DISCRETE_TOL if tol is None else tol
 
             def gap(xs, ys, zs) -> float:
                 return _discrete_gap(backend, xs, ys, zs, tol)
+
+            n = len(backend.universe.variables)
+            if n <= MAX_EXTRACT_VARS and backend.probs.size << n <= VERDICT_GRID_LIMIT:
+
+                @functools.cache  # a table's verdicts, built at the first query
+                def verdicts() -> tuple[set[tuple[int, int, int]], SubsetTable]:
+                    return _table_verdicts(backend, tol)
 
         elif isinstance(backend, GaussianModel):
             tol = GAUSSIAN_TOL if tol is None else tol
@@ -367,14 +475,20 @@ class CiOracle:
             if tol is not None:
                 raise ValueError("a dependency model oracle takes no tolerance")
             tol, gap = 0.0, None
+
+            def verdicts() -> tuple[set[tuple[int, int, int]], SubsetTable]:
+                return backend._closure
+
         else:
             raise TypeError(f"unsupported backend {type(backend).__name__}")
         object.__setattr__(self, "tolerance", tol)
         object.__setattr__(self, "_gap", gap)
-        # One closure lookup answers a model query; a memo would only keep a
-        # second copy of the answers.
-        object.__setattr__(self, "_memo", None if gap is None else {})
-        # frozenset of names -> its sorted tuple, for every set of a valid query
+        object.__setattr__(self, "_verdicts", verdicts)
+        # One lookup answers a query the verdicts hold; a memo would only
+        # keep a second copy of the answers.
+        object.__setattr__(self, "_memo", None if verdicts else {})
+        # frozenset of names -> its sorted tuple, for every set of a valid
+        # query on the kernel path
         object.__setattr__(self, "_sorted", {})
         # (pivot, value index) -> oracle over the table conditioned on that
         # value, or None when the value has no usable mass; tables only.
@@ -415,10 +529,16 @@ class CiOracle:
         x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
         memo = self._memo
         if memo is None:
-            self._sorted_query(x, y, z)  # validates the query
-            held, table = self.backend._closure
-            mask_of = table.mask_of
-            return (mask_of[x], mask_of[y], mask_of[z]) in held
+            try:
+                held, table = self._verdicts()
+            except UniverseTooLarge:  # a model past the bound: a bad query is reported first
+                _validate_sets(self.universe, x, y, z)
+                raise
+            get = table.mask_of.get
+            mx, my, mz = get(x), get(y), get(z)
+            if mx is None or my is None or mz is None or mx & my or mx & mz or my & mz:
+                _validate_sets(self.universe, x, y, z)  # raises the query's own error
+            return (mx, my, mz) in held
         key = (frozenset((x, y)), z)
         verdict = memo.get(key)
         if verdict is None:

@@ -265,7 +265,7 @@ def check_clean(
     else including the pivot.
 
     A table or Gaussian is wrapped in ``CiOracle(dist)`` at the default
-    tolerance; pass an oracle to choose the tolerance or to share its memo
+    tolerance; pass an oracle to choose the tolerance or to share its verdicts
     across many checks.  On a table each pivot value must be an integer
     index into the pivot's domain.
     """

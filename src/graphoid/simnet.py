@@ -168,7 +168,7 @@ def types_equivalent(table: JointTable, cover: HypothesisCover) -> EquivalenceRe
     cover.validate_for(table.universe)
     divergences = []
     for sub in cover.subsets:
-        # Both rules ask one oracle, so they share its verdict memo.
+        # Both rules ask one oracle, so they share its verdicts.
         oracle = CiOracle(restrict_to_hypotheses(table, cover.h, sub))
         related = _included_variables(oracle, cover.h, 1)
         relevant = _included_variables(oracle, cover.h, 2)

@@ -249,7 +249,7 @@ def _clean_sweep(report: SuiteReport, dist, label: str) -> None:
     judges every other triple.
     """
     names = sorted(dist.universe.variables)
-    oracle = CiOracle(dist)  # one memo for every case over this distribution
+    oracle = CiOracle(dist)  # one set of verdicts for every case over this distribution
     groups = _live_by_x_split(len(names) - 1)
     outcomes = report.outcomes
     for e_var in names:

@@ -174,14 +174,25 @@ class TestBuildNetwork:
     def test_a_rebuild_asks_the_kernel_nothing(self, monkeypatch):
         import graphoid.dist_oracle as dist_oracle
 
-        calls = []
-        real_kernel = dist_oracle._discrete_gap
+        calls, kernel_calls, builds = [], [], []
+        real_ci, real_kernel = CiOracle.ci, dist_oracle._discrete_gap
+        real_verdicts = dist_oracle._table_verdicts
+
+        def counting_ci(self, x, y, z=()):
+            calls.append((x, y, z))
+            return real_ci(self, x, y, z)
 
         def counting_kernel(*args, **kwargs):
-            calls.append(args[1:4])
+            kernel_calls.append(1)
             return real_kernel(*args, **kwargs)
 
+        def counting_verdicts(*args):
+            builds.append(1)
+            return real_verdicts(*args)
+
+        monkeypatch.setattr(CiOracle, "ci", counting_ci)
         monkeypatch.setattr(dist_oracle, "_discrete_gap", counting_kernel)
+        monkeypatch.setattr(dist_oracle, "_table_verdicts", counting_verdicts)
         oracle = CiOracle(random_spb(5, 2))
         order = ("u3", "u1", "u5", "u2", "u4")
         first = build_network(oracle, order)
@@ -195,6 +206,8 @@ class TestBuildNetwork:
         assert all(swapped.parents[v] == first.parents[v] for v in ("u5", "u2", "u4"))
         asked = {frozenset(x) | frozenset(y) | frozenset(z) for x, y, z in calls}
         assert asked and all(len(names) <= 2 for names in asked)
+        # every verdict came from the one table built at the first query
+        assert builds == [1] and kernel_calls == []
 
 
 class TestDSeparation:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphoid.dist_oracle as dist_oracle
 import graphoid.model_core as model_core
 from graphoid import (
     CiOracle,
@@ -405,10 +406,16 @@ def test_model_oracle_keeps_no_memo(xor):
     assert not oracle.ci("x", "z")
     with pytest.raises(InvalidSets):
         oracle.ci("x", "x")
-    assert not oracle._memo
+    assert oracle._memo is None
+    # a table of at most five variables answers from its verdict table as
+    # the model answers from its closure; a Gaussian and a wider table memoize
     table_oracle = CiOracle(xor)
     table_oracle.ci("x", "y")
-    assert table_oracle._memo
+    assert table_oracle._memo is None
+    for backend in (random_gaussian(3, 0), random_spb(6, 0)):
+        kernel_oracle = CiOracle(backend)
+        kernel_oracle.ci("u1", "u2")
+        assert kernel_oracle._memo
 
 
 def test_model_oracle_past_the_bound_raises_at_every_query(monkeypatch):
@@ -425,6 +432,11 @@ def test_model_oracle_past_the_bound_raises_at_every_query(monkeypatch):
     for _ in range(2):
         with pytest.raises(UniverseTooLarge):
             oracle.ci("u0", "u1")
+        # a bad query is reported as itself, not as the bound
+        with pytest.raises(UnknownVariable, match="^unknown variable: nope$"):
+            oracle.ci("u0", "nope")
+        with pytest.raises(InvalidSets, match="^overlapping sets"):
+            oracle.ci("u0", "u0")
     assert tables == []  # the bound is checked before any 2^n subset table
 
 
@@ -732,9 +744,14 @@ def test_an_empty_side_never_reads_a_marginal(monkeypatch):
             assert ci_discrepancy_discrete(table, x, y, z) == 0.0
             assert oracle.ci(x, y, z) and oracle.discrepancy(x, y, z) == 0.0
     assert read == []
+    wide = CiOracle(random_spb(6, 3))  # past the verdict-table bound: the kernel path
+    assert wide.ci({"u1"}, (), {"u2"}) and wide.ci((), {"u3", "u4"})
+    assert read == []
     with pytest.raises(InvalidSets):  # validation still runs first
         ci_discrepancy_discrete(table, {"u1"}, (), {"u1"})
-    oracle.ci({"u1"}, {"u2"})
+    oracle.ci({"u1"}, {"u2"})  # the verdict table sums the table itself
+    assert read == []
+    oracle.discrepancy({"u1"}, {"u2"})
     assert read == [("u1", "u2")]
 
 
@@ -839,18 +856,44 @@ def test_discrete_verdicts_do_not_depend_on_axis_order_or_value_labels(table):
 
 def _assert_oracle_answers_as_the_public_kernels(oracle):
     """Every disjoint triple, asked in both orientations, gets the public
-    kernel's verdict and gap in the oracle's canonical orientation."""
-    backend = oracle.backend
+    kernel's verdict and gap in the oracle's canonical orientation, and a
+    verdict that agrees with the oracle's own gap.  On a verdict table, the
+    gap the one pass found for each query is the kernel's up to 1e-12: the
+    pass sums its marginals in another order, and in float64 that moves a
+    gap, at most 1, by a few units of 2^-52."""
+    backend, tol = oracle.backend, oracle.tolerance
+    rows = None
     if isinstance(backend, JointTable):
-        holds, gap = ci_holds_discrete, ci_discrepancy_discrete
+
+        def holds(*query):
+            return ci_holds_discrete(backend, *query, tol=tol)
+
+        def gap(*query):
+            return ci_discrepancy_discrete(backend, *query, tol=tol)
+
+        if oracle._memo is None:
+            subsets = model_core.subset_table(backend.universe.variables)
+            queries = dist_oracle._table_queries(len(subsets.names))[1]
+            found = dist_oracle._table_gaps(backend, subsets.names, tol).tolist()
+            rows = dict(zip(queries, found))
     else:
-        holds, gap = ci_holds_gaussian, ci_residual_gaussian
-    tol = oracle.tolerance
+
+        def holds(*query):
+            return ci_holds_gaussian(backend, *query, tol=tol)
+
+        def gap(*query):
+            return ci_residual_gaussian(backend, *query)
+
     for x, y, z in iter_disjoint_triples(backend.universe.variables):
         for a, b in ((x, y), (y, x)):
             query = _canonical(a, b, z)
-            assert oracle.ci(a, b, z) == holds(backend, *query, tol=tol)
-            assert oracle.discrepancy(a, b, z) == gap(backend, *query)
+            verdict, want = oracle.ci(a, b, z), gap(*query)
+            assert verdict == holds(*query)
+            assert oracle.discrepancy(a, b, z) == want
+            assert verdict == (want <= tol)
+            if rows is not None and a and b:
+                masks = tuple(subsets.mask_of[frozenset(s)] for s in query)
+                assert math.isclose(rows[masks], want, rel_tol=0.0, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -864,6 +907,70 @@ def test_the_once_validated_oracle_answers_as_the_public_kernels(backend):
     oracle = CiOracle(backend)
     for _ in range(2):  # the second pass reads the memo and the sorted tuples
         _assert_oracle_answers_as_the_public_kernels(oracle)
+
+
+VERDICT_TABLES = {
+    **{f"spb-{n}": (random_spb(n, 94 + n), DISCRETE_TOL) for n in range(2, 6)},
+    "xor": (xor_table(), DISCRETE_TOL),
+    "tiny-tol-0": (_tiny_entry_table(), 0.0),
+    "tiny-tol-1e-9": (_tiny_entry_table(), DISCRETE_TOL),
+    **{f"sparse-{seed}": (_sparse_table(seed), DISCRETE_TOL) for seed in range(3)},
+    "sparse-permuted": (_with_axes(_sparse_table(5), (2, 0, 3, 1)), DISCRETE_TOL),
+}
+
+
+@pytest.mark.parametrize("table, tol", VERDICT_TABLES.values(), ids=VERDICT_TABLES.keys())
+def test_the_verdict_table_answers_as_the_public_kernels(table, tol):
+    oracle = CiOracle(table, tol)
+    _assert_oracle_answers_as_the_public_kernels(oracle)
+    assert oracle._memo is None  # every verdict came from the verdict table
+
+
+def _wide_domain_table():
+    """Three variables with 3, 40 and 40 values: 4,800 cells, a grid of
+    38,400 entries, past VERDICT_GRID_LIMIT."""
+    universe = Universe(
+        ("a", "b", "c"), tuple(tuple(str(v) for v in range(k)) for k in (3, 40, 40))
+    )
+    raw = np.random.default_rng(13).uniform(0.01, 1.0, size=4800)
+    return JointTable(universe, raw / raw.sum())
+
+
+@pytest.mark.parametrize(
+    "table", [random_spb(6, 96), _wide_domain_table()], ids=["six-variables", "wide-domains"]
+)
+def test_a_table_past_the_verdict_bound_answers_as_the_public_kernels(table):
+    oracle = CiOracle(table)
+    _assert_oracle_answers_as_the_public_kernels(oracle)
+    assert oracle._memo  # the memo and kernel path
+
+
+def _gaps_without_the_mask(real_gaps):
+    """A broken verdict pass: the mask-free formula on every table, so a
+    conditioning mass at or below the tolerance is divided by, not skipped."""
+
+    def gaps(table, names, tol):
+        blind = JointTable(table.universe, table.probs)
+        object.__setattr__(blind, "_floor", math.inf)  # reads as strictly positive
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return real_gaps(blind, names, tol)
+
+    return gaps
+
+
+def test_a_verdict_table_without_the_mask_fails_the_reference(monkeypatch):
+    broken = _gaps_without_the_mask(dist_oracle._table_gaps)
+    monkeypatch.setattr(dist_oracle, "_table_gaps", broken)
+    caught = ["xor", "sparse-0", "sparse-1", "sparse-2", "sparse-permuted"]
+    for name, (table, tol) in VERDICT_TABLES.items():
+        if name in caught:
+            with pytest.raises(AssertionError):
+                _assert_oracle_answers_as_the_public_kernels(CiOracle(table, tol))
+        else:  # no conditioning mass at or below the tolerance: the mask skips nothing
+            _assert_oracle_answers_as_the_public_kernels(CiOracle(table, tol))
+    # on xor the verdicts themselves go wrong, not just the gaps
+    blind = CiOracle(xor_table())
+    assert not blind.ci("x", "y", "z") and ci_holds_discrete(xor_table(), "x", "y", "z")
 
 
 @pytest.mark.parametrize("table", [random_spb(4, 7), xor_table()], ids=["spb", "xor"])
@@ -887,10 +994,12 @@ def _rejection(universe, x, y, z):
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize("kind", ["table", "gaussian", "model"])
+@pytest.mark.parametrize("kind", ["table", "gaussian", "model", "wide-table"])
 def test_a_warmed_oracle_rejects_every_bad_query(kind):
     if kind == "table":
         backend = random_spb(4, 5)
+    elif kind == "wide-table":  # six variables: the memo and kernel path
+        backend = random_spb(6, 5)
     elif kind == "gaussian":
         backend = random_gaussian(4, 5)
     else:
@@ -901,7 +1010,10 @@ def test_a_warmed_oracle_rejects_every_bad_query(kind):
         oracle.ci(x, y, z)
     memo = None if oracle._memo is None else dict(oracle._memo)
     known = dict(oracle._sorted)
-    assert known and all(tuple(sorted(s)) == t for s, t in known.items())
+    # the kernel path sorts each query set once; a lookup reads its masks
+    assert bool(known) == (memo is not None)
+    assert all(tuple(sorted(s)) == t for s, t in known.items())
+    held = None if memo is not None else set(oracle._verdicts()[0])
     bad = [
         ({"u9"}, {"u2"}, ()),  # unknown in x
         ({"u1"}, {"u9"}, ()),  # unknown in y
@@ -925,3 +1037,5 @@ def test_a_warmed_oracle_rejects_every_bad_query(kind):
                 assert (type(info.value), str(info.value)) == want
     assert oracle._sorted == known
     assert oracle._memo == memo
+    if held is not None:
+        assert oracle._verdicts()[0] == held

@@ -1,14 +1,18 @@
-"""Pinned query counts of one suite run, so a memo that stops working fails here.
+"""Pinned query counts of one suite run, so a cache that stops working fails here.
 
-Counts are deterministic for a seed, unlike wall time.  A defeated verdict
-memo raises the kernel count; a defeated screening-set memo raises the
+Counts are deterministic for a seed, unlike wall time.  A table oracle of
+at most five variables answers from a verdict table built once, at its
+first query: a defeated verdict table raises the build count, and a table
+query that leaves it reaches the discrete kernel, whose count is 0 for
+every suite table.  A defeated screening-set memo raises the
 ``CiOracle.ci`` count, since every rebuilt network asks its queries again;
 a defeated per-conditioning-set factor cache raises the Cholesky count;
-a discrete kernel that stops taking its mask-free path on strictly positive
-tables raises the ``np.divide`` count, which only its masked body makes;
-a model oracle that leaves its closure's masks builds ``Triplet`` objects,
-and a closure kept per oracle, not per model, is computed more than once;
-an oracle that stops keeping each query set's sorted tuple validates again.
+a discrete kernel or verdict table that stops taking its mask-free path on
+strictly positive tables raises the ``np.divide`` count, which only their
+masked body makes; a model oracle that leaves its closure's masks builds
+``Triplet`` objects, and a closure kept per oracle, not per model, is
+computed more than once; an oracle on the kernel path that stops keeping
+each query set's sorted tuple validates again.
 """
 
 import itertools
@@ -19,15 +23,16 @@ from test_model_core import dense_model
 
 import graphoid.dist_oracle as dist_oracle
 import graphoid.model_core as model_core
-from graphoid.dist_oracle import CiOracle, random_spb, xor_table
-from graphoid.model_core import Triplet, subsets
+from graphoid.dist_oracle import CiOracle, random_gaussian, random_spb, xor_table
+from graphoid.model_core import Triplet, iter_disjoint_triples, subsets
 from graphoid.simnet import HypothesisCover, types_equivalent
 from graphoid.suites import run_suite
 
 
 def _count_kernel_calls(monkeypatch):
     """Lists that grow by one per non-trivial and per empty-side call of the
-    discrete kernel's body, which is what the oracle runs on a memo miss."""
+    discrete kernel's body, which is what an oracle on the kernel path runs
+    on a memo miss."""
     kernel_calls, trivial_calls = [], []
     real_kernel = dist_oracle._discrete_gap
 
@@ -39,8 +44,22 @@ def _count_kernel_calls(monkeypatch):
     return kernel_calls, trivial_calls
 
 
+def _count_verdict_builds(monkeypatch):
+    """A list that grows by one per verdict table a table oracle builds."""
+    builds = []
+    real_verdicts = dist_oracle._table_verdicts
+
+    def counting_verdicts(*args):
+        builds.append(1)
+        return real_verdicts(*args)
+
+    monkeypatch.setattr(dist_oracle, "_table_verdicts", counting_verdicts)
+    return builds
+
+
 def test_components_suite_query_counts(monkeypatch):
     kernel_calls, trivial_calls = _count_kernel_calls(monkeypatch)
+    builds = _count_verdict_builds(monkeypatch)
     ci_calls = []
     real_ci = CiOracle.ci
 
@@ -52,10 +71,11 @@ def test_components_suite_query_counts(monkeypatch):
     report = run_suite("components", seed=0, samples=3)
     assert report.ok and report.cases == 3
     # 3 tables x 24 orders.  Per table: 4 x 2^3 (node, predecessor set)
-    # screening searches, each asked once; 84 distinct queries reach the
-    # kernel, 32 of them with an empty side.
-    assert len(kernel_calls) == 156
-    assert len(trivial_calls) == 96
+    # screening searches, each asked once, from one verdict table; none
+    # reaches the kernel (156 non-trivial and 96 empty-side kernel calls
+    # when each distinct query ran it).
+    assert len(builds) == 3
+    assert kernel_calls == [] and trivial_calls == []
     assert len(ci_calls) == 324
 
 
@@ -70,10 +90,21 @@ def test_each_query_set_is_validated_once_per_oracle(monkeypatch):
     monkeypatch.setattr(dist_oracle, "_validate_sets", counting_validate)
     report = run_suite("components", seed=0, samples=3)
     assert report.ok and report.cases == 3
-    # Per table, 12 of the 84 distinct queries bring a set the oracle has
-    # not seen; the other 72 and every memo hit read its sorted tuples
-    # (252 when every kernel call validated its query).
-    assert len(validated) == 36
+    # A verdict-table lookup validates a valid query by its masks alone (36
+    # validations when each query set was sorted once per oracle, 252 when
+    # every kernel call validated its query).
+    assert validated == []
+    # On the kernel path each set is validated at most once: at most one
+    # validation per subset of the universe, and none on a second pass.
+    oracle = CiOracle(random_gaussian(4, 0))
+    triples = list(iter_disjoint_triples(oracle.universe.variables))
+    assert all(oracle.ci(x, y, z) == oracle.ci(y, x, z) for x, y, z in triples)
+    assert 0 < len(validated) <= 2**4
+    before = len(validated)
+    for x, y, z in triples:
+        oracle.ci(x, y, z)
+        oracle.discrepancy(y, x, z)
+    assert len(validated) == before
 
 
 def test_strictly_positive_tables_skip_the_masked_kernel(monkeypatch):
@@ -96,11 +127,13 @@ def test_strictly_positive_tables_skip_the_masked_kernel(monkeypatch):
 
 def test_both_inclusion_rules_share_one_oracle(monkeypatch):
     kernel_calls, _ = _count_kernel_calls(monkeypatch)
+    builds = _count_verdict_builds(monkeypatch)
     report = types_equivalent(random_spb(4, 0), HypothesisCover("u1", ((0, 1),)))
     assert report.equivalent
     # The related rule's network and the relevant rule's pair sweeps ask one
-    # memo: 13 distinct non-trivial queries, 14 with an oracle per rule.
-    assert len(kernel_calls) == 13
+    # verdict table, 2 with an oracle per rule; no query reaches the kernel.
+    assert len(builds) == 1
+    assert kernel_calls == []
 
 
 def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):

@@ -1,4 +1,5 @@
-"""Pinned sha256 of every suite report at a small scale.
+"""Pinned sha256 of every suite report at a small scale, and of the query
+suites' seed-0 reports at their own scale.
 
 A change that only makes the code faster must leave every report byte for
 byte as it was.  A deliberate verdict or report change updates this table
@@ -34,6 +35,17 @@ EXPECTED = {
     ("simnet-equiv", 1009): "0d6b8e4ebfa83bac4259471b6ffab2aceb05717b670b329d0c9aa0b09949511b",
 }
 
+# Seed 0 at each suite's own scale, the scale the benchmark runs the six
+# query suites at, so a verdict that drifts only there shows too.
+DEFAULT_SCALE = {
+    "axioms": "ac8d9928c0a02462857f36c490af940e774cfa0a33b361ce7e0bb3ffc28dea12",
+    "dsep-soundness": "4c4cc3bd1a6ab2fb5c1910a4f2878593242f9a5ae52701cc1598a94a291e0be9",
+    "components": "75c5765e7817ad21bef7b4425221dee9c4a2710b8868e0aa5de4b05a24f5bda2",
+    "relations": "dfe273397bb70cebf77768777b63d016f30f8f1fc0aba1d4160c27a44cbdcde6",
+    "transitivity": "333ba060cba8a568f188808f4c4d2940a67ac70c64798cb291733443ed490cf0",
+    "simnet-equiv": "c742dd21f98af38f6ae524b4768b6f139b51fe7b65fc6cd1dec84dd1f26a1ad7",
+}
+
 
 def test_every_suite_is_pinned():
     assert {name for name, _ in EXPECTED} == set(SUITES)
@@ -46,3 +58,11 @@ def test_report_bytes_unchanged(name, seed):
         assert sum(report.outcomes.values()) == report.cases
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == EXPECTED[(name, seed)]
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_SCALE))
+def test_default_scale_report_bytes_unchanged(name):
+    report = run_suite(name, seed=0)
+    assert report.params["samples"] == SUITES[name].samples
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == DEFAULT_SCALE[name]
