@@ -18,17 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSets, SingularConditioning, UniverseTooLarge, ZeroProbabilityEvidence
+from .errors import InvalidSets, SingularConditioning, ZeroProbabilityEvidence
 from .model_core import (
     DependencyModel,
-    SubsetTable,
-    Triplet,
     Universe,
     _as_name_set,
     _check_bound,
+    _model_of_masks,
     _submasks,
     _validate_sets,
-    iter_disjoint_triples,
     names_from_json,
     subset_table,
 )
@@ -86,26 +84,17 @@ class JointTable:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "_marginals", {})  # sorted axis tuple -> summed array
         object.__setattr__(self, "_floor", floor)  # smallest entry
 
     def domain_size(self, name: str) -> int:
         return len(self.universe.domain(name))
 
     def marginal(self, names: tuple[str, ...]) -> np.ndarray:
-        """Read-only marginal array over ``names``, axes in the requested order.
-
-        The sum over the dropped axes is computed once per variable subset and
-        kept on the table; each call returns a transposed view of it.
-        """
+        """Marginal array over ``names``, axes in the requested order."""
         keep = [self.universe.index(n) for n in names]
-        ordered = tuple(sorted(keep))
-        m = self._marginals.get(ordered)
-        if m is None:
-            drop = tuple(i for i in range(self.probs.ndim) if i not in ordered)
-            m = self.probs.sum(axis=drop) if drop else self.probs
-            m.setflags(write=False)
-            self._marginals[ordered] = m
+        ordered = sorted(keep)
+        drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
+        m = self.probs.sum(axis=drop) if drop else self.probs
         return m.transpose([ordered.index(k) for k in keep])
 
     def to_json_dict(self) -> dict:
@@ -328,6 +317,17 @@ def _table_queries(n: int) -> tuple[np.ndarray, list, list, tuple]:
     return rows.reshape(-1, 4).T, queries, swapped, tuple(trivial)
 
 
+def _held_masks(n: int, holds: list[bool]) -> set[tuple[int, int, int]]:
+    """The held ``(x, y, z)`` masks over ``n`` variables, given the verdict of
+    each query of ``_table_queries(n)`` in its order: both orientations and
+    every trivial triple included."""
+    _, queries, swapped, trivial = _table_queries(n)
+    held = set(trivial)
+    held.update(itertools.compress(queries, holds))
+    held.update(itertools.compress(swapped, holds))
+    return held
+
+
 def _table_gaps(table: JointTable, names: tuple[str, ...], tol: float) -> np.ndarray:
     """``_discrete_gap`` of every query of ``_table_queries`` over ``names``, in one pass.
 
@@ -352,19 +352,20 @@ def _table_gaps(table: JointTable, names: tuple[str, ...], tol: float) -> np.nda
     return np.maximum.reduce(gap, axis=1)
 
 
-def _table_verdicts(
-    table: JointTable, tol: float
-) -> tuple[set[tuple[int, int, int]], SubsetTable]:
-    """Every verdict of ``table`` at ``tol``: the held ``(x, y, z)`` masks,
-    both orientations and the trivial triples included, and the subset table
-    that reads them, as a model's closure is kept."""
-    subsets = subset_table(table.universe.variables)
-    _, queries, swapped, trivial = _table_queries(len(subsets.names))
-    holds = (_table_gaps(table, subsets.names, tol) <= tol).tolist()
-    held = set(trivial)
-    held.update(itertools.compress(queries, holds))
-    held.update(itertools.compress(swapped, holds))
-    return held, subsets
+def _table_verdicts(table: JointTable, tol: float) -> set[tuple[int, int, int]]:
+    """Every verdict of ``table`` at ``tol``, as the held ``(x, y, z)`` masks
+    of ``_held_masks``."""
+    names = tuple(sorted(table.universe.variables))
+    return _held_masks(len(names), (_table_gaps(table, names, tol) <= tol).tolist())
+
+
+@functools.cache
+def _mask_map(names: tuple[str, ...]) -> dict:
+    """Every set of a valid query over the sorted ``names`` seen so far: each
+    frozenset maps to its mask (bit i is ``names[i]``) and each mask to its
+    sorted tuple.  One map per name tuple, shared by every oracle over it and
+    filled by ``CiOracle._query_masks`` only."""
+    return {}
 
 
 def ci_residual_gaussian(
@@ -410,35 +411,32 @@ class CiOracle:
     """Uniform conditional-independence query surface over any backend.
 
     The backend is a JointTable, a GaussianModel, or a DependencyModel.
+    Every query is read as three variable masks (bit i is the i-th sorted
+    name) from ``_masks``, the ``_mask_map`` every oracle over the same
+    names shares.  A set the map lacks, or masks that overlap, send the
+    query to ``_validate_sets``, which raises its own error; only the sets
+    of a valid query are stored.  The masks are then put in one canonical
+    orientation, the side with the lower lowest bit (or the empty side)
+    first, which is the smaller sorted tuple first; so ``ci(x, y, z) ==
+    ci(y, x, z)`` whichever was asked first.
     Tables of at most MAX_EXTRACT_VARS variables (and a grid within
-    VERDICT_GRID_LIMIT) and models answer by one lookup: ``_verdicts()``
-    gives the set of held ``(x, y, z)`` variable masks, both orientations
-    and the trivial triples included, and the ``SubsetTable`` that reads
-    them.  A model's set is its graphoid closure, computed once per model
-    and kept on it (a model past the closure bound raises UniverseTooLarge
-    at every query).  A table oracle builds its set on its first query, in
-    one vectorized pass over every query at its tolerance
-    (``_table_verdicts``), and keeps it.  A lookup validates its query with
-    three ``mask_of`` reads and a disjointness test of the masks; only a
-    query that fails them goes to ``_validate_sets``, for its exact error.
-    These oracles keep no memo (``_memo`` is None) and build no ``Triplet``.
-    A Gaussian oracle, and a table oracle past those bounds, answers with
-    its backend's gap (``_gap``, the kernel body) at most the tolerance,
-    memoized per oracle on the unordered pair {x_set, y_set} and z_set.
-    ``discrepancy`` always runs ``_gap``.  On that kernel path each variable
-    set is validated and sorted once per oracle: ``_sorted`` maps every set
-    of a valid query to its sorted tuple, so a later query over known,
-    pairwise disjoint sets skips ``_validate_sets``, and the backend gets
-    sorted tuples it does not check again.
-    Every query is answered in one canonical orientation (the smaller
-    sorted tuple first), so ``ci(x, y, z) == ci(y, x, z)`` whichever was
-    asked first.  The oracle and its backends are immutable, which keeps
-    the verdicts valid for the oracle's lifetime.  An oracle also keeps
-    ``_given``, the conditioned oracles through which ``ci_given_value``
-    answers value-specific statements about a table, and ``_screening``,
-    the minimal screening set found by network construction for each node
-    and predecessor set, so a network rebuilt on the same oracle asks
-    nothing.
+    VERDICT_GRID_LIMIT) and models answer by one membership test in
+    ``_verdicts()``, the set of held ``(x, y, z)`` masks, both orientations
+    and the trivial triples included, and keep no memo (``_memo`` is None).
+    A model's set is its graphoid closure, computed once per model and kept
+    on it (a model past the closure bound raises UniverseTooLarge at every
+    valid query).  A table oracle builds its set on its first query, in one
+    vectorized pass over every query at its tolerance (``_table_verdicts``),
+    and keeps it.  A Gaussian oracle, and a table oracle past those bounds,
+    answers with its backend's gap (``_gap``, the kernel body, given the
+    sets' sorted tuples) at most the tolerance, memoized per oracle on the
+    canonical masks.  ``discrepancy`` always runs ``_gap``.  The oracle and
+    its backends are immutable, which keeps the verdicts valid for the
+    oracle's lifetime.  An oracle also keeps ``_given``, the conditioned
+    oracles through which ``ci_given_value`` answers value-specific
+    statements about a table, and ``_screening``, the minimal screening set
+    found by network construction for each node and predecessor set, so a
+    network rebuilt on the same oracle asks nothing.
     The tolerance must be a finite, non-negative number, never a bool; None
     picks the backend's default.  It is the only tolerance the checks in
     ``relevance`` use.  A model oracle takes none: its verdicts are exact.
@@ -462,7 +460,7 @@ class CiOracle:
             if n <= MAX_EXTRACT_VARS and backend.probs.size << n <= VERDICT_GRID_LIMIT:
 
                 @functools.cache  # a table's verdicts, built at the first query
-                def verdicts() -> tuple[set[tuple[int, int, int]], SubsetTable]:
+                def verdicts() -> set[tuple[int, int, int]]:
                     return _table_verdicts(backend, tol)
 
         elif isinstance(backend, GaussianModel):
@@ -476,20 +474,18 @@ class CiOracle:
                 raise ValueError("a dependency model oracle takes no tolerance")
             tol, gap = 0.0, None
 
-            def verdicts() -> tuple[set[tuple[int, int, int]], SubsetTable]:
-                return backend._closure
+            def verdicts() -> set[tuple[int, int, int]]:
+                return backend._closure[0]
 
         else:
             raise TypeError(f"unsupported backend {type(backend).__name__}")
         object.__setattr__(self, "tolerance", tol)
         object.__setattr__(self, "_gap", gap)
         object.__setattr__(self, "_verdicts", verdicts)
+        object.__setattr__(self, "_masks", _mask_map(tuple(sorted(backend.universe.variables))))
         # One lookup answers a query the verdicts hold; a memo would only
         # keep a second copy of the answers.
         object.__setattr__(self, "_memo", None if verdicts else {})
-        # frozenset of names -> its sorted tuple, for every set of a valid
-        # query on the kernel path
-        object.__setattr__(self, "_sorted", {})
         # (pivot, value index) -> oracle over the table conditioned on that
         # value, or None when the value has no usable mass; tables only.
         object.__setattr__(self, "_given", {})
@@ -497,28 +493,26 @@ class CiOracle:
         # read and written by ``bayesnet._screening_set`` only.
         object.__setattr__(self, "_screening", {})
 
-    def _sorted_query(
-        self, x: frozenset[str], y: frozenset[str], z: frozenset[str]
-    ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-        """The query as sorted tuples, x and y swapped when y's tuple is smaller.
-
-        A query whose sets are all in ``_sorted`` and pairwise disjoint needs
-        no other check.  Any other query goes through ``_validate_sets``,
-        which raises on an unknown name or an overlap before anything is
-        stored.
-        """
-        known = self._sorted
-        xs, ys, zs = known.get(x), known.get(y), known.get(z)
-        if xs is None or ys is None or zs is None or not (
-            x.isdisjoint(y) and x.isdisjoint(z) and y.isdisjoint(z)
-        ):
-            xs, ys, zs = _validate_sets(self.backend.universe, x, y, z)
-            known[x], known[y], known[z] = xs, ys, zs
-        return (ys, xs, zs) if ys < xs else (xs, ys, zs)
-
     @property
     def universe(self) -> Universe:
         return self.backend.universe
+
+    def _query_masks(
+        self,
+        x_set: Iterable[str] | str,
+        y_set: Iterable[str] | str,
+        z_set: Iterable[str] | str,
+    ) -> tuple[int, int, int]:
+        """The query's masks in the canonical orientation, read from ``_masks``."""
+        x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
+        known = self._masks
+        mx, my, mz = known.get(x), known.get(y), known.get(z)
+        if mx is None or my is None or mz is None or mx & my or mx & mz or my & mz:
+            sets = _validate_sets(self.universe, x, y, z)  # raises the query's own error
+            bit = {v: 1 << i for i, v in enumerate(sorted(self.universe.variables))}
+            mx, my, mz = (sum(bit[v] for v in s) for s in sets)
+            known.update(((x, mx), (y, my), (z, mz), (mx, sets[0]), (my, sets[1]), (mz, sets[2])))
+        return (my, mx, mz) if my & -my < mx & -mx else (mx, my, mz)
 
     def ci(
         self,
@@ -526,25 +520,14 @@ class CiOracle:
         y_set: Iterable[str] | str,
         z_set: Iterable[str] | str = (),
     ) -> bool:
-        x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
+        query = self._query_masks(x_set, y_set, z_set)
         memo = self._memo
         if memo is None:
-            try:
-                held, table = self._verdicts()
-            except UniverseTooLarge:  # a model past the bound: a bad query is reported first
-                _validate_sets(self.universe, x, y, z)
-                raise
-            get = table.mask_of.get
-            mx, my, mz = get(x), get(y), get(z)
-            if mx is None or my is None or mz is None or mx & my or mx & mz or my & mz:
-                _validate_sets(self.universe, x, y, z)  # raises the query's own error
-            return (mx, my, mz) in held
-        key = (frozenset((x, y)), z)
-        verdict = memo.get(key)
+            return query in self._verdicts()
+        verdict = memo.get(query)
         if verdict is None:
-            # ``_sorted_query`` raises on an invalid query before the store,
-            # so only valid queries enter the memo and a hit needs no check.
-            verdict = memo[key] = self._gap(*self._sorted_query(x, y, z)) <= self.tolerance
+            known = self._masks
+            verdict = memo[query] = self._gap(*map(known.__getitem__, query)) <= self.tolerance
         return verdict
 
     def ci_given_value(
@@ -593,19 +576,21 @@ class CiOracle:
         """
         if self._gap is None:
             raise TypeError("discrepancy is undefined for a dependency-model backend")
-        x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
-        return self._gap(*self._sorted_query(x, y, z))
+        return self._gap(*map(self._masks.__getitem__, self._query_masks(x_set, y_set, z_set)))
 
 
 def extract_model(oracle: CiOracle) -> DependencyModel:
-    """Dependency model holding exactly the triplets the oracle affirms."""
+    """Dependency model holding exactly the triplets the oracle affirms.
+
+    Each query of ``_table_queries`` (both sides non-empty, in the canonical
+    orientation) is asked once.  The oracle's contract supplies the rest:
+    ``ci(y, x, z) == ci(x, y, z)``, and a triple with an empty side holds.
+    """
     _check_bound(oracle.universe, MAX_EXTRACT_VARS, "extraction bound")
-    held = (
-        Triplet(x, y, z)
-        for x, y, z in iter_disjoint_triples(oracle.universe.variables)
-        if oracle.ci(x, y, z)
-    )
-    return DependencyModel.of(oracle.universe, held)
+    subsets = subset_table(oracle.universe.variables)
+    n, sets = len(subsets.names), subsets.by_mask
+    holds = [oracle.ci(sets[x], sets[y], sets[z]) for x, y, z in _table_queries(n)[1]]
+    return _model_of_masks(oracle.universe, _held_masks(n, holds), subsets)
 
 
 def random_spb(n: int, seed: int) -> JointTable:

@@ -100,7 +100,7 @@ class Universe:
         wanted = _as_name_set(names)
         missing = wanted - self.names
         if missing:
-            raise UnknownVariable("unknown variable: " + ", ".join(sorted(missing)))
+            raise UnknownVariable("unknown variable: " + ", ".join(sorted(map(str, missing))))
         return wanted
 
     def restricted_to(self, keep: Iterable[str]) -> "Universe":
@@ -267,16 +267,6 @@ def subsets(names: Iterable[str]) -> Iterator[frozenset[str]]:
         yield from map(frozenset, itertools.combinations(pool, size))
 
 
-def iter_disjoint_triples(
-    names: Iterable[str],
-) -> Iterator[tuple[frozenset[str], frozenset[str], frozenset[str]]]:
-    """All ordered triples of pairwise-disjoint subsets (4^n of them)."""
-    table = subset_table(names)
-    for codes in itertools.product(range(4), repeat=len(table.names)):
-        _, x, y, z = label_blocks(table, codes, 4)
-        yield x, y, z
-
-
 def _check_bound(
     universe: Universe, limit: int = MAX_CLOSURE_VARS, bound: str = "bound"
 ) -> None:
@@ -393,17 +383,24 @@ def _closed_masks(model: DependencyModel) -> tuple[set[tuple[int, int, int]], Su
     return held, table
 
 
+def _model_of_masks(
+    universe: Universe, held: Iterable[tuple[int, int, int]], table: SubsetTable
+) -> DependencyModel:
+    """The model over ``universe`` of the ``(x, y, z)`` masks in ``held``,
+    each read through ``table``."""
+    sets = table.by_mask
+    return DependencyModel(
+        universe, frozenset(Triplet(sets[x], sets[y], sets[z]) for x, y, z in held)
+    )
+
+
 def graphoid_closure(model: DependencyModel) -> DependencyModel:
     """Least superset of ``model`` closed under the five semi-graphoid axioms.
 
     ``_closed_masks`` decides every triplet on variable masks, computed once
     per model; the held ones are materialized here.
     """
-    held, table = model._closure
-    sets = table.by_mask
-    return DependencyModel(
-        model.universe, frozenset(Triplet(sets[x], sets[y], sets[z]) for x, y, z in held)
-    )
+    return _model_of_masks(model.universe, *model._closure)
 
 
 def check_graphoid_axioms(model: DependencyModel) -> list[AxiomViolation]:

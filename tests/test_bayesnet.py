@@ -25,6 +25,7 @@ from graphoid.bayesnet import _screening_set, connecting_trail, random_dag
 from graphoid.errors import InvalidOrder, InvalidSets, UnknownVariable
 from graphoid.model_core import subset_table, subsets
 
+from disjoint_triples import iter_disjoint_triples
 from dsep_reference import burglary_network, d_separated_by_enumeration, descendants
 
 Q = SeparationQuery.make
@@ -249,7 +250,7 @@ class TestDSeparation:
         dags += [random_dag(n, n * (n - 1) // 2, rng) for n in range(2, 6) for _ in range(4)]
         shielded = separated = 0
         for dag in dags:
-            for x, y, z in model_core.iter_disjoint_triples(dag.universe.variables):
+            for x, y, z in iter_disjoint_triples(dag.universe.variables):
                 if not x or not y:
                     continue
                 q = Q(x, y, z)

@@ -25,8 +25,8 @@ from graphoid import (
     uncoupled,
     unrelated,
 )
-from graphoid.model_core import iter_disjoint_triples
 
+from disjoint_triples import iter_disjoint_triples
 from dsep_reference import d_separated_by_enumeration
 
 # Labeled DAGs on n nodes (OEIS A003024).

@@ -25,11 +25,12 @@ from graphoid.model_core import (
     AXIOM_TRIVIAL,
     AXIOM_WEAK_UNION,
     AxiomViolation,
-    iter_disjoint_triples,
     label_blocks,
     subset_table,
     subsets,
 )
+
+from disjoint_triples import iter_disjoint_triples
 
 
 def t(x, y, z=()):
@@ -155,6 +156,16 @@ def test_unknown_variables_are_named_in_the_message():
     with pytest.raises(InvalidSets) as caught:
         CiOracle(random_spb(2, 0)).ci("u1", "u9")
     assert str(caught.value) == "unknown variable: u9"
+
+
+@pytest.mark.parametrize("name", [1, None, ("u1", "u2")], ids=["int", "none", "tuple"])
+def test_a_non_string_name_is_an_unknown_variable(name):
+    with pytest.raises(UnknownVariable) as caught:
+        CiOracle(random_spb(3, 0)).ci({name}, {"u2"})
+    assert str(caught.value) == f"unknown variable: {name}"
+    with pytest.raises(UnknownVariable) as caught:
+        Universe.binary("x").require({name, "b"})
+    assert str(caught.value) == "unknown variable: " + ", ".join(sorted([str(name), "b"]))
 
 
 class TestAxiomCheck:

@@ -11,8 +11,8 @@ a discrete kernel or verdict table that stops taking its mask-free path on
 strictly positive tables raises the ``np.divide`` count, which only their
 masked body makes; a model oracle that leaves its closure's masks builds
 ``Triplet`` objects, and a closure kept per oracle, not per model, is
-computed more than once; an oracle on the kernel path that stops keeping
-each query set's sorted tuple validates again.
+computed more than once; an oracle that stops reading its query sets from
+the mask map shared by every oracle over the same names validates again.
 """
 
 import itertools
@@ -24,9 +24,11 @@ from test_model_core import dense_model
 import graphoid.dist_oracle as dist_oracle
 import graphoid.model_core as model_core
 from graphoid.dist_oracle import CiOracle, random_gaussian, random_spb, xor_table
-from graphoid.model_core import Triplet, iter_disjoint_triples, subsets
+from graphoid.model_core import Triplet, subsets
 from graphoid.simnet import HypothesisCover, types_equivalent
 from graphoid.suites import run_suite
+
+from disjoint_triples import iter_disjoint_triples
 
 
 def _count_kernel_calls(monkeypatch):
@@ -79,7 +81,7 @@ def test_components_suite_query_counts(monkeypatch):
     assert len(ci_calls) == 324
 
 
-def test_each_query_set_is_validated_once_per_oracle(monkeypatch):
+def test_each_query_set_is_validated_once_per_name_tuple(monkeypatch):
     validated = []
     real_validate = dist_oracle._validate_sets
 
@@ -88,23 +90,28 @@ def test_each_query_set_is_validated_once_per_oracle(monkeypatch):
         return real_validate(*args)
 
     monkeypatch.setattr(dist_oracle, "_validate_sets", counting_validate)
+    dist_oracle._mask_map.cache_clear()  # forget the sets earlier tests asked
     report = run_suite("components", seed=0, samples=3)
     assert report.ok and report.cases == 3
-    # A verdict-table lookup validates a valid query by its masks alone (36
-    # validations when each query set was sorted once per oracle, 252 when
-    # every kernel call validated its query).
-    assert validated == []
-    # On the kernel path each set is validated at most once: at most one
-    # validation per subset of the universe, and none on a second pass.
+    # The three tables over u1..u4 share one mask map: 12 validations store
+    # the 15 sets their 324 queries use (36 when each oracle validated its
+    # own sets, 252 when every kernel call validated its query).
+    assert len(validated) == 12
+    assert dist_oracle._mask_map.cache_info().currsize == 1
+    # Over every triple each set is validated at most once, by whichever
+    # oracle over those names asks it first; a later oracle over the same
+    # names, of any backend, and a second pass validate nothing.
+    dist_oracle._mask_map.cache_clear()
+    validated.clear()
     oracle = CiOracle(random_gaussian(4, 0))
     triples = list(iter_disjoint_triples(oracle.universe.variables))
     assert all(oracle.ci(x, y, z) == oracle.ci(y, x, z) for x, y, z in triples)
-    assert 0 < len(validated) <= 2**4
-    before = len(validated)
-    for x, y, z in triples:
-        oracle.ci(x, y, z)
-        oracle.discrepancy(y, x, z)
-    assert len(validated) == before
+    assert len(validated) == 2**4
+    for other in (oracle, CiOracle(random_spb(4, 0)), CiOracle(random_gaussian(4, 1))):
+        for x, y, z in triples:
+            other.ci(x, y, z)
+            other.discrepancy(y, x, z)
+    assert len(validated) == 2**4
 
 
 def test_strictly_positive_tables_skip_the_masked_kernel(monkeypatch):

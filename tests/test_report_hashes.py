@@ -1,5 +1,5 @@
-"""Pinned sha256 of every suite report at a small scale, and of the query
-suites' seed-0 reports at their own scale.
+"""Pinned sha256 of every suite report at a small scale, and of every
+suite's seed-0 report at its own scale.
 
 A change that only makes the code faster must leave every report byte for
 byte as it was.  A deliberate verdict or report change updates this table
@@ -35,10 +35,13 @@ EXPECTED = {
     ("simnet-equiv", 1009): "0d6b8e4ebfa83bac4259471b6ffab2aceb05717b670b329d0c9aa0b09949511b",
 }
 
-# Seed 0 at each suite's own scale, the scale the benchmark runs the six
-# query suites at, so a verdict that drifts only there shows too.
+# Seed 0 at each suite's own scale, the scale the benchmark runs every
+# suite at, so a verdict that drifts only there shows too.
 DEFAULT_SCALE = {
     "axioms": "ac8d9928c0a02462857f36c490af940e774cfa0a33b361ce7e0bb3ffc28dea12",
+    "clean": "303012cf998015fe94ed1a9a8870e8e2d1ad168bd0b3d9c7bf55cb19cfbe901d",
+    "pt-bin": "aadca66edc7c826c63613b0f4af0d94f98e43bdc6a45656e58c4e81672fde5ee",
+    "gaussian-props": "f5ef3fd20f8a0a74f85eb58a41bd7e0c871c054e436bef45f4d210b138ea8286",
     "dsep-soundness": "4c4cc3bd1a6ab2fb5c1910a4f2878593242f9a5ae52701cc1598a94a291e0be9",
     "components": "75c5765e7817ad21bef7b4425221dee9c4a2710b8868e0aa5de4b05a24f5bda2",
     "relations": "dfe273397bb70cebf77768777b63d016f30f8f1fc0aba1d4160c27a44cbdcde6",
