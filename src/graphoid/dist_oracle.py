@@ -5,7 +5,8 @@ Cartesian product of finite domains) and regular Gaussian models (mean vector
 plus positive-definite covariance).  An explicit dependency model can also
 back the oracle, answering from the variable masks of its graphoid closure;
 a small table answers from the same kind of mask set, built from all its
-verdicts at once.
+verdicts at once, and a Gaussian from one row of conditional-covariance
+dependencies per conditioning set.
 """
 
 from __future__ import annotations
@@ -406,6 +407,32 @@ def _gaussian_residual(
     return float(np.abs(block).max())
 
 
+def _dependency_row(g: GaussianModel, zs: tuple[str, ...], tol: float) -> list[int]:
+    """For each variable, bit i being the i-th sorted name, the mask of the
+    variables j outside ``zs`` with |Σ_ij·zs| > ``tol``; 0 for a variable in ``zs``.
+
+    ``(X, Y | zs)`` holds exactly when no member of X has a bit in Y, the
+    kernel's "largest |entry| of the X-Y block at most tol".  With ``zs``
+    empty the entries are the model's |covariance| rows, the kernel's own
+    floats; otherwise one solve against the kept factor covers every free
+    column, and a singular block raises as the kernel does.
+    """
+    names = sorted(g.universe.variables)
+    free = [i for i, v in enumerate(names) if v not in zs]
+    cols = [g.universe.index(names[i]) for i in free]
+    if zs:
+        chol, z_rows = g._factor(zs)
+        w = np.linalg.solve(chol, z_rows[:, cols])
+        entries = np.abs(g.covariance[cols][:, cols] - w.T @ w).tolist()
+    else:
+        abs_rows = g._abs_rows
+        entries = [[abs_rows[i][j] for j in cols] for i in cols]
+    row = [0] * len(names)
+    for i, dependent in zip(free, entries):
+        row[i] = sum(1 << j for j, entry in zip(free, dependent) if entry > tol)
+    return row
+
+
 @dataclass(frozen=True)
 class CiOracle:
     """Uniform conditional-independence query surface over any backend.
@@ -422,16 +449,22 @@ class CiOracle:
     Tables of at most MAX_EXTRACT_VARS variables (and a grid within
     VERDICT_GRID_LIMIT) and models answer by one membership test in
     ``_verdicts()``, the set of held ``(x, y, z)`` masks, both orientations
-    and the trivial triples included, and keep no memo (``_memo`` is None).
-    A model's set is its graphoid closure, computed once per model and kept
-    on it (a model past the closure bound raises UniverseTooLarge at every
-    valid query).  A table oracle builds its set on its first query, in one
-    vectorized pass over every query at its tolerance (``_table_verdicts``),
-    and keeps it.  A Gaussian oracle, and a table oracle past those bounds,
-    answers with its backend's gap (``_gap``, the kernel body, given the
-    sets' sorted tuples) at most the tolerance, memoized per oracle on the
-    canonical masks.  ``discrepancy`` always runs ``_gap``.  The oracle and
-    its backends are immutable, which keeps the verdicts valid for the
+    and the trivial triples included.  A model's set is its graphoid
+    closure, computed once per model and kept on it (a model past the
+    closure bound raises UniverseTooLarge at every valid query).  A table
+    oracle builds its set on its first query, in one vectorized pass over
+    every query at its tolerance (``_table_verdicts``), and keeps it.  Every
+    other oracle answers through ``_decide``, given the canonical masks, and
+    keeps what it learns in ``_memo`` (None on the membership path).  A
+    Gaussian holds trivially when a side is empty; otherwise its memo keeps
+    one ``_dependency_row`` per conditioning mask, built at the first such
+    query on it, and the query holds when no member of x has a dependency
+    bit in y.  A singular conditioning block stores nothing and raises
+    SingularConditioning at every such query.  A table past those bounds
+    asks its kernel (``_gap``, given the sets' sorted tuples) and memoizes
+    the verdict, gap at most the tolerance, on the canonical masks.
+    ``discrepancy`` always runs ``_gap``.  The oracle and its backends are
+    immutable, which keeps the verdicts valid for the
     oracle's lifetime.  An oracle also keeps ``_given``, the conditioned
     oracles through which ``ci_given_value`` answers value-specific
     statements about a table, and ``_screening``, the minimal screening set
@@ -449,7 +482,8 @@ class CiOracle:
         backend, tol = self.backend, self.tolerance
         if tol is not None and (isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0.0)):
             raise ValueError("tolerance must be finite and non-negative")
-        verdicts = None
+        masks = _mask_map(tuple(sorted(backend.universe.variables)))
+        verdicts = decide = memo = None
         if isinstance(backend, JointTable):
             tol = DISCRETE_TOL if tol is None else tol
 
@@ -463,11 +497,35 @@ class CiOracle:
                 def verdicts() -> set[tuple[int, int, int]]:
                     return _table_verdicts(backend, tol)
 
+            else:
+                memo = {}  # canonical (x, y, z) masks -> verdict
+
+                def decide(query: tuple[int, int, int]) -> bool:
+                    verdict = memo.get(query)
+                    if verdict is None:
+                        verdict = memo[query] = gap(*map(masks.__getitem__, query)) <= tol
+                    return verdict
+
         elif isinstance(backend, GaussianModel):
             tol = GAUSSIAN_TOL if tol is None else tol
+            memo = {}  # z mask -> its ``_dependency_row``
 
             def gap(xs, ys, zs) -> float:
                 return _gaussian_residual(backend, xs, ys, zs)
+
+            def decide(query: tuple[int, int, int]) -> bool:
+                x, y, z = query
+                if not x or not y:
+                    return True
+                row = memo.get(z)
+                if row is None:
+                    row = memo[z] = _dependency_row(backend, masks[z], tol)
+                while x:
+                    low = x & -x
+                    if row[low.bit_length() - 1] & y:
+                        return False
+                    x ^= low
+                return True
 
         elif isinstance(backend, DependencyModel):
             if tol is not None:
@@ -482,10 +540,9 @@ class CiOracle:
         object.__setattr__(self, "tolerance", tol)
         object.__setattr__(self, "_gap", gap)
         object.__setattr__(self, "_verdicts", verdicts)
-        object.__setattr__(self, "_masks", _mask_map(tuple(sorted(backend.universe.variables))))
-        # One lookup answers a query the verdicts hold; a memo would only
-        # keep a second copy of the answers.
-        object.__setattr__(self, "_memo", None if verdicts else {})
+        object.__setattr__(self, "_decide", decide)
+        object.__setattr__(self, "_memo", memo)
+        object.__setattr__(self, "_masks", masks)
         # (pivot, value index) -> oracle over the table conditioned on that
         # value, or None when the value has no usable mass; tables only.
         object.__setattr__(self, "_given", {})
@@ -521,14 +578,8 @@ class CiOracle:
         z_set: Iterable[str] | str = (),
     ) -> bool:
         query = self._query_masks(x_set, y_set, z_set)
-        memo = self._memo
-        if memo is None:
-            return query in self._verdicts()
-        verdict = memo.get(query)
-        if verdict is None:
-            known = self._masks
-            verdict = memo[query] = self._gap(*map(known.__getitem__, query)) <= self.tolerance
-        return verdict
+        verdicts = self._verdicts
+        return self._decide(query) if verdicts is None else query in verdicts()
 
     def ci_given_value(
         self,

@@ -37,9 +37,18 @@ AXIOM_CONTRACTION = "contraction"
 
 
 def _as_name_set(value: Iterable[str] | str) -> frozenset[str]:
+    """``value`` as a set of names: a string is one name, an iterable its
+    members; anything else, such as ``1`` or ``None``, raises InvalidSets."""
     if isinstance(value, str):
         return frozenset((value,))
-    return frozenset(value)
+    try:
+        return frozenset(value)
+    except TypeError:
+        if isinstance(value, Iterable):
+            raise  # an unhashable member keeps its own error
+        raise InvalidSets(
+            f"a variable set must be a name or an iterable of names, not {type(value).__name__}"
+        ) from None
 
 
 def names_from_json(value: object, what: str) -> tuple[str, ...]:

@@ -410,14 +410,19 @@ def test_model_oracle_keeps_no_memo(xor):
         oracle.ci("x", "x")
     assert oracle._memo is None
     # a table of at most five variables answers from its verdict table as
-    # the model answers from its closure; a Gaussian and a wider table memoize
+    # the model answers from its closure; a Gaussian keeps one dependency
+    # row per conditioning mask, and a wider table memoizes each verdict
     table_oracle = CiOracle(xor)
     table_oracle.ci("x", "y")
     assert table_oracle._memo is None
-    for backend in (random_gaussian(3, 0), random_spb(6, 0)):
-        kernel_oracle = CiOracle(backend)
-        kernel_oracle.ci("u1", "u2")
-        assert kernel_oracle._memo
+    gaussian_oracle = CiOracle(random_gaussian(3, 0))
+    gaussian_oracle.ci("u1", "u2")
+    gaussian_oracle.ci("u1", "u2", "u3")
+    assert list(gaussian_oracle._memo) == [0, 0b100]
+    assert all(len(row) == 3 for row in gaussian_oracle._memo.values())
+    wide_oracle = CiOracle(random_spb(6, 0))
+    wide_oracle.ci("u1", "u2")
+    assert list(wide_oracle._memo) == [(0b1, 0b10, 0)]
 
 
 def test_model_oracle_past_the_bound_raises_at_every_query(monkeypatch):
@@ -707,6 +712,38 @@ def test_gaussian_kernel_is_bit_identical_to_the_reference(g):
     # the kept factors and rows are no fields: equality and repr ignore them
     assert [f.name for f in dataclasses.fields(g)] == ["universe", "mean", "covariance"]
     assert repr(g) == before
+
+
+def _linear_sem_gaussian(n, seed):
+    """The Gaussian of a linear structural equation model with unit noise:
+    covariance (I-B)^-1 (I-B)^-T for a strictly lower-triangular B with
+    about 40% of its entries set, each of magnitude in [0.5, 1.5], so some
+    partial covariances vanish exactly and others only in floating point."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, size=(n, n)) * rng.choice([-1.0, 1.0], size=(n, n))
+    b = np.tril(weights * (rng.random((n, n)) < 0.4), -1)
+    inv = np.linalg.inv(np.eye(n) - b)
+    return GaussianModel(Universe.reals(*(f"v{i}" for i in range(n))), np.zeros(n), inv @ inv.T)
+
+
+def test_the_dependency_rows_answer_as_the_gaussian_kernel():
+    models = _gaussian_kernel_inputs() + [
+        _linear_sem_gaussian(n, seed) for n in range(3, 7) for seed in range(4)
+    ]
+    held = 0
+    for tol in (GAUSSIAN_TOL, 0.05):
+        for g in models:
+            oracle = CiOracle(g, tol)
+            for x, y, z in iter_disjoint_triples(g.universe.variables):
+                residual = _answer(ci_residual_gaussian, g, x, y, z)
+                want = residual if isinstance(residual, str) else residual <= tol
+                try:
+                    got = oracle.ci(x, y, z)
+                except SingularConditioning as exc:
+                    got = f"singular: {exc}"
+                assert got == want
+                held += got is True and bool(x and y and z)
+    assert held > 0  # conditional independences with two non-empty sides held
 
 
 @settings(max_examples=25, deadline=None)
@@ -1042,11 +1079,25 @@ def test_a_warmed_oracle_rejects_every_bad_query(kind):
         assert oracle._verdicts() == held
 
 
+@pytest.mark.parametrize("bad", [1, None, 2.5], ids=["int", "None", "float"])
+def test_a_set_that_is_neither_a_name_nor_an_iterable_raises_invalid_sets(bad):
+    want = f"^a variable set must be a name or an iterable of names, not {type(bad).__name__}$"
+    for backend in (random_spb(3, 0), random_gaussian(3, 0)):
+        oracle = CiOracle(backend)
+        for ask in (oracle.ci, oracle.discrepancy):
+            for args in ((bad, "u2"), ("u1", bad), ("u1", "u2", bad)):
+                with pytest.raises(InvalidSets, match=want):
+                    ask(*args)
+        # a bare string is still one name
+        assert oracle.ci("u1", "u2", "u3") == oracle.ci({"u1"}, ["u2"], ("u3",))
+
+
 @pytest.mark.parametrize(
     "backend", [random_gaussian(4, 21), random_spb(6, 21)], ids=["gaussian-4", "table-6"]
 )
 def test_the_kernel_gets_the_validated_tuples_smaller_first(monkeypatch, backend):
-    kernel = "_gaussian_residual" if isinstance(backend, GaussianModel) else "_discrete_gap"
+    gaussian = isinstance(backend, GaussianModel)
+    kernel = "_gaussian_residual" if gaussian else "_discrete_gap"
     real_kernel, received = getattr(dist_oracle, kernel), []
 
     def recording_kernel(b, xs, ys, zs, *rest):
@@ -1060,7 +1111,9 @@ def test_the_kernel_gets_the_validated_tuples_smaller_first(monkeypatch, backend
         want = (ys, xs, zs) if ys < xs else (xs, ys, zs)
         received.clear()
         oracle.ci(x, y, z)
-        assert received == ([] if want in asked else [want])  # a memo hit asks nothing
+        # a Gaussian answers from its dependency rows and asks the kernel
+        # nothing; a wide table's memo hit asks nothing
+        assert received == ([] if gaussian or want in asked else [want])
         asked.add(want)
         received.clear()
         oracle.discrepancy(x, y, z)

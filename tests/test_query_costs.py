@@ -7,6 +7,8 @@ query that leaves it reaches the discrete kernel, whose count is 0 for
 every suite table.  A defeated screening-set memo raises the
 ``CiOracle.ci`` count, since every rebuilt network asks its queries again;
 a defeated per-conditioning-set factor cache raises the Cholesky count;
+a Gaussian oracle that stops answering from one dependency row per
+conditioning set reaches the Gaussian kernel or raises the solve count;
 a discrete kernel or verdict table that stops taking its mask-free path on
 strictly positive tables raises the ``np.divide`` count, which only their
 masked body makes; a model oracle that leaves its closure's masks builds
@@ -19,12 +21,14 @@ import itertools
 import sys
 
 import numpy as np
+import pytest
 from test_model_core import dense_model
 
 import graphoid.dist_oracle as dist_oracle
 import graphoid.model_core as model_core
 from graphoid.dist_oracle import CiOracle, random_gaussian, random_spb, xor_table
-from graphoid.model_core import Triplet, subsets
+from graphoid.errors import SingularConditioning
+from graphoid.model_core import Triplet, Universe, subsets
 from graphoid.simnet import HypothesisCover, types_equivalent
 from graphoid.suites import run_suite
 
@@ -143,29 +147,98 @@ def test_both_inclusion_rules_share_one_oracle(monkeypatch):
     assert kernel_calls == []
 
 
-def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):
-    kernel_calls, cholesky_calls = [], []
+def _count_gaussian_linear_algebra(monkeypatch):
+    """Lists that grow by one per call of the Gaussian kernel's body, of
+    ``np.linalg.cholesky`` and of ``np.linalg.solve``."""
+    kernel_calls, cholesky_calls, solve_calls = [], [], []
     real_kernel = dist_oracle._gaussian_residual
-    real_cholesky = np.linalg.cholesky
+    real_cholesky, real_solve = np.linalg.cholesky, np.linalg.solve
 
     def counting_kernel(*args, **kwargs):
         kernel_calls.append(1)
         return real_kernel(*args, **kwargs)
 
-    def counting_cholesky(a, *args, **kwargs):
+    def counting_cholesky(*args, **kwargs):
         cholesky_calls.append(1)
-        return real_cholesky(a, *args, **kwargs)
+        return real_cholesky(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        solve_calls.append(1)
+        return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(dist_oracle, "_gaussian_residual", counting_kernel)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return kernel_calls, cholesky_calls, solve_calls
+
+
+def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):
+    kernel_calls, cholesky_calls, solve_calls = _count_gaussian_linear_algebra(monkeypatch)
     report = run_suite("gaussian-props", seed=0, samples=6)
     assert report.ok and report.cases == 6
-    # Six models at n = 3..5.  388 distinct queries reach the kernel; each
-    # model is factorized once when built and once per non-empty
-    # conditioning set its queries use (202 when every conditioned query
-    # factorized its own block).
-    assert len(kernel_calls) == 388
+    # Six models at n = 3..5.  Every query is answered from one dependency
+    # row per conditioning set, so none reaches the kernel (388 distinct
+    # queries did when each ran it).  Each model is factorized once when
+    # built and once per non-empty conditioning set its queries use (202
+    # when every conditioned query factorized its own block), and each of
+    # those 38 sets costs one solve (392 when each query solved its x and y
+    # columns apart).
+    assert kernel_calls == []
     assert len(cholesky_calls) == 44
+    assert len(solve_calls) == 38
+
+
+def test_a_gaussian_oracle_solves_once_per_conditioning_set(monkeypatch):
+    g = random_gaussian(5, 4)
+    factors = []
+    real_factor = dist_oracle.GaussianModel._factor
+
+    def counting_factor(model, zs):
+        factors.append(zs)
+        return real_factor(model, zs)
+
+    monkeypatch.setattr(dist_oracle.GaussianModel, "_factor", counting_factor)
+    kernel_calls, cholesky_calls, solve_calls = _count_gaussian_linear_algebra(monkeypatch)
+    oracle = CiOracle(g)
+    names = g.universe.variables
+    triples = list(iter_disjoint_triples(names))
+    for _ in range(2):  # the second pass reads the rows the first one kept
+        for x, y, z in triples:
+            oracle.ci(x, y, z)
+    # one factor and one solve per non-empty z with two non-empty sides
+    # left: a z of at most three of the five names; none for the empty z
+    asked = {tuple(sorted(z)) for x, y, z in triples if x and y and z}
+    assert len(asked) == 25
+    assert sorted(factors) == sorted(asked)
+    assert len(cholesky_calls) == len(solve_calls) == 25
+    assert kernel_calls == []
+    assert set(oracle._memo) == {0} | {sum(1 << names.index(v) for v in z) for z in asked}
+
+
+def test_an_empty_side_builds_no_row(monkeypatch):
+    oracle = CiOracle(random_gaussian(4, 2))
+    kernel_calls, cholesky_calls, solve_calls = _count_gaussian_linear_algebra(monkeypatch)
+    for z in ((), {"u3"}, {"u3", "u4"}):
+        assert oracle.ci((), {"u1", "u2"}, z) and oracle.ci({"u1"}, [], z)
+    assert oracle._memo == {}
+    assert kernel_calls == cholesky_calls == solve_calls == []
+
+
+def test_a_singular_conditioning_set_stores_no_row(monkeypatch):
+    cov = np.eye(4)
+    cov[0, 1] = cov[1, 0] = 1.0 - 1e-12  # the (a, b) block is past the regularity limit
+    g = dist_oracle.GaussianModel(Universe.reals("a", "b", "c", "d"), np.zeros(4), cov)
+    oracle = CiOracle(g)
+    kernel_calls, cholesky_calls, solve_calls = _count_gaussian_linear_algebra(monkeypatch)
+    for x, y in (({"c"}, {"d"}), ({"d"}, {"c"}), ({"c"}, {"d"})):
+        with pytest.raises(SingularConditioning, match=r"^conditioning block over \('a', 'b'\)"):
+            oracle.ci(x, y, {"a", "b"})
+        assert oracle._memo == {}
+    # the factor cache keeps the outcome: the block is checked, never factorized
+    assert kernel_calls == cholesky_calls == solve_calls == []
+    assert oracle.ci({"c"}, (), {"a", "b"})  # an empty side still holds
+    assert not oracle.ci({"a"}, {"b"})
+    assert set(oracle._memo) == {0}
 
 
 def test_model_oracle_answers_from_one_mask_closure(monkeypatch):

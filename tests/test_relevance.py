@@ -511,18 +511,19 @@ def _reference_gaussian_axioms_check(g):
     return out
 
 
-def _with_kernel_queries(monkeypatch, check, g):
-    """``check(g)`` and the list of queries it sent to the Gaussian kernel's
-    body, which is what the oracle runs on a memo miss."""
+def _with_oracle_queries(monkeypatch, check, g):
+    """``check(g)`` and the list of queries it asked ``CiOracle.ci``, each as
+    frozensets with the side of the smaller sorted tuple first."""
     asked = []
-    real_kernel = dist_oracle._gaussian_residual
+    real_ci = CiOracle.ci
 
-    def recording_kernel(model, x_set, y_set, z_set=()):
-        asked.append((frozenset(x_set), frozenset(y_set), frozenset(z_set)))
-        return real_kernel(model, x_set, y_set, z_set)
+    def recording_ci(self, x_set, y_set, z_set=()):
+        x, y = sorted((tuple(sorted(x_set)), tuple(sorted(y_set))))
+        asked.append((frozenset(x), frozenset(y), frozenset(z_set)))
+        return real_ci(self, x_set, y_set, z_set)
 
     with monkeypatch.context() as patch:
-        patch.setattr(dist_oracle, "_gaussian_residual", recording_kernel)
+        patch.setattr(CiOracle, "ci", recording_ci)
         return check(g), asked
 
 
@@ -540,24 +541,22 @@ class TestGaussianAxioms:
     def test_mask_sweep_matches_the_code_loop_on_random_models(self, monkeypatch, n):
         for seed in range(2):
             g = random_gaussian(n, 30 + seed)
-            got, asked = _with_kernel_queries(monkeypatch, gaussian_axioms_check, g)
-            want, ref_asked = _with_kernel_queries(
+            got, asked = _with_oracle_queries(monkeypatch, gaussian_axioms_check, g)
+            want, ref_asked = _with_oracle_queries(
                 monkeypatch, _reference_gaussian_axioms_check, g
             )
             assert got == want
-            # each distinct query reaches the kernel once, on both sides
-            assert len(asked) == len(set(asked))
+            # both sides ask the same distinct queries
             assert set(asked) == set(ref_asked)
 
     def test_mask_sweep_matches_the_code_loop_on_planted_models(self, monkeypatch):
         live = 0
         for g in _planted_gaussians():
-            got, asked = _with_kernel_queries(monkeypatch, gaussian_axioms_check, g)
-            want, ref_asked = _with_kernel_queries(
+            got, asked = _with_oracle_queries(monkeypatch, gaussian_axioms_check, g)
+            want, ref_asked = _with_oracle_queries(
                 monkeypatch, _reference_gaussian_axioms_check, g
             )
             assert got == want == []
-            assert len(asked) == len(set(asked))
             assert set(asked) == set(ref_asked)
             oracle = CiOracle(g)
             live += sum(1 for x, y, z in set(asked) if x and y and not z and oracle.ci(x, y))
