@@ -464,12 +464,12 @@ class CiOracle:
     asks its kernel (``_gap``, given the sets' sorted tuples) and memoizes
     the verdict, gap at most the tolerance, on the canonical masks.
     ``discrepancy`` always runs ``_gap``.  The oracle and its backends are
-    immutable, which keeps the verdicts valid for the
-    oracle's lifetime.  An oracle also keeps ``_given``, the conditioned
-    oracles through which ``ci_given_value`` answers value-specific
-    statements about a table, and ``_screening``, the minimal screening set
-    found by network construction for each node and predecessor set, so a
-    network rebuilt on the same oracle asks nothing.
+    immutable, which keeps the verdicts valid for the oracle's lifetime.
+    An oracle also keeps ``_given``, the conditioned oracles through which
+    ``ci_given_value`` answers value-specific statements about a table, and
+    ``_screening``, the minimal screening set found by network construction
+    for each node and predecessor set, so a network rebuilt on the same
+    oracle asks nothing.
     The tolerance must be a finite, non-negative number, never a bool; None
     picks the backend's default.  It is the only tolerance the checks in
     ``relevance`` use.  A model oracle takes none: its verdicts are exact.
