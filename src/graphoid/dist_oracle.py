@@ -533,7 +533,7 @@ class CiOracle:
             tol, gap = 0.0, None
 
             def verdicts() -> set[tuple[int, int, int]]:
-                return backend._closure[0]
+                return backend._closure
 
         else:
             raise TypeError(f"unsupported backend {type(backend).__name__}")
@@ -641,7 +641,7 @@ def extract_model(oracle: CiOracle) -> DependencyModel:
     subsets = subset_table(oracle.universe.variables)
     n, sets = len(subsets.names), subsets.by_mask
     holds = [oracle.ci(sets[x], sets[y], sets[z]) for x, y, z in _table_queries(n)[1]]
-    return _model_of_masks(oracle.universe, _held_masks(n, holds), subsets)
+    return _model_of_masks(oracle.universe, _held_masks(n, holds))
 
 
 def random_spb(n: int, seed: int) -> JointTable:

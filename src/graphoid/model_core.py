@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator, Set
 from dataclasses import dataclass, field
 
 from .errors import InvalidSets, UniverseTooLarge, UnknownVariable
@@ -23,10 +23,10 @@ VariableId = str
 
 # Enumeration bound for closure and axiom checking: candidate triplets grow
 # as 4^n, so anything past 8 variables is out of desk range.  The dense model
-# (every singleton pair under every Z) closes in about 0.05-0.09 s at n=7 and
-# 0.25-0.4 s at n=8, most of it building the Triplet objects, and its closure
-# checks in 0.04-0.08 s and 0.5-0.8 s (2-vCPU Xeon, CPython 3.11; medians of
-# repeated runs on a shared host).
+# (every singleton pair under every Z) closes in about 0.01 s at n=7 and
+# 0.04-0.07 s at n=8, and its closure checks in 0.03-0.05 s and 0.2-0.26 s;
+# neither builds a Triplet (2-vCPU Xeon, CPython 3.11; repeated runs on a
+# shared host).
 MAX_CLOSURE_VARS = 8
 
 AXIOM_TRIVIAL = "trivial_independence"
@@ -38,17 +38,25 @@ AXIOM_CONTRACTION = "contraction"
 
 def _as_name_set(value: Iterable[str] | str) -> frozenset[str]:
     """``value`` as a set of names: a string is one name, an iterable its
-    members; anything else, such as ``1`` or ``None``, raises InvalidSets."""
+    members; anything else, such as ``1`` or ``None``, and an iterable with an
+    unhashable member, such as ``[["u1"]]``, raises InvalidSets."""
     if isinstance(value, str):
         return frozenset((value,))
     try:
         return frozenset(value)
     except TypeError:
-        if isinstance(value, Iterable):
-            raise  # an unhashable member keeps its own error
-        raise InvalidSets(
-            f"a variable set must be a name or an iterable of names, not {type(value).__name__}"
-        ) from None
+        if not isinstance(value, Iterable):
+            raise InvalidSets(
+                f"a variable set must be a name or an iterable of names, not {type(value).__name__}"
+            ) from None
+        for member in value:
+            try:
+                hash(member)
+            except TypeError:
+                raise InvalidSets(
+                    f"a variable name must be hashable, not {type(member).__name__}"
+                ) from None
+        raise
 
 
 def names_from_json(value: object, what: str) -> tuple[str, ...]:
@@ -175,30 +183,147 @@ class Triplet:
         )
 
 
+@functools.cache
+def _bits(names: tuple[str, ...]) -> dict[str, int]:
+    """Each of the sorted ``names`` mapped to its bit: bit i is ``names[i]``."""
+    return {v: 1 << i for i, v in enumerate(names)}
+
+
+def _triplet_masks(bit: dict[str, int], t: object) -> tuple[int, int, int] | None:
+    """The ``(x, y, z)`` masks of ``t`` under ``bit``, or None when ``t`` is
+    not a Triplet or names a variable that ``bit`` lacks."""
+    if not isinstance(t, Triplet):
+        return None
+    get = bit.get
+    try:
+        return sum(map(get, t.x_set)), sum(map(get, t.y_set)), sum(map(get, t.z_set))
+    except TypeError:  # a stranger's bit is None
+        return None
+
+
+def _set_decoder(names: tuple[str, ...]):
+    """A function from a mask over the sorted ``names`` to its set of names,
+    building each set once per decoder."""
+    sets: dict[int, frozenset[str]] = {}
+
+    def set_of(mask: int) -> frozenset[str]:
+        found = sets.get(mask)
+        if found is None:
+            found = sets[mask] = frozenset(v for i, v in enumerate(names) if mask >> i & 1)
+        return found
+
+    return set_of
+
+
+class _Hashed:
+    """Stands in a frozenset for an element whose hash is ``value``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+class TripletSet(Set):
+    """The triplets of a dependency model, held as ``(x, y, z)`` masks over
+    the sorted names ``names`` (bit i is ``names[i]``).
+
+    Membership, size, comparison with another set and hashing are answered
+    on the masks; a Triplet is built only by iterating.  Anything that is
+    not a Triplet over these names is not a member.  ``-``, ``|`` and ``&``
+    return plain frozensets of Triplet, and the hash is the one a frozenset
+    of the same triplets has, so the two stay interchangeable.
+    """
+
+    __slots__ = ("names", "masks", "_hash")
+
+    def __init__(self, names: tuple[str, ...], masks: frozenset[tuple[int, int, int]]) -> None:
+        self.names = names
+        self.masks = masks
+        self._hash: int | None = None
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[Triplet]) -> frozenset[Triplet]:
+        return frozenset(it)
+
+    def __contains__(self, t: object) -> bool:
+        return _triplet_masks(_bits(self.names), t) in self.masks
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self) -> Iterator[Triplet]:
+        set_of = _set_decoder(self.names)
+        for x, y, z in self.masks:
+            yield Triplet(set_of(x), set_of(y), set_of(z))
+
+    def __le__(self, other: object) -> bool:
+        if isinstance(other, TripletSet) and other.names == self.names:
+            return self.masks <= other.masks
+        if not isinstance(other, Set):
+            return NotImplemented
+        bit = _bits(self.names)
+        return len(self) <= len(other) and self.masks <= {_triplet_masks(bit, t) for t in other}
+
+    def __ge__(self, other: object) -> bool:
+        if isinstance(other, TripletSet) and other.names == self.names:
+            return self.masks >= other.masks
+        if not isinstance(other, Set):
+            return NotImplemented
+        return len(self) >= len(other) and all(map(self.__contains__, other))
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            set_of = _set_decoder(self.names)
+            self._hash = hash(frozenset(
+                _Hashed(hash((set_of(x), set_of(y), set_of(z)))) for x, y, z in self.masks
+            ))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({sorted(self, key=Triplet.sort_key)!r})"
+
+
 @dataclass(frozen=True)
 class DependencyModel:
-    """An explicit set of triplets over a universe."""
+    """An explicit set of triplets over a universe.
+
+    ``triplets`` may be given as any collection of Triplet; the model keeps
+    it as a TripletSet, the ``(x, y, z)`` masks over the universe's sorted
+    names, and every closure, check and query reads those masks.  A name
+    outside the universe raises UnknownVariable.
+    """
 
     universe: Universe
-    triplets: frozenset[Triplet]
+    triplets: TripletSet
 
     def __post_init__(self) -> None:
-        known = self.universe.names
-        for t in self.triplets:
-            if not (t.x_set <= known and t.y_set <= known and t.z_set <= known):
-                # every name of the model, so the message does not hang on set order
-                self.universe.require(
-                    set().union(*(u.x_set | u.y_set | u.z_set for u in self.triplets))
-                )
+        names = tuple(sorted(self.universe.variables))
+        given = self.triplets
+        if isinstance(given, TripletSet) and given.names == names:
+            return
+        bit = _bits(names)
+        masks = frozenset(_triplet_masks(bit, t) for t in given)
+        if None in masks:
+            # every name of the model, so the message does not hang on set order
+            self.universe.require(set().union(*(t.x_set | t.y_set | t.z_set for t in given)))
+            raise TypeError("a dependency model holds Triplets only")
+        object.__setattr__(self, "triplets", TripletSet(names, masks))
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.triplets.masks))
 
     @functools.cached_property
-    def _closure(self) -> tuple[set[tuple[int, int, int]], SubsetTable]:
+    def _closure(self) -> frozenset[tuple[int, int, int]]:
         """``_closed_masks(self)``, computed once per model (a raise caches nothing)."""
         return _closed_masks(self)
 
     @classmethod
     def of(cls, universe: Universe, triplets: Iterable[Triplet] = ()) -> "DependencyModel":
-        return cls(universe, frozenset(triplets))
+        return cls(universe, triplets if isinstance(triplets, Collection) else tuple(triplets))
 
     def to_json_dict(self) -> dict:
         return {
@@ -295,12 +420,9 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def _closed_masks(model: DependencyModel) -> tuple[set[tuple[int, int, int]], SubsetTable]:
-    """The graphoid closure of ``model`` as a set of ``(x, y, z)`` masks,
-    both orientations included, and the subset table that reads them.
-
-    The table is ``subset_table(model.universe.variables)``, built only after
-    the bound check; callers map masks to sets through it and nothing else.
+def _closed_masks(model: DependencyModel) -> frozenset[tuple[int, int, int]]:
+    """The graphoid closure of ``model`` as a set of ``(x, y, z)`` masks over
+    its sorted names, both orientations included.
 
     The five axioms are the semi-graphoid axioms, and a semi-graphoid is
     determined by its elementary triplets (a, b | K) (Matus, "Ascending and
@@ -320,10 +442,9 @@ def _closed_masks(model: DependencyModel) -> tuple[set[tuple[int, int, int]], Su
        variables that every x variable is elementarily independent of under Z.
     """
     _check_bound(model.universe)
-    table = subset_table(model.universe.variables)
-    mask_of = table.mask_of
-    full = len(table.by_mask) - 1
-    bits = [1 << i for i in range(len(table.names))]
+    n = len(model.universe.variables)
+    full = (1 << n) - 1
+    bits = [1 << i for i in range(n)]
 
     # Every verdict that holds: the elementary closure first, then the walk's.
     held: set[tuple[int, int, int]] = set()
@@ -336,8 +457,7 @@ def _closed_masks(model: DependencyModel) -> tuple[set[tuple[int, int, int]], Su
             stack.append((a, b, k))
 
     # Sorted, so that the derivation order does not depend on string hashing.
-    for x, y, z in sorted((mask_of[t.x_set], mask_of[t.y_set], mask_of[t.z_set])
-                          for t in model.triplets):
+    for x, y, z in sorted(model.triplets.masks):
         for a in bits:
             if a & x:
                 for b in bits:
@@ -389,27 +509,23 @@ def _closed_masks(model: DependencyModel) -> tuple[set[tuple[int, int, int]], Su
                         held.add((a, y, z))
                 elif (a, y, z) in held and (x ^ a, y, z | a) in held:
                     held.add((x, y, z))
-    return held, table
+    return frozenset(held)
 
 
-def _model_of_masks(
-    universe: Universe, held: Iterable[tuple[int, int, int]], table: SubsetTable
-) -> DependencyModel:
+def _model_of_masks(universe: Universe, held: Iterable[tuple[int, int, int]]) -> DependencyModel:
     """The model over ``universe`` of the ``(x, y, z)`` masks in ``held``,
-    each read through ``table``."""
-    sets = table.by_mask
-    return DependencyModel(
-        universe, frozenset(Triplet(sets[x], sets[y], sets[z]) for x, y, z in held)
-    )
+    bit i the i-th sorted name."""
+    names = tuple(sorted(universe.variables))
+    return DependencyModel(universe, TripletSet(names, frozenset(held)))
 
 
 def graphoid_closure(model: DependencyModel) -> DependencyModel:
     """Least superset of ``model`` closed under the five semi-graphoid axioms.
 
     ``_closed_masks`` decides every triplet on variable masks, computed once
-    per model; the held ones are materialized here.
+    per model; the result holds the same masks, so closing builds no Triplet.
     """
-    return _model_of_masks(model.universe, *model._closure)
+    return _model_of_masks(model.universe, model._closure)
 
 
 def check_graphoid_axioms(model: DependencyModel) -> list[AxiomViolation]:
@@ -417,30 +533,36 @@ def check_graphoid_axioms(model: DependencyModel) -> list[AxiomViolation]:
 
     Each violated axiom instance is reported once, with the instantiating
     triplets as premises and the absent member as the witness.  The list is
-    sorted for reproducible output.  Contraction pairs each first premise
-    with the second premises found under its (x, y|z) in a mask index.
+    sorted for reproducible output.  The check reads the model's masks, and
+    builds Triplets only for the violations it reports.  Contraction pairs
+    each first premise with the second premises found under its (x, y|z) in
+    a mask index.
     """
     _check_bound(model.universe)
-    table = subset_table(model.universe.variables)
-    sets, mask_of = table.by_mask, table.mask_of
-    full = len(sets) - 1
-    present = {(mask_of[t.x_set], mask_of[t.y_set], mask_of[t.z_set]): t for t in model.triplets}
+    present = model.triplets.masks
+    set_of = _set_decoder(model.triplets.names)
+    full = (1 << len(model.triplets.names)) - 1
     out: list[AxiomViolation] = []
 
-    def violation(axiom: str, premises: tuple[Triplet, ...], x: int, y: int, z: int) -> None:
-        out.append(AxiomViolation(axiom, premises, Triplet(sets[x], sets[y], sets[z])))
+    def triplet(x: int, y: int, z: int) -> Triplet:
+        return Triplet(set_of(x), set_of(y), set_of(z))
+
+    def violation(axiom: str, premises: tuple[tuple[int, int, int], ...], *missing: int) -> None:
+        out.append(AxiomViolation(axiom, tuple(triplet(*p) for p in premises), triplet(*missing)))
 
     for z in range(full + 1):
         for x in _submasks(full ^ z):
             if (x, 0, z) not in present:
                 violation(AXIOM_TRIVIAL, (), x, 0, z)
 
-    as_second: dict[tuple[int, int], list[tuple[int, Triplet]]] = {}
-    for (x, y, z), t in present.items():
+    as_second: dict[tuple[int, int], list[tuple[int, tuple[int, int, int]]]] = {}
+    for t in present:
+        x, y, z = t
         if y:
             as_second.setdefault((x, z), []).append((y, t))
 
-    for (x, y, z), t in present.items():
+    for t in present:
+        x, y, z = t
         if (y, x, z) not in present:
             violation(AXIOM_SYMMETRY, (t,), y, x, z)
         if not y:
