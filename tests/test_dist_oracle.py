@@ -1092,6 +1092,19 @@ def test_a_set_that_is_neither_a_name_nor_an_iterable_raises_invalid_sets(bad):
         assert oracle.ci("u1", "u2", "u3") == oracle.ci({"u1"}, ["u2"], ("u3",))
 
 
+@pytest.mark.parametrize("bad", [[["u1"]], ["u1", {"u3"}], ({},)], ids=["list", "set", "dict"])
+def test_a_set_with_an_unhashable_member_raises_invalid_sets(bad):
+    want = f"^a variable name must be hashable, not {type(bad[-1]).__name__}$"
+    with pytest.raises(InvalidSets, match=want):
+        Triplet.make(bad, "u2")
+    for backend in (random_spb(3, 0), random_gaussian(3, 0)):
+        oracle = CiOracle(backend)
+        for ask in (oracle.ci, oracle.discrepancy):
+            for args in ((bad, "u2"), ("u2", bad), ("u2", "u3", bad)):
+                with pytest.raises(InvalidSets, match=want):
+                    ask(*args)
+
+
 @pytest.mark.parametrize(
     "backend", [random_gaussian(4, 21), random_spb(6, 21)], ids=["gaussian-4", "table-6"]
 )

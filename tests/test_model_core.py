@@ -1,7 +1,7 @@
 import itertools
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -437,6 +437,105 @@ def test_dense_closure_matches_reference(n):
     assert closed == fixpoint_closure(dense).triplets
     if n <= 6:
         assert closed == reference_closure(dense).triplets
+
+
+def thinned_closures(m, removals=15):
+    """The closure of ``m`` less one triplet, for about ``removals`` triplets
+    evenly spaced in sort order."""
+    closed = graphoid_closure(m)
+    ordered = sorted(closed.triplets, key=Triplet.sort_key)
+    for held in ordered[:: max(1, len(ordered) // removals)]:
+        yield DependencyModel(m.universe, closed.triplets - {held})
+
+
+def test_check_reports_the_reference_violations_of_thinned_closures():
+    seen = Counter()
+    for n in (4, 5):
+        for m in seeded_sparse_models(n, 10):
+            for thinned in thinned_closures(m):
+                violations = check_graphoid_axioms(thinned)
+                assert violations == reference_check(thinned), thinned.triplets
+                seen.update(v.axiom for v in violations)
+    # every axiom is violated somewhere, so the comparison is not vacuous
+    assert set(seen) == {
+        AXIOM_TRIVIAL, AXIOM_SYMMETRY, AXIOM_DECOMPOSITION, AXIOM_WEAK_UNION, AXIOM_CONTRACTION
+    }, seen
+
+
+def view_models():
+    """Hand-built, closed and extracted models, a sparse n=6 model and its
+    closure, and a 9-variable model read from JSON (past the closure bound)."""
+    sparse = next(seeded_sparse_models(6, 1))
+    hand = model(t("x", "y"), t("x", "w", "y"), t((), "w"))
+    nine = DependencyModel.from_json_dict({
+        "variables": [f"u{i}" for i in range(9, 0, -1)],
+        "triplets": [{"x": ["u1"], "y": ["u9"], "z": ["u3", "u8"]}, {"x": ["u2", "u5"], "y": ["u4"]}],
+    })
+    return {
+        "empty": model(),
+        "hand": hand,
+        "hand-closed": graphoid_closure(hand),
+        "sparse-6": sparse,
+        "sparse-6-closed": graphoid_closure(sparse),
+        "extracted": extract_model(CiOracle(random_spb(4, 0))),
+        "json-9": nine,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(view_models()))
+def test_the_triplet_view_answers_as_the_frozenset_it_holds(name):
+    m = view_models()[name]
+    view = m.triplets
+    plain = frozenset(iter(view))
+    assert len(view) == len(plain) == len(view.masks)
+    assert view == plain and plain == view and not view != plain
+    assert view <= plain and plain <= view and view >= plain and plain >= view
+    assert not view < plain and not plain < view and not view > plain and not plain > view
+    assert hash(view) == hash(plain)
+    assert all(trip in view for trip in plain)
+    stranger = Triplet.make(min(m.universe.variables), "stranger")
+    assert None not in view and "x" not in view and stranger not in view
+    ordered = sorted(plain, key=Triplet.sort_key)
+    some = frozenset(ordered[::3])
+    # larger than the view, yet missing one of its members
+    larger = frozenset(ordered[1:]) | {stranger, Triplet.make("stranger", ())}
+    for other in (frozenset(), some, some | {stranger}, plain | {stranger}, larger):
+        for op in ("__sub__", "__or__", "__and__", "__le__", "__ge__", "__lt__", "__gt__",
+                   "__eq__"):
+            assert getattr(view, op)(other) == getattr(plain, op)(other), (op, other)
+        assert other - view == other - plain and other | view == other | plain
+        assert other & view == other & plain
+        assert (other <= view) == (other <= plain) and (other >= view) == (other >= plain)
+        assert (other == view) == (other == plain)
+        assert type(view - other) is type(view | other) is type(view & other) is frozenset
+    rebuilt = DependencyModel(m.universe, plain)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert rebuilt.triplets.masks == view.masks
+    assert json.dumps(rebuilt.to_json_dict()) == json.dumps(m.to_json_dict())
+    assert DependencyModel.from_json_dict(m.to_json_dict()) == m
+
+
+def test_a_model_past_the_closure_bound_constructs_and_serializes():
+    data = {
+        "variables": [f"u{i}" for i in range(12)],
+        "triplets": [{"x": [], "y": ["u7"], "z": []}, {"x": ["u1"], "y": ["u11"], "z": ["u10", "u3"]}],
+    }
+    m = DependencyModel.from_json_dict(data)
+    assert m.to_json_dict() == data
+    assert Triplet.make("u11", "u1", {"u3", "u10"}) not in m.triplets
+    assert Triplet.make("u1", "u11", {"u3", "u10"}) in m.triplets
+    with pytest.raises(UniverseTooLarge, match="^12 variables exceed the bound of 8$"):
+        graphoid_closure(m)
+    with pytest.raises(UniverseTooLarge, match="^12 variables exceed the bound of 8$"):
+        check_graphoid_axioms(m)
+
+
+def test_an_unknown_name_in_a_model_is_named_in_the_message():
+    for triplets in ([t("x", "q"), t("b", "a")], (t("b", "a"), t("x", "q"))):
+        with pytest.raises(UnknownVariable, match="^unknown variable: a, b, q$"):
+            model(*triplets)
+        with pytest.raises(UnknownVariable, match="^unknown variable: a, b, q$"):
+            DependencyModel.of(Universe.binary("x", "y", "w"), iter(triplets))
 
 
 def assert_oracle_answers_closure_membership(m):

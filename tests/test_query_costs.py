@@ -11,9 +11,10 @@ a Gaussian oracle that stops answering from one dependency row per
 conditioning set reaches the Gaussian kernel or raises the solve count;
 a discrete kernel or verdict table that stops taking its mask-free path on
 strictly positive tables raises the ``np.divide`` count, which only their
-masked body makes; a model oracle that leaves its closure's masks builds
-``Triplet`` objects, and a closure kept per oracle, not per model, is
-computed more than once; an oracle that stops reading its query sets from
+masked body makes; a model oracle that leaves its closure's masks, or a
+closure or axiom check that leaves the model's masks, builds ``Triplet``
+objects, and a closure kept per oracle, not per model, is computed more
+than once; an oracle that stops reading its query sets from
 the mask map shared by every oracle over the same names validates again.
 """
 
@@ -26,9 +27,9 @@ from test_model_core import dense_model
 
 import graphoid.dist_oracle as dist_oracle
 import graphoid.model_core as model_core
-from graphoid.dist_oracle import CiOracle, random_gaussian, random_spb, xor_table
+from graphoid.dist_oracle import CiOracle, extract_model, random_gaussian, random_spb, xor_table
 from graphoid.errors import SingularConditioning
-from graphoid.model_core import Triplet, Universe, subsets
+from graphoid.model_core import Triplet, Universe, check_graphoid_axioms, subsets
 from graphoid.simnet import HypothesisCover, types_equivalent
 from graphoid.suites import run_suite
 
@@ -276,5 +277,10 @@ def test_model_oracle_answers_from_one_mask_closure(monkeypatch):
         assert all(oracle.ci(x, y, z) and oracle.ci(y, x, z) for x, y, z in pairs)
         assert closures == [1]  # once per model, shared by its oracles
     assert built == [] and materialized == []
-    real_closure(model)  # materializes the model's closure without computing it again
-    assert closures == [1]
+    # Closing reads the closure the model keeps, and the result holds its
+    # masks: neither closing nor checking builds a Triplet.
+    closed = real_closure(model)
+    assert closures == [1] and len(closed.triplets) == 4**6
+    assert check_graphoid_axioms(closed) == []
+    assert check_graphoid_axioms(extract_model(CiOracle(random_spb(5, 0)))) == []
+    assert built == []
