@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from collections.abc import Collection, Iterable, Iterator, Set
 from dataclasses import dataclass, field
 
@@ -24,9 +25,9 @@ VariableId = str
 # Enumeration bound for closure and axiom checking: candidate triplets grow
 # as 4^n, so anything past 8 variables is out of desk range.  The dense model
 # (every singleton pair under every Z) closes in about 0.01 s at n=7 and
-# 0.04-0.07 s at n=8, and its closure checks in 0.03-0.05 s and 0.2-0.26 s;
-# neither builds a Triplet (2-vCPU Xeon, CPython 3.11; repeated runs on a
-# shared host).
+# 0.04-0.07 s at n=8, and its closure checks in 0.013-0.019 s and
+# 0.05-0.06 s, mostly in closing the elementary triplets again; neither
+# builds a Triplet (2-vCPU Xeon, CPython 3.11; repeated runs on a shared host).
 MAX_CLOSURE_VARS = 8
 
 AXIOM_TRIVIAL = "trivial_independence"
@@ -39,16 +40,24 @@ AXIOM_CONTRACTION = "contraction"
 def _as_name_set(value: Iterable[str] | str) -> frozenset[str]:
     """``value`` as a set of names: a string is one name, an iterable its
     members; anything else, such as ``1`` or ``None``, and an iterable with an
-    unhashable member, such as ``[["u1"]]``, raises InvalidSets."""
+    unhashable member, such as ``[["u1"]]`` or ``iter([["u1"]])``, raises
+    InvalidSets."""
     if isinstance(value, str):
         return frozenset((value,))
     try:
         return frozenset(value)
-    except TypeError:
+    except TypeError as error:
         if not isinstance(value, Iterable):
             raise InvalidSets(
                 f"a variable set must be a name or an iterable of names, not {type(value).__name__}"
             ) from None
+        if iter(value) is value:
+            # A one-shot iterator: frozenset has consumed the member, so only
+            # the message of the hash's TypeError still names its type.
+            unhashable = re.fullmatch(r"unhashable type: '(.+)'", str(error))
+            if unhashable is None:
+                raise
+            raise InvalidSets(f"a variable name must be hashable, not {unhashable[1]}") from None
         for member in value:
             try:
                 hash(member)
@@ -529,17 +538,27 @@ def graphoid_closure(model: DependencyModel) -> DependencyModel:
 
 
 def check_graphoid_axioms(model: DependencyModel) -> list[AxiomViolation]:
-    """Exhaustively instantiate the five axioms; empty result means semi-graphoid.
+    """Every violated instance of the five axioms; empty means semi-graphoid.
 
-    Each violated axiom instance is reported once, with the instantiating
-    triplets as premises and the absent member as the witness.  The list is
-    sorted for reproducible output.  The check reads the model's masks, and
-    builds Triplets only for the violations it reports.  Contraction pairs
-    each first premise with the second premises found under its (x, y|z) in
-    a mask index.
+    The check first tries to certify the model: a semi-graphoid is the
+    closure of its elementary triplets (a, b | K), and a closure is a
+    semi-graphoid (Studeny, "Probabilistic Conditional Independence
+    Structures", 2005, sec. 2.2).  So when ``_closed_masks`` of the model's
+    elementary members gives back the model's masks, nothing is violated.
+    Only otherwise are the axioms instantiated exhaustively: each violated
+    instance is reported once, with the instantiating triplets as premises
+    and the absent member as the witness, in a list sorted for reproducible
+    output.  Both steps read the model's masks, and Triplets are built only
+    for the violations reported.  Contraction pairs each first premise with
+    the second premises found under its (x, y|z) in a mask index.
     """
     _check_bound(model.universe)
     present = model.triplets.masks
+    elementary = [
+        (x, y, z) for x, y, z in present if x and y and not (x & (x - 1) or y & (y - 1))
+    ]
+    if _closed_masks(_model_of_masks(model.universe, elementary)) == present:
+        return []
     set_of = _set_decoder(model.triplets.names)
     full = (1 << len(model.triplets.names)) - 1
     out: list[AxiomViolation] = []
