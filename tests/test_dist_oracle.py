@@ -1106,6 +1106,37 @@ def test_a_set_with_an_unhashable_member_raises_invalid_sets(bad):
 
 
 @pytest.mark.parametrize(
+    "one_shot", [lambda bad: (v for v in bad), iter], ids=["generator", "iterator"]
+)
+@pytest.mark.parametrize("bad", [[["u1"]], ["u1", {"u3"}], ({},)], ids=["list", "set", "dict"])
+def test_a_one_shot_set_with_an_unhashable_member_raises_invalid_sets(one_shot, bad):
+    # frozenset consumes the iterator on the way to the bad member, so its
+    # type is read from the hash's error, not by scanning the members again.
+    want = f"^a variable name must be hashable, not {type(bad[-1]).__name__}$"
+    with pytest.raises(InvalidSets, match=want):
+        Triplet.make(one_shot(bad), "u2")
+    for backend in (random_spb(3, 0), random_gaussian(3, 0)):
+        oracle = CiOracle(backend)
+        for ask in (oracle.ci, oracle.discrepancy):
+            for where in range(3):
+                args = ["u2", "u3", ()]
+                args[where] = one_shot(bad)
+                with pytest.raises(InvalidSets, match=want):
+                    ask(*args)
+
+
+def test_a_type_error_inside_a_one_shot_set_is_its_own():
+    def failing():
+        yield "u1"
+        raise TypeError("raised by the generator")
+
+    with pytest.raises(TypeError, match="^raised by the generator$"):
+        Triplet.make(failing(), "u2")
+    with pytest.raises(TypeError, match="^raised by the generator$"):
+        CiOracle(random_spb(3, 0)).ci(failing(), "u2")
+
+
+@pytest.mark.parametrize(
     "backend", [random_gaussian(4, 21), random_spb(6, 21)], ids=["gaussian-4", "table-6"]
 )
 def test_the_kernel_gets_the_validated_tuples_smaller_first(monkeypatch, backend):

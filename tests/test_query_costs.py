@@ -14,8 +14,10 @@ strictly positive tables raises the ``np.divide`` count, which only their
 masked body makes; a model oracle that leaves its closure's masks, or a
 closure or axiom check that leaves the model's masks, builds ``Triplet``
 objects, and a closure kept per oracle, not per model, is computed more
-than once; an oracle that stops reading its query sets from
-the mask map shared by every oracle over the same names validates again.
+than once; an axiom check that stops certifying a closure by closing its
+elementary triplets calls ``_closed_masks`` other than once; an oracle that
+stops reading its query sets from the mask map shared by every oracle over
+the same names validates again.
 """
 
 import itertools
@@ -23,7 +25,7 @@ import sys
 
 import numpy as np
 import pytest
-from test_model_core import dense_model
+from test_model_core import dense_model, reference_check, seeded_sparse_models, thinned_closures
 
 import graphoid.dist_oracle as dist_oracle
 import graphoid.model_core as model_core
@@ -284,3 +286,37 @@ def test_model_oracle_answers_from_one_mask_closure(monkeypatch):
     assert check_graphoid_axioms(closed) == []
     assert check_graphoid_axioms(extract_model(CiOracle(random_spb(5, 0)))) == []
     assert built == []
+
+
+def test_the_axiom_check_certifies_a_closure_before_enumerating(monkeypatch):
+    closed = model_core.graphoid_closure(dense_model(7))
+    thinned = next(thinned_closures(next(seeded_sparse_models(4, 1))))
+    expected = reference_check(thinned)
+    built, closures, enumerations = [], [], []
+    real_post_init, real_masks = Triplet.__post_init__, model_core._closed_masks
+    real_decoder = model_core._set_decoder
+
+    def counting_post_init(self):
+        built.append(1)
+        real_post_init(self)
+
+    def counting_masks(m):
+        closures.append(1)
+        return real_masks(m)
+
+    def counting_decoder(names):  # the enumeration's first step
+        enumerations.append(1)
+        return real_decoder(names)
+
+    monkeypatch.setattr(Triplet, "__post_init__", counting_post_init)
+    monkeypatch.setattr(model_core, "_closed_masks", counting_masks)
+    monkeypatch.setattr(model_core, "_set_decoder", counting_decoder)
+    # A closure is certified by one closure of its elementary triplets,
+    # with no axiom instance enumerated and no Triplet built.
+    assert check_graphoid_axioms(closed) == []
+    assert closures == [1] and enumerations == [] and built == []
+    # A thinned closure fails the certificate, so the enumeration runs and
+    # reports every violation the reference finds.
+    assert expected
+    assert check_graphoid_axioms(thinned) == expected
+    assert closures == [1, 1] and enumerations == [1] and built
