@@ -2,22 +2,31 @@
 
 A network is built from a conditional-independence oracle under a
 construction order: each node's parents are the smallest predecessor subset
-that screens it off from the remaining predecessors.  Separation queries run
-on one linear-time reachability scan (Bayes-ball); the definitional
-enumeration of active trails it is tested against, and the alarm-story
-network of the goldens, live in ``tests/dsep_reference.py``.
+that screens it off from the remaining predecessors, found by asking the
+oracle in variable masks.  Separation queries run on one linear-time
+reachability scan (Bayes-ball); the definitional enumeration of active
+trails it is tested against, and the alarm-story network of the goldens,
+live in ``tests/dsep_reference.py``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidOrder, InvalidSets
-from .model_core import Triplet, Universe, names_from_json, subsets
+from .model_core import (
+    Triplet,
+    Universe,
+    _bits,
+    _names_at,
+    _set_decoder,
+    _size_lex_submasks,
+    names_from_json,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,26 +106,34 @@ class Trail:
 SeparationQuery = Triplet
 
 
-def _screening_set(oracle: CiOracle, node: str, preceding: frozenset[str]) -> frozenset[str]:
-    """The first subset of ``preceding`` that screens ``node`` off from the rest.
+def _mask_ci(oracle: CiOracle) -> Callable[[int, int, int], bool]:
+    """The oracle's verdict on disjoint ``(x, y, z)`` masks over its sorted
+    names (bit i is the i-th sorted name).
 
-    Candidates are scanned in ascending cardinality, lexicographically within
-    a cardinality, so the first hit has no qualifying proper subset and ties
-    break deterministically.
-
-    The answer depends only on the node and the set of its predecessors, so
-    it is kept on the oracle and every later build reuses it.  Any object
-    with ``universe`` and ``ci`` can stand in for an oracle; one without the
-    memo gets a throwaway dict.
+    A ``CiOracle`` answers masks itself (``_holds``).  Any other object with
+    ``universe`` and ``ci`` stands in for an oracle through this one adapter,
+    which asks ``ci`` the masks' sets of names.
     """
-    memo = getattr(oracle, "_screening", {})
-    key = (node, preceding)
-    found = memo.get(key)
-    if found is not None:
-        return found
-    for candidate in subsets(preceding):
-        if oracle.ci({node}, preceding - candidate, candidate):
-            memo[key] = candidate
+    holds = getattr(oracle, "_holds", None)
+    if holds is None:
+        set_of = _set_decoder(tuple(sorted(oracle.universe.variables)))
+
+        def holds(x: int, y: int, z: int) -> bool:
+            return oracle.ci(set_of(x), set_of(y), set_of(z))
+
+    return holds
+
+
+def _screening_mask(holds: Callable[[int, int, int], bool], node: int, preceding: int) -> int:
+    """The first submask of ``preceding`` that screens the ``node`` bit off
+    from the rest of ``preceding``.
+
+    Candidates are scanned lazily in ascending cardinality, lexicographically
+    over the sorted names within a cardinality, so the first hit has no
+    qualifying proper subset and ties break deterministically.
+    """
+    for candidate in _size_lex_submasks(preceding):
+        if holds(node, preceding ^ candidate, candidate):
             return candidate
     raise AssertionError("the full predecessor set always qualifies")
 
@@ -124,13 +141,26 @@ def _screening_set(oracle: CiOracle, node: str, preceding: frozenset[str]) -> fr
 def build_network(oracle: CiOracle, order: Sequence[str] | None = None) -> Dag:
     """Minimal Bayesian network of the oracle's model under ``order``.
 
-    Omitting the order uses the universe listing order.
+    Omitting the order uses the universe listing order.  Each node's parents
+    are ``_screening_mask`` of its predecessors, asked in masks.  The parent
+    set depends only on the node and the set of its predecessors, so it is
+    kept on the oracle (``_screening``) and every later build reuses it; an
+    oracle without the memo gets a throwaway dict.
     """
     order = _validated_order(oracle.universe, order)
-    parents = {
-        node: _screening_set(oracle, node, frozenset(order[:i]))
-        for i, node in enumerate(order)
-    }
+    bit = _bits(oracle.universe.variables)
+    memo = getattr(oracle, "_screening", None)
+    if memo is None:
+        memo = {}
+    parents, preceding = {}, 0
+    for node in order:
+        key = (bit[node], preceding)
+        found = memo.get(key)
+        if found is None:
+            screening = _screening_mask(_mask_ci(oracle), *key)
+            found = memo[key] = _names_at(tuple(sorted(order)), screening)
+        parents[node] = found
+        preceding |= key[0]
     return Dag(oracle.universe, parents, order)
 
 

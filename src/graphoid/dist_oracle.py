@@ -29,7 +29,6 @@ from .model_core import (
     _submasks,
     _validate_sets,
     names_from_json,
-    subset_table,
 )
 
 DISCRETE_TOL = 1e-9
@@ -364,8 +363,10 @@ def _table_verdicts(table: JointTable, tol: float) -> set[tuple[int, int, int]]:
 def _mask_map(names: tuple[str, ...]) -> dict:
     """Every set of a valid query over the sorted ``names`` seen so far: each
     frozenset maps to its mask (bit i is ``names[i]``) and each mask to its
-    sorted tuple.  One map per name tuple, shared by every oracle over it and
-    filled by ``CiOracle._query_masks`` only."""
+    sorted tuple.  One map per name tuple, shared by every oracle over it.
+    ``CiOracle._query_masks`` stores both entries of each set it validates;
+    an oracle asked a mask no query has named stores that mask's tuple when
+    its ``_decide`` first reads it."""
     return {}
 
 
@@ -438,14 +439,17 @@ class CiOracle:
     """Uniform conditional-independence query surface over any backend.
 
     The backend is a JointTable, a GaussianModel, or a DependencyModel.
-    Every query is read as three variable masks (bit i is the i-th sorted
-    name) from ``_masks``, the ``_mask_map`` every oracle over the same
-    names shares.  A set the map lacks, or masks that overlap, send the
-    query to ``_validate_sets``, which raises its own error; only the sets
-    of a valid query are stored.  The masks are then put in one canonical
-    orientation, the side with the lower lowest bit (or the empty side)
-    first, which is the smaller sorted tuple first; so ``ci(x, y, z) ==
-    ci(y, x, z)`` whichever was asked first.
+    ``ci``, the one public ask, reads its three sets as variable masks
+    (bit i is the i-th sorted name) with ``_query_masks``, from ``_masks``,
+    the ``_mask_map`` every oracle over the same names shares.  A set the
+    map lacks, or masks that overlap, send the query to ``_validate_sets``,
+    which raises its own error; only the sets of a valid query are stored.
+    It then answers ``_holds`` on those masks, the one decision path; the
+    package's network construction, relation sweeps and suites, which hold
+    masks already, ask ``_holds`` directly with disjoint masks.  ``_holds``
+    puts the masks in one canonical orientation, the side with the lower
+    lowest bit (or the empty side) first, which is the smaller sorted tuple
+    first; so ``ci(x, y, z) == ci(y, x, z)`` whichever was asked first.
     Tables of at most MAX_EXTRACT_VARS variables (and a grid within
     VERDICT_GRID_LIMIT) and models answer by one membership test in
     ``_verdicts()``, the set of held ``(x, y, z)`` masks, both orientations
@@ -455,7 +459,9 @@ class CiOracle:
     oracle builds its set on its first query, in one vectorized pass over
     every query at its tolerance (``_table_verdicts``), and keeps it.  Every
     other oracle answers through ``_decide``, given the canonical masks, and
-    keeps what it learns in ``_memo`` (None on the membership path).  A
+    keeps what it learns in ``_memo`` (None on the membership path); it
+    reads a mask's sorted tuple from ``_masks``, storing it there at the
+    first read of a mask no query has named.  A
     Gaussian holds trivially when a side is empty; otherwise its memo keeps
     one ``_dependency_row`` per conditioning mask, built at the first such
     query on it, and the query holds when no member of x has a dependency
@@ -468,7 +474,7 @@ class CiOracle:
     An oracle also keeps ``_given``, the conditioned oracles through which
     ``ci_given_value`` answers value-specific statements about a table, and
     ``_screening``, the minimal screening set found by network construction
-    for each node and predecessor set, so a network rebuilt on the same
+    for each node and predecessor mask, so a network rebuilt on the same
     oracle asks nothing.
     The tolerance must be a finite, non-negative number, never a bool; None
     picks the backend's default.  It is the only tolerance the checks in
@@ -482,8 +488,17 @@ class CiOracle:
         backend, tol = self.backend, self.tolerance
         if tol is not None and (isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0.0)):
             raise ValueError("tolerance must be finite and non-negative")
-        masks = _mask_map(tuple(sorted(backend.universe.variables)))
+        names = tuple(sorted(backend.universe.variables))
+        masks = _mask_map(names)
         verdicts = decide = memo = None
+
+        def tuple_of(mask: int) -> tuple[str, ...]:
+            """The sorted names of ``mask``, stored in ``masks`` at the first read."""
+            found = masks.get(mask)
+            if found is None:
+                found = masks[mask] = tuple(v for i, v in enumerate(names) if mask >> i & 1)
+            return found
+
         if isinstance(backend, JointTable):
             tol = DISCRETE_TOL if tol is None else tol
 
@@ -503,7 +518,7 @@ class CiOracle:
                 def decide(query: tuple[int, int, int]) -> bool:
                     verdict = memo.get(query)
                     if verdict is None:
-                        verdict = memo[query] = gap(*map(masks.__getitem__, query)) <= tol
+                        verdict = memo[query] = gap(*map(tuple_of, query)) <= tol
                     return verdict
 
         elif isinstance(backend, GaussianModel):
@@ -519,7 +534,7 @@ class CiOracle:
                     return True
                 row = memo.get(z)
                 if row is None:
-                    row = memo[z] = _dependency_row(backend, masks[z], tol)
+                    row = memo[z] = _dependency_row(backend, tuple_of(z), tol)
                 while x:
                     low = x & -x
                     if row[low.bit_length() - 1] & y:
@@ -546,8 +561,8 @@ class CiOracle:
         # (pivot, value index) -> oracle over the table conditioned on that
         # value, or None when the value has no usable mass; tables only.
         object.__setattr__(self, "_given", {})
-        # (node, frozenset of its predecessors) -> minimal screening set;
-        # read and written by ``bayesnet._screening_set`` only.
+        # (node bit, mask of its predecessors) -> minimal screening set;
+        # read and written by ``bayesnet.build_network`` only.
         object.__setattr__(self, "_screening", {})
 
     @property
@@ -560,7 +575,7 @@ class CiOracle:
         y_set: Iterable[str] | str,
         z_set: Iterable[str] | str,
     ) -> tuple[int, int, int]:
-        """The query's masks in the canonical orientation, read from ``_masks``."""
+        """The masks of the query's sets, in the order given, read from ``_masks``."""
         x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
         known = self._masks
         mx, my, mz = known.get(x), known.get(y), known.get(z)
@@ -569,7 +584,14 @@ class CiOracle:
             bit = {v: 1 << i for i, v in enumerate(sorted(self.universe.variables))}
             mx, my, mz = (sum(bit[v] for v in s) for s in sets)
             known.update(((x, mx), (y, my), (z, mz), (mx, sets[0]), (my, sets[1]), (mz, sets[2])))
-        return (my, mx, mz) if my & -my < mx & -mx else (mx, my, mz)
+        return mx, my, mz
+
+    def _holds(self, x: int, y: int, z: int) -> bool:
+        """The verdict on disjoint masks over the sorted names, asked in the
+        canonical orientation."""
+        query = (y, x, z) if y & -y < x & -x else (x, y, z)
+        verdicts = self._verdicts
+        return self._decide(query) if verdicts is None else query in verdicts()
 
     def ci(
         self,
@@ -577,9 +599,7 @@ class CiOracle:
         y_set: Iterable[str] | str,
         z_set: Iterable[str] | str = (),
     ) -> bool:
-        query = self._query_masks(x_set, y_set, z_set)
-        verdicts = self._verdicts
-        return self._decide(query) if verdicts is None else query in verdicts()
+        return self._holds(*self._query_masks(x_set, y_set, z_set))
 
     def ci_given_value(
         self,
@@ -627,20 +647,23 @@ class CiOracle:
         """
         if self._gap is None:
             raise TypeError("discrepancy is undefined for a dependency-model backend")
-        return self._gap(*map(self._masks.__getitem__, self._query_masks(x_set, y_set, z_set)))
+        x, y, z = self._query_masks(x_set, y_set, z_set)
+        if y & -y < x & -x:  # the orientation ``_holds`` asks in
+            x, y = y, x
+        known = self._masks
+        return self._gap(known[x], known[y], known[z])
 
 
 def extract_model(oracle: CiOracle) -> DependencyModel:
     """Dependency model holding exactly the triplets the oracle affirms.
 
     Each query of ``_table_queries`` (both sides non-empty, in the canonical
-    orientation) is asked once.  The oracle's contract supplies the rest:
-    ``ci(y, x, z) == ci(x, y, z)``, and a triple with an empty side holds.
+    orientation) is asked once, in masks.  The oracle's contract supplies the
+    rest: ``ci(y, x, z) == ci(x, y, z)``, and a triple with an empty side holds.
     """
     _check_bound(oracle.universe, MAX_EXTRACT_VARS, "extraction bound")
-    subsets = subset_table(oracle.universe.variables)
-    n, sets = len(subsets.names), subsets.by_mask
-    holds = [oracle.ci(sets[x], sets[y], sets[z]) for x, y, z in _table_queries(n)[1]]
+    n = len(oracle.universe.variables)
+    holds = list(itertools.starmap(oracle._holds, _table_queries(n)[1]))
     return _model_of_masks(oracle.universe, _held_masks(n, holds))
 
 

@@ -194,8 +194,9 @@ class Triplet:
 
 @functools.cache
 def _bits(names: tuple[str, ...]) -> dict[str, int]:
-    """Each of the sorted ``names`` mapped to its bit: bit i is ``names[i]``."""
-    return {v: 1 << i for i, v in enumerate(names)}
+    """Each of ``names`` mapped to its bit: bit i is the i-th name in sorted
+    order, in whatever order ``names`` lists them."""
+    return {v: 1 << i for i, v in enumerate(sorted(names))}
 
 
 def _triplet_masks(bit: dict[str, int], t: object) -> tuple[int, int, int] | None:
@@ -210,6 +211,11 @@ def _triplet_masks(bit: dict[str, int], t: object) -> tuple[int, int, int] | Non
         return None
 
 
+def _names_at(names: tuple[str, ...], mask: int) -> frozenset[str]:
+    """The set of the names at the set bits of ``mask``: bit i is ``names[i]``."""
+    return frozenset(v for i, v in enumerate(names) if mask >> i & 1)
+
+
 def _set_decoder(names: tuple[str, ...]):
     """A function from a mask over the sorted ``names`` to its set of names,
     building each set once per decoder."""
@@ -218,7 +224,7 @@ def _set_decoder(names: tuple[str, ...]):
     def set_of(mask: int) -> frozenset[str]:
         found = sets.get(mask)
         if found is None:
-            found = sets[mask] = frozenset(v for i, v in enumerate(names) if mask >> i & 1)
+            found = sets[mask] = _names_at(names, mask)
         return found
 
     return set_of
@@ -374,18 +380,10 @@ class SubsetTable:
     by_mask: tuple[frozenset[str], ...]
     mask_of: dict[frozenset[str], int]
 
-    @functools.cached_property
-    def lex(self) -> tuple[frozenset[str], ...]:
-        """Every subset in lexicographic order of its sorted tuple."""
-        return tuple(sorted(self.by_mask, key=sorted))
-
 
 @functools.cache
 def _subset_table(names: tuple[str, ...]) -> SubsetTable:
-    by_mask = tuple(
-        frozenset(v for i, v in enumerate(names) if mask >> i & 1)
-        for mask in range(1 << len(names))
-    )
+    by_mask = tuple(_names_at(names, mask) for mask in range(1 << len(names)))
     return SubsetTable(names, by_mask, {s: mask for mask, s in enumerate(by_mask)})
 
 
@@ -410,6 +408,15 @@ def subsets(names: Iterable[str]) -> Iterator[frozenset[str]]:
         yield from map(frozenset, itertools.combinations(pool, size))
 
 
+def _size_lex_submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask``, fewest bits first, and within a size in
+    lexicographic order of its sorted names (bit i is the i-th sorted name).
+    Generated lazily, one at a time."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    for size in range(len(bits) + 1):
+        yield from map(sum, itertools.combinations(bits, size))
+
+
 def _check_bound(
     universe: Universe, limit: int = MAX_CLOSURE_VARS, bound: str = "bound"
 ) -> None:
@@ -427,6 +434,20 @@ def _submasks(mask: int) -> Iterator[int]:
         if not sub:
             return
         sub = (sub - 1) & mask
+
+
+@functools.cache
+def _lex_submasks(mask: int) -> tuple[int, ...]:
+    """Every submask of ``mask`` in lexicographic order of its sorted names,
+    bit i being the i-th sorted name: 0 first, and each submask followed by
+    its extensions by higher bits.  Built once per mask."""
+    order = [0]
+    for i in reversed(range(mask.bit_length())):
+        if mask >> i & 1:
+            # Over bit i and the higher bits: the empty set, then the sets
+            # holding bit i, then the non-empty sets without it.
+            order = [0, *((1 << i) | sub for sub in order), *order[1:]]
+    return tuple(order)
 
 
 def _closed_masks(model: DependencyModel) -> frozenset[tuple[int, int, int]]:

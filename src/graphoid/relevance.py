@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .bayesnet import build_network, connecting_trail
+from .bayesnet import _mask_ci, build_network, connecting_trail
 from .dist_oracle import CiOracle, GaussianModel, JointTable, _check_value_index
 from .errors import InvalidPartition
-from .model_core import _check_bound, _submasks, subset_table
+from .model_core import _bits, _check_bound, _lex_submasks, _names_at, _submasks, subset_table
 
 MAX_PAIR_SWEEP_VARS = 12
 MAX_TRANSITIVITY_VARS = 8
@@ -64,23 +64,36 @@ class RelationVerdict:
         return {"relation": self.relation, "holds": self.holds, "witness": witness}
 
 
-def _pair_rest(oracle: CiOracle, x: str, y: str) -> frozenset[str]:
-    """The universe minus x and y, which must be two different variables of it."""
+def _pair_masks(oracle: CiOracle, x: str, y: str) -> tuple[int, int, int]:
+    """The bits of x and y and the mask of the rest of the universe, over its
+    sorted names; x and y must be two different variables of it."""
     if x == y:
         raise ValueError("x and y must differ")
-    return oracle.universe.names - oracle.universe.require({x, y})
+    universe = oracle.universe
+    bit = _bits(universe.variables)
+    bx, by = bit.get(x), bit.get(y)
+    if bx is None or by is None:
+        universe.require({x, y})  # raises UnknownVariable naming the stranger
+    return bx, by, ((1 << len(bit)) - 1) ^ bx ^ by
+
+
+def _names_of(oracle: CiOracle, mask: int) -> frozenset[str]:
+    """The variables at the set bits of ``mask`` over the sorted names."""
+    return _names_at(tuple(sorted(oracle.universe.variables)), mask)
 
 
 def mutually_irrelevant(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
     """Whether ({x}, {y} | Z) holds for every Z avoiding x and y.
 
-    On failure the witness is the lexicographically least violating Z.
+    The sweep asks the oracle in masks, Z in lexicographic order of its
+    sorted names; on failure the witness is the least violating Z.
     """
     _check_bound(oracle.universe, MAX_PAIR_SWEEP_VARS, "sweep bound")
-    rest = _pair_rest(oracle, x, y)
-    for z_set in subset_table(rest).lex:
-        if not oracle.ci({x}, {y}, z_set):
-            return RelationVerdict(MUTUALLY_IRRELEVANT, False, z_set)
+    bx, by, rest = _pair_masks(oracle, x, y)
+    holds = _mask_ci(oracle)
+    for z in _lex_submasks(rest):
+        if not holds(bx, by, z):
+            return RelationVerdict(MUTUALLY_IRRELEVANT, False, _names_of(oracle, z))
     return RelationVerdict(MUTUALLY_IRRELEVANT, True)
 
 
@@ -88,16 +101,18 @@ def uncoupled(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
     """Scan every partition with x on one side and y on the other.
 
     This is the definitional brute-force oracle; it never consults a network,
-    so network-based answers can be validated against it.  The witness is the
-    first qualifying partition in lexicographic scan order.
+    so network-based answers can be validated against it.  The scan asks the
+    oracle in masks, x's side in lexicographic order of its sorted names
+    besides x, and the witness is the first qualifying partition.
     """
     _check_bound(oracle.universe, MAX_PAIR_SWEEP_VARS, "sweep bound")
-    rest = _pair_rest(oracle, x, y)
-    for with_x in subset_table(rest).lex:
-        side_x = with_x | {x}
-        side_y = (rest - with_x) | {y}
-        if oracle.ci(side_x, side_y, ()):
-            return RelationVerdict(UNCOUPLED, True, (side_x, side_y))
+    bx, by, rest = _pair_masks(oracle, x, y)
+    holds = _mask_ci(oracle)
+    for with_x in _lex_submasks(rest):
+        side_x, side_y = with_x | bx, (rest ^ with_x) | by
+        if holds(side_x, side_y, 0):
+            witness = _names_of(oracle, side_x), _names_of(oracle, side_y)
+            return RelationVerdict(UNCOUPLED, True, witness)
     return RelationVerdict(UNCOUPLED, False)
 
 
@@ -107,7 +122,7 @@ def unrelated(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
     Component structure is the same for every construction order, so a single
     network suffices.  A connecting trail witnesses failure.
     """
-    _pair_rest(oracle, x, y)
+    _pair_masks(oracle, x, y)
     dag = build_network(oracle)
     trail = connecting_trail(dag, x, y)
     if trail is None:

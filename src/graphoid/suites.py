@@ -34,10 +34,10 @@ from .dist_oracle import (
 from .model_core import (
     Triplet,
     Universe,
+    _size_lex_submasks,
     check_graphoid_axioms,
     label_blocks,
     subset_table,
-    subsets,
 )
 from .relevance import (
     ANTECEDENT_FAILS,
@@ -142,22 +142,26 @@ def suite_dsep_soundness(report: SuiteReport, seed: int, n_vars: int, samples: i
     for s, _, table in _draws(random_spb, seed, samples, n_vars):
         oracle = CiOracle(table)
         names = list(table.universe.variables)
+        sets = subset_table(names).by_mask
+        full = len(sets) - 1
+        # Each singleton pair (a, b), by sorted names, under every z in
+        # size-then-lex order, as masks and as the Triplet the walk reads.
         queries = [
-            (a, b, Triplet.make({a}, {b}, z_set))
-            for a, b in itertools.combinations(sorted(names), 2)
-            for z_set in subsets(frozenset(names) - {a, b})
+            (a, b, z, Triplet(sets[a], sets[b], sets[z]))
+            for a, b in itertools.combinations([1 << i for i in range(len(names))], 2)
+            for z in _size_lex_submasks(full ^ a ^ b)
         ]
         for _ in range(3):
             order = tuple(names[k] for k in rng.permutation(len(names)))
             dag = build_network(oracle, order)
-            for a, b, q in queries:
+            for a, b, z, q in queries:
                 report.cases += 1
-                if d_separated(dag, q) and not oracle.ci(q.x_set, q.y_set, q.z_set):
+                if d_separated(dag, q) and not oracle._holds(a, b, z):
                     _fail(
                         report,
                         case=s - seed,
                         order=list(order),
-                        pair=[a, b],
+                        pair=[*q.x_set, *q.y_set],
                         table_seed=s,
                         z=sorted(q.z_set),
                     )
@@ -244,23 +248,26 @@ def _clean_sweep(report: SuiteReport, dist, label: str) -> None:
     A triple with an empty cell x1 & y1 & z1 or x2 & y2 & z2 fails the
     antecedent by structure alone, so it is neither counted nor built.
     Premise i1 depends only on the pivot and the x-split: it is asked once
-    per (pivot, x-split), and where it fails every live triple sharing that
-    x-split is counted as failing i1 without being built.  ``check_clean``
-    judges every other triple.
+    per (pivot, x-split), in masks over all the names (a ground mask with
+    its bits at and above the pivot's lifted past it), and where it fails
+    every live triple sharing that x-split is counted as failing i1 without
+    being built.  ``check_clean`` judges every other triple.
     """
     names = sorted(dist.universe.variables)
     oracle = CiOracle(dist)  # one set of verdicts for every case over this distribution
     groups = _live_by_x_split(len(names) - 1)
     outcomes = report.outcomes
-    for e_var in names:
+    everything = (1 << len(names)) - 1
+    for k, e_var in enumerate(names):
         sets = subset_table(v for v in names if v != e_var).by_mask
-        full = len(sets) - 1
+        full, below, ground = len(sets) - 1, (1 << k) - 1, everything ^ 1 << k
         for a, live in groups:
-            x = sets[a], sets[full ^ a]
             report.cases += len(live)
-            if not oracle.ci(*x):
+            x1 = (a & below) | (a & ~below) << 1  # a over all the names
+            if not oracle._holds(x1, ground ^ x1, 0):
                 outcomes["i1"] += len(live)
                 continue
+            x = sets[a], sets[full ^ a]
             for b, c in live:
                 y, z = (sets[b], sets[full ^ b]), (sets[c], sets[full ^ c])
                 result = check_clean(oracle, PartitionTriple(*x, *y, *z, e_var))

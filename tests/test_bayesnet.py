@@ -18,12 +18,14 @@ from graphoid import (
     connected_components,
     d_separated,
     factorization_max_error,
+    random_gaussian,
     random_spb,
 )
 from graphoid import model_core
-from graphoid.bayesnet import _screening_set, connecting_trail, random_dag
+from graphoid.bayesnet import _mask_ci, _screening_mask, connecting_trail, random_dag
 from graphoid.errors import InvalidOrder, InvalidSets, UnknownVariable
-from graphoid.model_core import subset_table, subsets
+from graphoid.model_core import subsets
+from test_model_core import subset_table_lex
 
 from disjoint_triples import iter_disjoint_triples
 from dsep_reference import burglary_network, d_separated_by_enumeration, descendants
@@ -45,7 +47,7 @@ def audit_minimality(dag, oracle):
     out = []
     for node in dag.construction_order:
         pars = dag.parents[node]
-        for sub in subset_table(pars).lex:
+        for sub in subset_table_lex(pars):
             if sub and oracle.ci({node}, sub, pars - sub):
                 out.append(MinimalityViolation(node, sub))
     return out
@@ -124,10 +126,58 @@ class TestMinimalParents:
         names = [f"v{i:02d}" for i in range(21)]
         oracle = ChainOracle(names)
         tables_before = model_core._subset_table.cache_info().currsize
-        assert _screening_set(oracle, "v20", frozenset(names[:20])) == {"v19"}
+        # bit i is names[i]: v20 against the mask of v00..v19
+        assert _screening_mask(_mask_ci(oracle), 1 << 20, (1 << 20) - 1) == 1 << 19
         # The empty set, then the singletons up to {v19}: 21 of 2^20 candidates.
         assert oracle.asked == 21
         assert model_core._subset_table.cache_info().currsize == tables_before
+
+
+def reference_screening_set(oracle, node, preceding):
+    """The first subset of ``preceding`` that screens ``node`` off from the
+    rest, scanned as name sets: smallest first, lexicographic within a size."""
+    for candidate in subsets(preceding):
+        if oracle.ci({node}, preceding - candidate, candidate):
+            return candidate
+    raise AssertionError("the full predecessor set always qualifies")
+
+
+def reference_network(oracle, order):
+    """``build_network`` as a frozenset scan per node, with no memo."""
+    parents = {
+        node: reference_screening_set(oracle, node, frozenset(order[:i]))
+        for i, node in enumerate(order)
+    }
+    return Dag(oracle.universe, parents, tuple(order))
+
+
+def copied_coin_table():
+    """A fair coin a, its copy b, c a noisy reading of a and d of c.
+
+    a and b screen c off from each other alike, so a scan must break the tie
+    by name order."""
+    probs = np.zeros((2, 2, 2, 2))
+    for a, c, d in itertools.product((0, 1), repeat=3):
+        probs[a, a, c, d] = 0.5 * (0.8 if c == a else 0.2) * (0.7 if d == c else 0.3)
+    return JointTable(Universe.binary("a", "b", "c", "d"), probs)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_mask_scan_matches_the_frozenset_scan_under_every_order(n):
+    backends = [random_spb(n, 40 + n), random_gaussian(n, 40 + n)]
+    if n == 4:
+        backends.append(copied_coin_table())  # ties between screening sets
+    if n == 5:
+        backends.append(burglary_model())  # sparse, so scans stop early
+    parent_sets = set()
+    for backend in backends:
+        oracle, reference = CiOracle(backend), CiOracle(backend)
+        for order in itertools.permutations(backend.universe.variables):
+            dag = build_network(oracle, order)
+            assert dag == reference_network(reference, order)
+            parent_sets.update(dag.parents.values())
+    # the scans stop at parent sets of every size up to n - 1
+    assert {len(p) for p in parent_sets} == set(range(n))
 
 
 class TestBuildNetwork:
@@ -176,12 +226,12 @@ class TestBuildNetwork:
         import graphoid.dist_oracle as dist_oracle
 
         calls, kernel_calls, builds = [], [], []
-        real_ci, real_kernel = CiOracle.ci, dist_oracle._discrete_gap
+        real_holds, real_kernel = CiOracle._holds, dist_oracle._discrete_gap
         real_verdicts = dist_oracle._table_verdicts
 
-        def counting_ci(self, x, y, z=()):
+        def counting_holds(self, x, y, z):
             calls.append((x, y, z))
-            return real_ci(self, x, y, z)
+            return real_holds(self, x, y, z)
 
         def counting_kernel(*args, **kwargs):
             kernel_calls.append(1)
@@ -191,7 +241,7 @@ class TestBuildNetwork:
             builds.append(1)
             return real_verdicts(*args)
 
-        monkeypatch.setattr(CiOracle, "ci", counting_ci)
+        monkeypatch.setattr(CiOracle, "_holds", counting_holds)
         monkeypatch.setattr(dist_oracle, "_discrete_gap", counting_kernel)
         monkeypatch.setattr(dist_oracle, "_table_verdicts", counting_verdicts)
         oracle = CiOracle(random_spb(5, 2))
@@ -205,8 +255,8 @@ class TestBuildNetwork:
         # as it was, so their screening sets come from the memo
         swapped = build_network(oracle, ("u1", "u3", "u5", "u2", "u4"))
         assert all(swapped.parents[v] == first.parents[v] for v in ("u5", "u2", "u4"))
-        asked = {frozenset(x) | frozenset(y) | frozenset(z) for x, y, z in calls}
-        assert asked and all(len(names) <= 2 for names in asked)
+        asked = {x | y | z for x, y, z in calls}
+        assert asked and all(mask.bit_count() <= 2 for mask in asked)
         # every verdict came from the one table built at the first query
         assert builds == [1] and kernel_calls == []
 

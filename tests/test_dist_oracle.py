@@ -1162,3 +1162,52 @@ def test_the_kernel_gets_the_validated_tuples_smaller_first(monkeypatch, backend
         received.clear()
         oracle.discrepancy(x, y, z)
         assert received == [want]
+
+
+def _model_over_unlisted_order():
+    """A dependency model over five names listed out of sorted order, so a
+    mask bit (a sorted position) and a listing position disagree."""
+    universe = Universe.binary("e", "b", "d", "a", "c")
+    return DependencyModel.of(
+        universe,
+        [
+            Triplet.make("e", {"a", "b"}, "c"),
+            Triplet.make("d", "a"),
+            Triplet.make({"b", "c"}, "d", "e"),
+        ],
+    )
+
+
+MASK_BACKENDS = {
+    "table-5": random_spb(5, 31),
+    "table-6": random_spb(6, 31),  # past the verdict bound: the kernel path
+    "gaussian-5": random_gaussian(5, 31),
+    "model-5": _model_over_unlisted_order(),
+    "xor": xor_table(),
+}
+
+
+@pytest.mark.parametrize("backend", MASK_BACKENDS.values(), ids=MASK_BACKENDS.keys())
+def test_the_mask_ask_answers_as_ci_on_every_disjoint_triple(backend):
+    names = tuple(sorted(backend.universe.variables))
+
+    def named(mask):
+        return {v for i, v in enumerate(names) if mask >> i & 1}
+
+    triples = [
+        tuple(sum(1 << i for i, c in enumerate(codes) if c == side) for side in (1, 2, 3))
+        for codes in itertools.product(range(4), repeat=len(names))
+    ]
+    dist_oracle._mask_map.cache_clear()  # no set over these names is named yet
+    by_masks = CiOracle(backend)
+    verdicts = [by_masks._holds(x, y, z) for x, y, z in triples]
+    # The mask path names no set.  A verdict set reads no name tuple; a
+    # Gaussian or kernel oracle stores the tuple of each mask it reads.
+    known = dist_oracle._mask_map(names)
+    if by_masks._memo is None:
+        assert known == {}
+    else:
+        assert known and all(value == tuple(sorted(named(mask))) for mask, value in known.items())
+    by_names = CiOracle(backend)
+    assert verdicts == [by_names.ci(named(x), named(y), named(z)) for x, y, z in triples]
+    assert len(triples) == 4 ** len(names) and 0 < sum(verdicts) < len(triples)

@@ -27,6 +27,8 @@ from graphoid.model_core import (
     AXIOM_TRIVIAL,
     AXIOM_WEAK_UNION,
     AxiomViolation,
+    _lex_submasks,
+    _size_lex_submasks,
     label_blocks,
     subset_table,
     subsets,
@@ -274,7 +276,9 @@ def reference_closure(model):
 
 
 def reference_check(model):
-    present = model.triplets
+    # One plain frozenset, so the loops below neither rebuild a Triplet per
+    # pass over the model's view nor decode a membership test into masks.
+    present = frozenset(model.triplets)
     out = []
 
     for x_set, z_set in _reference_disjoint_pairs(model.universe.variables):
@@ -625,8 +629,18 @@ def reference_subsets_lex(names):
     return gen([], 0)
 
 
+def size_lex_submask_sets(names):
+    """Every subset of ``names`` in the order the package's mask scans visit
+    them (``_size_lex_submasks``)."""
+    table = subset_table(names)
+    return [table.by_mask[mask] for mask in _size_lex_submasks((1 << len(table.names)) - 1)]
+
+
 def subset_table_lex(names):
-    return subset_table(names).lex
+    """Every subset of ``names`` in lexicographic order of its sorted tuple,
+    as the package's mask sweeps visit them (``_lex_submasks``)."""
+    table = subset_table(names)
+    return [table.by_mask[mask] for mask in _lex_submasks((1 << len(table.names)) - 1)]
 
 
 def reference_disjoint_triples(names):
@@ -649,6 +663,7 @@ def shuffled_names(n):
     "fast, reference",
     [
         (subsets, reference_subsets),
+        (size_lex_submask_sets, reference_subsets),
         (subset_table_lex, reference_subsets_lex),
         (iter_disjoint_triples, reference_disjoint_triples),
     ],

@@ -5,7 +5,8 @@ at most five variables answers from a verdict table built once, at its
 first query: a defeated verdict table raises the build count, and a table
 query that leaves it reaches the discrete kernel, whose count is 0 for
 every suite table.  A defeated screening-set memo raises the
-``CiOracle.ci`` count, since every rebuilt network asks its queries again;
+``CiOracle._holds`` count, since every rebuilt network asks its queries
+again;
 a defeated per-conditioning-set factor cache raises the Cholesky count;
 a Gaussian oracle that stops answering from one dependency row per
 conditioning set reaches the Gaussian kernel or raises the solve count;
@@ -17,7 +18,9 @@ objects, and a closure kept per oracle, not per model, is computed more
 than once; an axiom check that stops certifying a closure by closing its
 elementary triplets calls ``_closed_masks`` other than once; an oracle that
 stops reading its query sets from the mask map shared by every oracle over
-the same names validates again.
+the same names validates again.  Every ask, through ``CiOracle.ci`` or in
+masks by network construction, the relation sweeps and the suites, is one
+``CiOracle._holds`` call.
 """
 
 import itertools
@@ -69,23 +72,24 @@ def _count_verdict_builds(monkeypatch):
 def test_components_suite_query_counts(monkeypatch):
     kernel_calls, trivial_calls = _count_kernel_calls(monkeypatch)
     builds = _count_verdict_builds(monkeypatch)
-    ci_calls = []
-    real_ci = CiOracle.ci
+    asks = []
+    real_holds = CiOracle._holds
 
-    def counting_ci(self, *args, **kwargs):
-        ci_calls.append(1)
-        return real_ci(self, *args, **kwargs)
+    def counting_holds(self, *args):
+        asks.append(1)
+        return real_holds(self, *args)
 
-    monkeypatch.setattr(CiOracle, "ci", counting_ci)
+    monkeypatch.setattr(CiOracle, "_holds", counting_holds)
     report = run_suite("components", seed=0, samples=3)
     assert report.ok and report.cases == 3
     # 3 tables x 24 orders.  Per table: 4 x 2^3 (node, predecessor set)
     # screening searches, each asked once, from one verdict table; none
     # reaches the kernel (156 non-trivial and 96 empty-side kernel calls
-    # when each distinct query ran it).
+    # when each distinct query ran it).  Every ask, through ``ci`` or in
+    # masks, is one ``_holds`` call.
     assert len(builds) == 3
     assert kernel_calls == [] and trivial_calls == []
-    assert len(ci_calls) == 324
+    assert len(asks) == 324
 
 
 def test_each_query_set_is_validated_once_per_name_tuple(monkeypatch):
@@ -100,11 +104,14 @@ def test_each_query_set_is_validated_once_per_name_tuple(monkeypatch):
     dist_oracle._mask_map.cache_clear()  # forget the sets earlier tests asked
     report = run_suite("components", seed=0, samples=3)
     assert report.ok and report.cases == 3
-    # The three tables over u1..u4 share one mask map: 12 validations store
-    # the 15 sets their 324 queries use (36 when each oracle validated its
-    # own sets, 252 when every kernel call validated its query).
-    assert len(validated) == 12
+    # Network construction asks its 324 queries in masks, so no set is named
+    # and none is validated or stored (12 validations stored the 15 sets
+    # when it asked through ``ci``, 36 when each oracle validated its own
+    # sets, 252 when every kernel call validated its query).  The three
+    # tables over u1..u4 share one mask map.
+    assert len(validated) == 0
     assert dist_oracle._mask_map.cache_info().currsize == 1
+    assert dist_oracle._mask_map(("u1", "u2", "u3", "u4")) == {}
     # Over every triple each set is validated at most once, by whichever
     # oracle over those names asks it first; a later oracle over the same
     # names, of any backend, and a second pass validate nothing.

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from graphoid import (
     CheckResult,
     CiOracle,
+    DependencyModel,
     GaussianModel,
     JointTable,
     PartitionTriple,
     PtBinBlocks,
+    Triplet,
     Universe,
     check_clean,
     check_pt_bin,
@@ -23,6 +25,7 @@ from graphoid import (
     random_gaussian,
     random_spb,
     marginalize,
+    product_table,
     uncoupled,
     unrelated,
     xor_table,
@@ -868,3 +871,82 @@ def test_differential_fixtures_reach_every_outcome():
     assert any(s[0] == VIOLATION for s in seen)
     # past both premises with a pivot value of zero mass: the vacuous path
     assert (CONSEQUENT_HOLDS, None, True) in seen
+
+
+def _lex_name_sets(names):
+    """Every subset of ``names``, in lexicographic order of its sorted tuple."""
+    pool = sorted(names)
+    every = (frozenset(c) for k in range(len(pool) + 1) for c in itertools.combinations(pool, k))
+    return sorted(every, key=sorted)
+
+
+def reference_mutually_irrelevant(oracle, x, y):
+    """The definitional subset sweep over name sets: (verdict, least failing Z)."""
+    for z in _lex_name_sets(set(oracle.universe.variables) - {x, y}):
+        if not oracle.ci({x}, {y}, z):
+            return False, z
+    return True, None
+
+
+def reference_uncoupled(oracle, x, y):
+    """The definitional partition scan over name sets: (verdict, first split)."""
+    rest = frozenset(oracle.universe.variables) - {x, y}
+    for with_x in _lex_name_sets(rest):
+        side_x, side_y = with_x | {x}, (rest - with_x) | {y}
+        if oracle.ci(side_x, side_y):
+            return True, (side_x, side_y)
+    return False, None
+
+
+def _parity_table():
+    """Fair coins x, c, d and y = x xor c xor d: x and y are independent
+    given any proper subset of {c, d}, and dependent given both."""
+    probs = np.zeros((2, 2, 2, 2))
+    for x, c, d in itertools.product((0, 1), repeat=3):
+        probs[x, x ^ c ^ d, c, d] = 1 / 8
+    return JointTable(Universe.binary("x", "y", "c", "d"), probs)
+
+
+def _collider_table(rng):
+    """Independent coins a and b with a common child c."""
+    a, b = rng.uniform(0.2, 0.8, size=2)
+    c_given_ab = rng.uniform(0.1, 0.9, size=(2, 2))
+    probs = np.einsum(
+        "i,j,ijk->ijk", [a, 1 - a], [b, 1 - b], np.stack([c_given_ab, 1 - c_given_ab], axis=2)
+    )
+    return JointTable(Universe.binary("a", "b", "c"), probs)
+
+
+def _relation_backends():
+    """Random, planted and structured backends, one with its names listed out
+    of sorted order, so both verdicts and non-trivial witnesses occur."""
+    rng = np.random.default_rng(5)
+    coin = JointTable(Universe.binary("w"), np.array([0.3, 0.7]))
+    reversed_blocks = DependencyModel.of(
+        Universe.binary("e", "d", "c", "b", "a"),
+        [Triplet.make({"a", "b"}, {"c", "d", "e"}), Triplet.make("c", "e", "d")],
+    )
+    return (
+        [random_spb(n, 60 + n) for n in range(2, 6)]
+        + [random_gaussian(n, 60 + n) for n in range(2, 6)]
+        + [_block_joint(rng, n, gaussian) for n in (4, 5) for gaussian in (False, True)]
+        + [xor_table(), product_table(xor_table(), coin), _parity_table(), _collider_table(rng)]
+        + [pivot_block_table(), reversed_blocks]
+    )
+
+
+def test_the_mask_sweeps_match_the_name_set_sweeps():
+    witnesses = {"irrelevance": set(), "uncoupling": set()}
+    for backend in _relation_backends():
+        oracle = CiOracle(backend)
+        for x, y in itertools.permutations(backend.universe.variables, 2):
+            mi, uc = mutually_irrelevant(oracle, x, y), uncoupled(oracle, x, y)
+            assert (mi.holds, mi.witness) == reference_mutually_irrelevant(oracle, x, y)
+            assert (uc.holds, uc.witness) == reference_uncoupled(oracle, x, y)
+            if not mi.holds:
+                witnesses["irrelevance"].add(len(mi.witness))
+            if uc.holds:
+                witnesses["uncoupling"].add(len(uc.witness[0]))
+    # failures past the empty Z, and splits with more than x on its side, occur
+    assert {0, 1, 2} <= witnesses["irrelevance"]
+    assert {1, 2} <= witnesses["uncoupling"]

@@ -12,12 +12,13 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphoid import suites
 from graphoid.bayesnet import Dag
-from graphoid.dist_oracle import xor_table
-from graphoid.model_core import DependencyModel, Triplet
+from graphoid.dist_oracle import JointTable, xor_table
+from graphoid.model_core import DependencyModel, Triplet, Universe
 from graphoid.relevance import UNRELATED, RelationVerdict
 from graphoid.suites import SUITES, run_suite
 
@@ -150,6 +151,38 @@ def test_dsep_soundness_probe(monkeypatch):
 
     monkeypatch.setattr(suites, "build_network", no_parents)
     assert not run_suite("dsep-soundness", samples=3).ok
+
+
+def _chain_spb(n, seed):
+    """A binary Markov chain u1 -> u2 -> ... -> un with seeded, strictly
+    positive transitions, so a network built from it separates some pairs
+    only given a conditioning set."""
+    rng = np.random.default_rng(seed)
+    first = rng.uniform(0.2, 0.8)
+    probs = np.array([first, 1 - first])
+    for _ in range(n - 1):
+        stay = rng.uniform(0.1, 0.9, size=2)
+        probs = probs[..., None] * np.stack([stay, 1 - stay], axis=1)
+    return JointTable(Universe.binary(*(f"u{i + 1}" for i in range(n))), probs)
+
+
+def test_dsep_soundness_asks_the_separations_it_reads(monkeypatch):
+    separated = []
+    real_separated = suites.d_separated
+
+    def recording(dag, q):
+        verdict = real_separated(dag, q)
+        if verdict:
+            separated.append(q)
+        return verdict
+
+    monkeypatch.setattr(suites, "random_spb", _chain_spb)
+    monkeypatch.setattr(suites, "d_separated", recording)
+    report = run_suite("dsep-soundness", samples=8)
+    # Every separation read off the chains' networks holds in the table,
+    # and some of them hold only given a non-empty set.
+    assert report.ok and report.cases > 0
+    assert any(q.z_set for q in separated)
 
 
 def test_components_probe(monkeypatch):
