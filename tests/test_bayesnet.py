@@ -25,10 +25,10 @@ from graphoid import model_core
 from graphoid.bayesnet import _mask_ci, _screening_mask, connecting_trail, random_dag
 from graphoid.errors import InvalidOrder, InvalidSets, UnknownVariable
 from graphoid.model_core import subsets
-from test_model_core import subset_table_lex
 
 from disjoint_triples import iter_disjoint_triples
 from dsep_reference import burglary_network, d_separated_by_enumeration, descendants
+from test_model_core import subset_table_lex
 
 Q = SeparationQuery.make
 
