@@ -8,6 +8,9 @@ can be cross-validated rather than assumed:
   separating x from y (found by brute-force partition scan);
 * unrelated -- x and y land in different components of a minimal network.
 
+The subset sweep and the partition scan ask the oracle in variable masks
+over the sorted names, as network construction does.
+
 The module also checks the partition-triple implication that makes a
 distribution family transitive, its eight-block reformulation for binary
 tables, and the covariance properties that settle the Gaussian case.
