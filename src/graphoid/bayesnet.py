@@ -18,15 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidOrder, InvalidSets
-from .model_core import (
-    Triplet,
-    Universe,
-    _bits,
-    _names_at,
-    _set_decoder,
-    _size_lex_submasks,
-    names_from_json,
-)
+from .model_core import Triplet, Universe, _size_lex_submasks, names_from_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -116,7 +108,7 @@ def _mask_ci(oracle: CiOracle) -> Callable[[int, int, int], bool]:
     """
     holds = getattr(oracle, "_holds", None)
     if holds is None:
-        set_of = _set_decoder(tuple(sorted(oracle.universe.variables)))
+        set_of = oracle.universe.sets.set_of
 
         def holds(x: int, y: int, z: int) -> bool:
             return oracle.ci(set_of(x), set_of(y), set_of(z))
@@ -148,17 +140,17 @@ def build_network(oracle: CiOracle, order: Sequence[str] | None = None) -> Dag:
     oracle without the memo gets a throwaway dict.
     """
     order = _validated_order(oracle.universe, order)
-    bit = _bits(oracle.universe.variables)
+    sets = oracle.universe.sets
     memo = getattr(oracle, "_screening", None)
     if memo is None:
         memo = {}
     parents, preceding = {}, 0
     for node in order:
-        key = (bit[node], preceding)
+        key = (sets.bit[node], preceding)
         found = memo.get(key)
         if found is None:
             screening = _screening_mask(_mask_ci(oracle), *key)
-            found = memo[key] = _names_at(tuple(sorted(order)), screening)
+            found = memo[key] = sets.set_of(screening)
         parents[node] = found
         preceding |= key[0]
     return Dag(oracle.universe, parents, order)
@@ -168,8 +160,8 @@ def _validated_order(universe: Universe, order: Sequence[str] | None) -> tuple[s
     if order is None:
         return universe.variables
     order = tuple(order)
-    if len(order) != len(universe.variables) or frozenset(order) != universe.names:
-        universe.require(order)
+    # ``require`` first, so that a stranger or an unhashable name is reported as such
+    if universe.require(order) != universe.names or len(order) != len(universe.variables):
         raise InvalidOrder("order must be a permutation of the universe")
     return order
 
@@ -238,6 +230,7 @@ def _reach(dag: Dag, start: str) -> dict[str, str]:
 
 def connecting_trail(dag: Dag, start: str, end: str) -> Trail | None:
     """Shortest undirected path between two nodes, or None if disconnected."""
+    dag.universe.index(start), dag.universe.index(end)  # a stranger or unhashable name raises
     if start == end:
         return None
     back = _reach(dag, start)

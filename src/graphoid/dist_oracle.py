@@ -355,19 +355,8 @@ def _table_gaps(table: JointTable, names: tuple[str, ...], tol: float) -> np.nda
 def _table_verdicts(table: JointTable, tol: float) -> set[tuple[int, int, int]]:
     """Every verdict of ``table`` at ``tol``, as the held ``(x, y, z)`` masks
     of ``_held_masks``."""
-    names = tuple(sorted(table.universe.variables))
+    names = table.universe.sets.names
     return _held_masks(len(names), (_table_gaps(table, names, tol) <= tol).tolist())
-
-
-@functools.cache
-def _mask_map(names: tuple[str, ...]) -> dict:
-    """Every set of a valid query over the sorted ``names`` seen so far: each
-    frozenset maps to its mask (bit i is ``names[i]``) and each mask to its
-    sorted tuple.  One map per name tuple, shared by every oracle over it.
-    ``CiOracle._query_masks`` stores both entries of each set it validates;
-    an oracle asked a mask no query has named stores that mask's tuple when
-    its ``_decide`` first reads it."""
-    return {}
 
 
 def ci_residual_gaussian(
@@ -418,7 +407,7 @@ def _dependency_row(g: GaussianModel, zs: tuple[str, ...], tol: float) -> list[i
     floats; otherwise one solve against the kept factor covers every free
     column, and a singular block raises as the kernel does.
     """
-    names = sorted(g.universe.variables)
+    names = g.universe.sets.names
     free = [i for i, v in enumerate(names) if v not in zs]
     cols = [g.universe.index(names[i]) for i in free]
     if zs:
@@ -440,10 +429,11 @@ class CiOracle:
 
     The backend is a JointTable, a GaussianModel, or a DependencyModel.
     ``ci``, the one public ask, reads its three sets as variable masks
-    (bit i is the i-th sorted name) with ``_query_masks``, from ``_masks``,
-    the ``_mask_map`` every oracle over the same names shares.  A set the
-    map lacks, or masks that overlap, send the query to ``_validate_sets``,
-    which raises its own error; only the sets of a valid query are stored.
+    (bit i is the i-th sorted name) with ``_query_masks``, from the
+    ``masks`` of the universe's ``sets``, which every oracle over the same
+    names shares.  A set not yet there, or masks that overlap, send the query
+    to ``_validate_sets``, which raises its own error; only the sets of a
+    valid query are stored.
     It then answers ``_holds`` on those masks, the one decision path; the
     package's network construction, relation sweeps and suites, which hold
     masks already, ask ``_holds`` directly with disjoint masks.  ``_holds``
@@ -460,8 +450,7 @@ class CiOracle:
     every query at its tolerance (``_table_verdicts``), and keeps it.  Every
     other oracle answers through ``_decide``, given the canonical masks, and
     keeps what it learns in ``_memo`` (None on the membership path); it
-    reads a mask's sorted tuple from ``_masks``, storing it there at the
-    first read of a mask no query has named.  A
+    reads a mask's sorted tuple with the universe's ``sets.tuple_of``.  A
     Gaussian holds trivially when a side is empty; otherwise its memo keeps
     one ``_dependency_row`` per conditioning mask, built at the first such
     query on it, and the query holds when no member of x has a dependency
@@ -488,16 +477,8 @@ class CiOracle:
         backend, tol = self.backend, self.tolerance
         if tol is not None and (isinstance(tol, bool) or not (math.isfinite(tol) and tol >= 0.0)):
             raise ValueError("tolerance must be finite and non-negative")
-        names = tuple(sorted(backend.universe.variables))
-        masks = _mask_map(names)
+        tuple_of = backend.universe.sets.tuple_of
         verdicts = decide = memo = None
-
-        def tuple_of(mask: int) -> tuple[str, ...]:
-            """The sorted names of ``mask``, stored in ``masks`` at the first read."""
-            found = masks.get(mask)
-            if found is None:
-                found = masks[mask] = tuple(v for i, v in enumerate(names) if mask >> i & 1)
-            return found
 
         if isinstance(backend, JointTable):
             tol = DISCRETE_TOL if tol is None else tol
@@ -557,7 +538,6 @@ class CiOracle:
         object.__setattr__(self, "_verdicts", verdicts)
         object.__setattr__(self, "_decide", decide)
         object.__setattr__(self, "_memo", memo)
-        object.__setattr__(self, "_masks", masks)
         # (pivot, value index) -> oracle over the table conditioned on that
         # value, or None when the value has no usable mass; tables only.
         object.__setattr__(self, "_given", {})
@@ -575,15 +555,17 @@ class CiOracle:
         y_set: Iterable[str] | str,
         z_set: Iterable[str] | str,
     ) -> tuple[int, int, int]:
-        """The masks of the query's sets, in the order given, read from ``_masks``."""
+        """The masks of the query's sets, in the order given, read from the
+        universe's ``sets.masks``."""
         x, y, z = _as_name_set(x_set), _as_name_set(y_set), _as_name_set(z_set)
-        known = self._masks
+        sets = self.backend.universe.sets
+        known = sets.masks
         mx, my, mz = known.get(x), known.get(y), known.get(z)
         if mx is None or my is None or mz is None or mx & my or mx & mz or my & mz:
-            sets = _validate_sets(self.universe, x, y, z)  # raises the query's own error
-            bit = {v: 1 << i for i, v in enumerate(sorted(self.universe.variables))}
-            mx, my, mz = (sum(bit[v] for v in s) for s in sets)
-            known.update(((x, mx), (y, my), (z, mz), (mx, sets[0]), (my, sets[1]), (mz, sets[2])))
+            _validate_sets(self.universe, x, y, z)  # raises the query's own error
+            bit = sets.bit
+            mx, my, mz = (sum(bit[v] for v in s) for s in (x, y, z))
+            known.update(((x, mx), (y, my), (z, mz)))
         return mx, my, mz
 
     def _holds(self, x: int, y: int, z: int) -> bool:
@@ -650,8 +632,8 @@ class CiOracle:
         x, y, z = self._query_masks(x_set, y_set, z_set)
         if y & -y < x & -x:  # the orientation ``_holds`` asks in
             x, y = y, x
-        known = self._masks
-        return self._gap(known[x], known[y], known[z])
+        tuple_of = self.universe.sets.tuple_of
+        return self._gap(tuple_of(x), tuple_of(y), tuple_of(z))
 
 
 def extract_model(oracle: CiOracle) -> DependencyModel:

@@ -6,8 +6,14 @@ is a *semi-graphoid* when it is closed under five axioms: trivial
 independence, symmetry, decomposition, weak union, and contraction; Pearl
 (1988, ch. 3) calls it a *graphoid* only when it is also closed under
 intersection, which nothing here checks.  The names ``graphoid_closure`` and
-``check_graphoid_axioms`` refer to the five.  This module computes and
-checks that closure by exhaustive enumeration at desk scale.
+``check_graphoid_axioms`` refer to the five.  This module computes that
+closure from the model's elementary triplets and checks a model by closing
+its elementary members, enumerating axiom instances only when that closure
+differs from the model; both work at desk scale.
+
+Every variable set inside the package is a mask over a universe's sorted
+names, bit i the i-th name; ``VariableSets``, one per sorted name tuple and
+kept on each ``Universe`` as ``sets``, is the one place names and bits meet.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ AXIOM_WEAK_UNION = "weak_union"
 AXIOM_CONTRACTION = "contraction"
 
 
+def _unhashable(name: object) -> InvalidSets:
+    """The error for a variable name that cannot be hashed."""
+    return InvalidSets(f"a variable name must be hashable, not {type(name).__name__}")
+
+
 def _as_name_set(value: Iterable[str] | str) -> frozenset[str]:
     """``value`` as a set of names: a string is one name, an iterable its
     members; anything else, such as ``1`` or ``None``, and an iterable with an
@@ -62,9 +73,7 @@ def _as_name_set(value: Iterable[str] | str) -> frozenset[str]:
             try:
                 hash(member)
             except TypeError:
-                raise InvalidSets(
-                    f"a variable name must be hashable, not {type(member).__name__}"
-                ) from None
+                raise _unhashable(member) from None
         raise
 
 
@@ -78,16 +87,61 @@ def names_from_json(value: object, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+class VariableSets:
+    """The variable sets over one sorted name tuple ``names``, as masks: bit
+    i is ``names[i]``.
+
+    ``bit`` maps each name to its bit, and ``masks`` each set of a valid
+    ``CiOracle`` query seen so far to its mask.  ``set_of`` and ``tuple_of``
+    decode a mask, building each frozenset and sorted tuple once.  One
+    instance per tuple (``_variable_sets``), shared by every universe over
+    those names, so whatever one caller learns every other reuses.
+    """
+
+    __slots__ = ("names", "bit", "masks", "_sets", "_tuples")
+
+    def __init__(self, names: tuple[str, ...]) -> None:
+        self.names = names
+        self.bit = {v: 1 << i for i, v in enumerate(names)}
+        self.masks: dict[frozenset[str], int] = {}
+        self._sets: dict[int, frozenset[str]] = {}
+        self._tuples: dict[int, tuple[str, ...]] = {}
+
+    def set_of(self, mask: int) -> frozenset[str]:
+        """The names at the set bits of ``mask``."""
+        found = self._sets.get(mask)
+        if found is None:
+            found = self._sets[mask] = frozenset(self.tuple_of(mask))
+        return found
+
+    def tuple_of(self, mask: int) -> tuple[str, ...]:
+        """The names at the set bits of ``mask``, in sorted order."""
+        found = self._tuples.get(mask)
+        if found is None:
+            found = self._tuples[mask] = tuple(
+                v for i, v in enumerate(self.names) if mask >> i & 1
+            )
+        return found
+
+
+@functools.cache
+def _variable_sets(names: tuple[str, ...]) -> VariableSets:
+    """The one VariableSets of the sorted name tuple ``names``."""
+    return VariableSets(names)
+
+
 @dataclass(frozen=True)
 class Universe:
     """An ordered collection of named variables with finite value domains."""
 
     variables: tuple[VariableId, ...]
     domains: tuple[tuple[str, ...], ...]
-    # The variables as a set and each variable's position, built once; they
-    # take no part in equality, hashing or repr.
+    # The variables as a set, each variable's position and the shared
+    # VariableSets of the sorted names, built once; they take no part in
+    # equality, hashing or repr.
     names: frozenset[VariableId] = field(init=False, repr=False, compare=False)
     _positions: dict[VariableId, int] = field(init=False, repr=False, compare=False)
+    sets: VariableSets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = frozenset(self.variables)
@@ -101,6 +155,7 @@ class Universe:
             raise ValueError("one domain per variable required")
         if any(len(dom) == 0 for dom in self.domains):
             raise ValueError("every domain must be non-empty")
+        object.__setattr__(self, "sets", _variable_sets(tuple(sorted(self.variables))))
 
     @classmethod
     def binary(cls, *names: str) -> "Universe":
@@ -113,10 +168,14 @@ class Universe:
         return cls(tuple(names), tuple(("real",) for _ in names))
 
     def index(self, name: str) -> int:
+        """The position of ``name``; UnknownVariable for a stranger and
+        InvalidSets for a name that cannot be hashed."""
         try:
             return self._positions[name]
         except KeyError:
             raise UnknownVariable(f"unknown variable: {name}") from None
+        except TypeError:
+            raise _unhashable(name) from None
 
     def domain(self, name: str) -> tuple[str, ...]:
         return self.domains[self.index(name)]
@@ -192,13 +251,6 @@ class Triplet:
         )
 
 
-@functools.cache
-def _bits(names: tuple[str, ...]) -> dict[str, int]:
-    """Each of ``names`` mapped to its bit: bit i is the i-th name in sorted
-    order, in whatever order ``names`` lists them."""
-    return {v: 1 << i for i, v in enumerate(sorted(names))}
-
-
 def _triplet_masks(bit: dict[str, int], t: object) -> tuple[int, int, int] | None:
     """The ``(x, y, z)`` masks of ``t`` under ``bit``, or None when ``t`` is
     not a Triplet or names a variable that ``bit`` lacks."""
@@ -209,25 +261,6 @@ def _triplet_masks(bit: dict[str, int], t: object) -> tuple[int, int, int] | Non
         return sum(map(get, t.x_set)), sum(map(get, t.y_set)), sum(map(get, t.z_set))
     except TypeError:  # a stranger's bit is None
         return None
-
-
-def _names_at(names: tuple[str, ...], mask: int) -> frozenset[str]:
-    """The set of the names at the set bits of ``mask``: bit i is ``names[i]``."""
-    return frozenset(v for i, v in enumerate(names) if mask >> i & 1)
-
-
-def _set_decoder(names: tuple[str, ...]):
-    """A function from a mask over the sorted ``names`` to its set of names,
-    building each set once per decoder."""
-    sets: dict[int, frozenset[str]] = {}
-
-    def set_of(mask: int) -> frozenset[str]:
-        found = sets.get(mask)
-        if found is None:
-            found = sets[mask] = _names_at(names, mask)
-        return found
-
-    return set_of
 
 
 class _Hashed:
@@ -243,8 +276,8 @@ class _Hashed:
 
 
 class TripletSet(Set):
-    """The triplets of a dependency model, held as ``(x, y, z)`` masks over
-    the sorted names ``names`` (bit i is ``names[i]``).
+    """The triplets of a dependency model, held as ``(x, y, z)`` masks of
+    the VariableSets ``sets``.
 
     Membership, size, comparison with another set and hashing are answered
     on the masks; a Triplet is built only by iterating.  Anything that is
@@ -253,10 +286,10 @@ class TripletSet(Set):
     of the same triplets has, so the two stay interchangeable.
     """
 
-    __slots__ = ("names", "masks", "_hash")
+    __slots__ = ("sets", "masks", "_hash")
 
-    def __init__(self, names: tuple[str, ...], masks: frozenset[tuple[int, int, int]]) -> None:
-        self.names = names
+    def __init__(self, sets: VariableSets, masks: frozenset[tuple[int, int, int]]) -> None:
+        self.sets = sets
         self.masks = masks
         self._hash: int | None = None
 
@@ -265,26 +298,26 @@ class TripletSet(Set):
         return frozenset(it)
 
     def __contains__(self, t: object) -> bool:
-        return _triplet_masks(_bits(self.names), t) in self.masks
+        return _triplet_masks(self.sets.bit, t) in self.masks
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def __iter__(self) -> Iterator[Triplet]:
-        set_of = _set_decoder(self.names)
+        set_of = self.sets.set_of
         for x, y, z in self.masks:
             yield Triplet(set_of(x), set_of(y), set_of(z))
 
     def __le__(self, other: object) -> bool:
-        if isinstance(other, TripletSet) and other.names == self.names:
+        if isinstance(other, TripletSet) and other.sets is self.sets:
             return self.masks <= other.masks
         if not isinstance(other, Set):
             return NotImplemented
-        bit = _bits(self.names)
+        bit = self.sets.bit
         return len(self) <= len(other) and self.masks <= {_triplet_masks(bit, t) for t in other}
 
     def __ge__(self, other: object) -> bool:
-        if isinstance(other, TripletSet) and other.names == self.names:
+        if isinstance(other, TripletSet) and other.sets is self.sets:
             return self.masks >= other.masks
         if not isinstance(other, Set):
             return NotImplemented
@@ -292,7 +325,7 @@ class TripletSet(Set):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            set_of = _set_decoder(self.names)
+            set_of = self.sets.set_of
             self._hash = hash(frozenset(
                 _Hashed(hash((set_of(x), set_of(y), set_of(z)))) for x, y, z in self.masks
             ))
@@ -307,8 +340,8 @@ class DependencyModel:
     """An explicit set of triplets over a universe.
 
     ``triplets`` may be given as any collection of Triplet; the model keeps
-    it as a TripletSet, the ``(x, y, z)`` masks over the universe's sorted
-    names, and every closure, check and query reads those masks.  A name
+    it as a TripletSet, the ``(x, y, z)`` masks of the universe's
+    ``sets``, and every closure, check and query reads those masks.  A name
     outside the universe raises UnknownVariable.
     """
 
@@ -316,17 +349,16 @@ class DependencyModel:
     triplets: TripletSet
 
     def __post_init__(self) -> None:
-        names = tuple(sorted(self.universe.variables))
+        sets = self.universe.sets
         given = self.triplets
-        if isinstance(given, TripletSet) and given.names == names:
+        if isinstance(given, TripletSet) and given.sets is sets:
             return
-        bit = _bits(names)
-        masks = frozenset(_triplet_masks(bit, t) for t in given)
+        masks = frozenset(_triplet_masks(sets.bit, t) for t in given)
         if None in masks:
             # every name of the model, so the message does not hang on set order
             self.universe.require(set().union(*(t.x_set | t.y_set | t.z_set for t in given)))
             raise TypeError("a dependency model holds Triplets only")
-        object.__setattr__(self, "triplets", TripletSet(names, masks))
+        object.__setattr__(self, "triplets", TripletSet(sets, masks))
 
     def __hash__(self) -> int:
         return hash((self.universe, self.triplets.masks))
@@ -367,38 +399,13 @@ class AxiomViolation:
         return (self.axiom, self.missing.sort_key(), tuple(p.sort_key() for p in self.premises))
 
 
-@dataclass(frozen=True, eq=False)
-class SubsetTable:
-    """Every subset of a sorted name tuple; one cached, read-only instance per tuple.
-
-    ``by_mask[m]`` holds the names at the set bits of ``m`` (bit i is
-    ``names[i]``) and ``mask_of`` inverts it.  Building it costs 2^n sets, so
-    only callers bounded to desk-scale universes use it.
-    """
-
-    names: tuple[str, ...]
-    by_mask: tuple[frozenset[str], ...]
-    mask_of: dict[frozenset[str], int]
-
-
-@functools.cache
-def _subset_table(names: tuple[str, ...]) -> SubsetTable:
-    by_mask = tuple(_names_at(names, mask) for mask in range(1 << len(names)))
-    return SubsetTable(names, by_mask, {s: mask for mask, s in enumerate(by_mask)})
-
-
-def subset_table(names: Iterable[str]) -> SubsetTable:
-    """The subset table of ``names``, built once per sorted name tuple."""
-    return _subset_table(tuple(sorted(names)))
-
-
-def label_blocks(table: SubsetTable, codes: Iterable[int], k: int) -> list[frozenset[str]]:
-    """The ``k`` blocks of ``table.names`` labelled 0..k-1 by ``codes``, one
+def label_blocks(sets: VariableSets, codes: Iterable[int], k: int) -> list[frozenset[str]]:
+    """The ``k`` blocks of ``sets.names`` labelled 0..k-1 by ``codes``, one
     code per name in that (sorted) order."""
     masks = [0] * k
     for i, code in enumerate(codes):
         masks[code] |= 1 << i
-    return [table.by_mask[mask] for mask in masks]
+    return [sets.set_of(mask) for mask in masks]
 
 
 def subsets(names: Iterable[str]) -> Iterator[frozenset[str]]:
@@ -545,8 +552,7 @@ def _closed_masks(model: DependencyModel) -> frozenset[tuple[int, int, int]]:
 def _model_of_masks(universe: Universe, held: Iterable[tuple[int, int, int]]) -> DependencyModel:
     """The model over ``universe`` of the ``(x, y, z)`` masks in ``held``,
     bit i the i-th sorted name."""
-    names = tuple(sorted(universe.variables))
-    return DependencyModel(universe, TripletSet(names, frozenset(held)))
+    return DependencyModel(universe, TripletSet(universe.sets, frozenset(held)))
 
 
 def graphoid_closure(model: DependencyModel) -> DependencyModel:
@@ -580,8 +586,9 @@ def check_graphoid_axioms(model: DependencyModel) -> list[AxiomViolation]:
     ]
     if _closed_masks(_model_of_masks(model.universe, elementary)) == present:
         return []
-    set_of = _set_decoder(model.triplets.names)
-    full = (1 << len(model.triplets.names)) - 1
+    sets = model.universe.sets
+    set_of = sets.set_of
+    full = (1 << len(sets.names)) - 1
     out: list[AxiomViolation] = []
 
     def triplet(x: int, y: int, z: int) -> Triplet:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .bayesnet import _mask_ci, build_network, connecting_trail
 from .dist_oracle import CiOracle, GaussianModel, JointTable, _check_value_index
 from .errors import InvalidPartition
-from .model_core import _bits, _check_bound, _lex_submasks, _names_at, _submasks, subset_table
+from .model_core import _check_bound, _lex_submasks, _submasks, _unhashable
 
 MAX_PAIR_SWEEP_VARS = 12
 MAX_TRANSITIVITY_VARS = 8
@@ -73,16 +73,13 @@ def _pair_masks(oracle: CiOracle, x: str, y: str) -> tuple[int, int, int]:
     if x == y:
         raise ValueError("x and y must differ")
     universe = oracle.universe
-    bit = _bits(universe.variables)
-    bx, by = bit.get(x), bit.get(y)
-    if bx is None or by is None:
-        universe.require({x, y})  # raises UnknownVariable naming the stranger
+    bit = universe.sets.bit
+    try:
+        bx, by = bit[x], bit[y]
+    except (KeyError, TypeError):
+        # InvalidSets for an unhashable name, else UnknownVariable naming every stranger
+        universe.require((x, y))
     return bx, by, ((1 << len(bit)) - 1) ^ bx ^ by
-
-
-def _names_of(oracle: CiOracle, mask: int) -> frozenset[str]:
-    """The variables at the set bits of ``mask`` over the sorted names."""
-    return _names_at(tuple(sorted(oracle.universe.variables)), mask)
 
 
 def mutually_irrelevant(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
@@ -96,7 +93,7 @@ def mutually_irrelevant(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
     holds = _mask_ci(oracle)
     for z in _lex_submasks(rest):
         if not holds(bx, by, z):
-            return RelationVerdict(MUTUALLY_IRRELEVANT, False, _names_of(oracle, z))
+            return RelationVerdict(MUTUALLY_IRRELEVANT, False, oracle.universe.sets.set_of(z))
     return RelationVerdict(MUTUALLY_IRRELEVANT, True)
 
 
@@ -114,8 +111,8 @@ def uncoupled(oracle: CiOracle, x: str, y: str) -> RelationVerdict:
     for with_x in _lex_submasks(rest):
         side_x, side_y = with_x | bx, (rest ^ with_x) | by
         if holds(side_x, side_y, 0):
-            witness = _names_of(oracle, side_x), _names_of(oracle, side_y)
-            return RelationVerdict(UNCOUPLED, True, witness)
+            set_of = oracle.universe.sets.set_of
+            return RelationVerdict(UNCOUPLED, True, (set_of(side_x), set_of(side_y)))
     return RelationVerdict(UNCOUPLED, False)
 
 
@@ -151,7 +148,7 @@ def is_transitive(oracle: CiOracle) -> TransitivityResult:
     is returned.
     """
     _check_bound(oracle.universe, MAX_TRANSITIVITY_VARS)
-    names = sorted(oracle.universe.variables)
+    names = oracle.universe.sets.names
     relevant: dict[tuple[str, str], bool] = {}
     for a, b in itertools.combinations(names, 2):
         r = not mutually_irrelevant(oracle, a, b).holds
@@ -184,7 +181,11 @@ class PartitionTriple:
     def __post_init__(self) -> None:
         x1, x2, y1, y2, z1, z2 = self.x1, self.x2, self.y1, self.y2, self.z1, self.z2
         ground, y_cover, z_cover = x1 | x2, y1 | y2, z1 | z2
-        if self.e_var in ground or self.e_var in y_cover or self.e_var in z_cover:
+        try:
+            partitioned = self.e_var in ground or self.e_var in y_cover or self.e_var in z_cover
+        except TypeError:
+            raise _unhashable(self.e_var) from None
+        if partitioned:
             raise InvalidPartition("the pivot variable cannot be partitioned")
         if not (x1 and x2 and y1 and y2 and z1 and z2):
             raise InvalidPartition("partition sides must be non-empty")
@@ -379,21 +380,17 @@ def gaussian_axioms_check(g: GaussianModel) -> list[GaussianPropertyViolation]:
     unification property (value-specific independence lifting to the
     variable level) is structurally satisfied because the oracle never takes
     conditioning values, so it is not sweepable and never reported.  Every
-    query is asked at the default Gaussian tolerance of ``CiOracle``.  Sets
-    are enumerated as masks over the sorted names (``subset_table``), and a
-    premise is asked only where a conclusion could follow from it.  Both
-    properties are symmetric in a pair of sets (Y and W; X and Y), so a
-    violation is listed once, with the pair's smaller sorted tuple first.
+    query is asked at the default Gaussian tolerance of ``CiOracle``, in
+    masks over the sorted names, and a premise is asked only where a
+    conclusion could follow from it.  Both properties are symmetric in a pair
+    of sets (Y and W; X and Y), so a violation is listed once, with the
+    pair's smaller sorted tuple first.
     """
     _check_bound(g.universe, MAX_GAUSSIAN_SWEEP_VARS, "sweep bound")
-    names = sorted(g.universe.variables)
     out: list[GaussianPropertyViolation] = []
-    ci = CiOracle(g).ci
-    sets = subset_table(names).by_mask
-    full = len(sets) - 1
-
-    def sorted_sets(*masks: int) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(sorted(sets[m])) for m in masks)
+    holds = CiOracle(g)._holds
+    tuple_of = g.universe.sets.tuple_of
+    full = (1 << len(g.universe.variables)) - 1
 
     # Composition is symmetric in the two merged sets, so each unordered pair
     # is asked once, as (Y, W) with Y's sorted tuple the smaller.  The names
@@ -401,41 +398,33 @@ def gaussian_axioms_check(g: GaussianModel) -> list[GaussianPropertyViolation]:
     # lowest bit: W ranges over the rest above Y's lowest bit, and I(X,Y|Z)
     # is asked only when such a W exists.
     for z in range(full + 1):
-        z_set = sets[z]
         for x in _submasks(full ^ z):
             if not x:
                 continue
-            x_set = sets[x]
             rest_x = full ^ z ^ x
             for y in _submasks(rest_x):
                 above = (rest_x ^ y) & -((y & -y) << 1)
-                if not above or not ci(x_set, sets[y], z_set):
+                if not above or not holds(x, y, z):
                     continue
                 for w in _submasks(above):
-                    if w and ci(x_set, sets[w], z_set) and not ci(x_set, sets[y | w], z_set):
-                        out.append(
-                            GaussianPropertyViolation("composition", sorted_sets(x, y, w, z))
-                        )
+                    if w and holds(x, w, z) and not holds(x, y | w, z):
+                        sets = tuple(map(tuple_of, (x, y, w, z)))
+                        out.append(GaussianPropertyViolation("composition", sets))
 
     # Marginal weak transitivity is symmetric in X and Y, so each unordered
     # pair is asked once, with X the set of the lower lowest bit.
-    empty = sets[0]
     for x in range(1, full + 1):
-        x_set, x_low = sets[x], x & -x
+        x_low = x & -x
         for y in _submasks(full ^ x):
-            rest, y_set = full ^ x ^ y, sets[y]
-            if y & -y < x_low or not rest or not ci(x_set, y_set, empty):
+            rest = full ^ x ^ y
+            if y & -y < x_low or not rest or not holds(x, y, 0):
                 continue
-            for i, e in enumerate(names):
-                e_set = sets[1 << i]
-                if rest >> i & 1 and ci(x_set, y_set, e_set) and not (
-                    ci(x_set, e_set, empty) or ci(e_set, y_set, empty)
-                ):
-                    out.append(
-                        GaussianPropertyViolation(
-                            "marginal_weak_transitivity", sorted_sets(x, y) + ((e,),)
-                        )
-                    )
+            while rest:  # each variable e of the rest, lowest first
+                e = rest & -rest
+                rest ^= e
+                if holds(x, y, e) and not (holds(x, e, 0) or holds(e, y, 0)):
+                    sets = tuple(map(tuple_of, (x, y, e)))
+                    out.append(GaussianPropertyViolation("marginal_weak_transitivity", sets))
 
     out.sort(key=lambda v: (v.prop, v.sets))
     return out

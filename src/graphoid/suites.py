@@ -34,10 +34,10 @@ from .dist_oracle import (
 from .model_core import (
     Triplet,
     Universe,
+    VariableSets,
     _size_lex_submasks,
     check_graphoid_axioms,
     label_blocks,
-    subset_table,
 )
 from .relevance import (
     ANTECEDENT_FAILS,
@@ -142,13 +142,13 @@ def suite_dsep_soundness(report: SuiteReport, seed: int, n_vars: int, samples: i
     for s, _, table in _draws(random_spb, seed, samples, n_vars):
         oracle = CiOracle(table)
         names = list(table.universe.variables)
-        sets = subset_table(names).by_mask
-        full = len(sets) - 1
+        sets = table.universe.sets
+        full = (1 << len(names)) - 1
         # Each singleton pair (a, b), by sorted names, under every z in
         # size-then-lex order, as masks and as the Triplet the walk reads.
         queries = [
-            (a, b, z, Triplet(sets[a], sets[b], sets[z]))
-            for a, b in itertools.combinations([1 << i for i in range(len(names))], 2)
+            (a, b, z, Triplet(sets.set_of(a), sets.set_of(b), sets.set_of(z)))
+            for a, b in itertools.combinations(sets.bit.values(), 2)
             for z in _size_lex_submasks(full ^ a ^ b)
         ]
         for _ in range(3):
@@ -186,8 +186,7 @@ def suite_components(report: SuiteReport, seed: int, n_vars: int, samples: int) 
 
 
 def _relation_checks(report: SuiteReport, oracle: CiOracle, label: str) -> None:
-    names = sorted(oracle.universe.variables)
-    for a, b in itertools.combinations(names, 2):
+    for a, b in itertools.combinations(oracle.universe.sets.names, 2):
         mi = mutually_irrelevant(oracle, a, b)
         uc = uncoupled(oracle, a, b)
         ur = unrelated(oracle, a, b)
@@ -247,29 +246,33 @@ def _clean_sweep(report: SuiteReport, dist, label: str) -> None:
 
     A triple with an empty cell x1 & y1 & z1 or x2 & y2 & z2 fails the
     antecedent by structure alone, so it is neither counted nor built.
-    Premise i1 depends only on the pivot and the x-split: it is asked once
-    per (pivot, x-split), in masks over all the names (a ground mask with
-    its bits at and above the pivot's lifted past it), and where it fails
-    every live triple sharing that x-split is counted as failing i1 without
-    being built.  ``check_clean`` judges every other triple.
+    The split masks are over the names but the pivot, so each is lifted past
+    the pivot's bit into a mask over all the names.  Premise i1 depends only
+    on the pivot and the x-split: it is asked once per (pivot, x-split), in
+    those masks, and where it fails every live triple sharing that x-split is
+    counted as failing i1 without being built.  ``check_clean`` judges every
+    other triple.
     """
-    names = sorted(dist.universe.variables)
+    sets = dist.universe.sets
+    names = sets.names
     oracle = CiOracle(dist)  # one set of verdicts for every case over this distribution
     groups = _live_by_x_split(len(names) - 1)
     outcomes = report.outcomes
     everything = (1 << len(names)) - 1
     for k, e_var in enumerate(names):
-        sets = subset_table(v for v in names if v != e_var).by_mask
-        full, below, ground = len(sets) - 1, (1 << k) - 1, everything ^ 1 << k
+        below, ground = (1 << k) - 1, everything ^ 1 << k
+        # each split's first side lifted, and the split's two sides as sets
+        lifted = [(m & below) | (m & ~below) << 1 for m in range(1 << (len(names) - 1))]
+        split = [(sets.set_of(m), sets.set_of(ground ^ m)) for m in lifted]
         for a, live in groups:
             report.cases += len(live)
-            x1 = (a & below) | (a & ~below) << 1  # a over all the names
+            x1 = lifted[a]
             if not oracle._holds(x1, ground ^ x1, 0):
                 outcomes["i1"] += len(live)
                 continue
-            x = sets[a], sets[full ^ a]
+            x = split[a]
             for b, c in live:
-                y, z = (sets[b], sets[full ^ b]), (sets[c], sets[full ^ c])
+                y, z = split[b], split[c]
                 result = check_clean(oracle, PartitionTriple(*x, *y, *z, e_var))
                 # Live cells leave a failed premise as the only antecedent failure.
                 failed = result.status == ANTECEDENT_FAILS
@@ -295,13 +298,12 @@ def suite_clean(report: SuiteReport, seed: int, n_vars: int, samples: int) -> No
         _clean_sweep(report, g, f"gaussian:{s}")
 
 
-def _random_blocks(rng: np.random.Generator, ground: list[str]) -> PtBinBlocks:
-    """Random eight-way block assignment of ``ground`` with both first blocks
-    non-empty; one code is drawn per name in sorted order."""
-    table = subset_table(ground)
+def _random_blocks(rng: np.random.Generator, ground: VariableSets) -> PtBinBlocks:
+    """Random eight-way block assignment of the names of ``ground`` with both
+    first blocks non-empty; one code is drawn per name in sorted order."""
     while True:
-        codes = rng.integers(8, size=len(table.names))
-        groups = label_blocks(table, codes, 8)
+        codes = rng.integers(8, size=len(ground.names))
+        groups = label_blocks(ground, codes, 8)
         if groups[0] and groups[4]:
             return PtBinBlocks(*groups)
 
@@ -315,10 +317,9 @@ def suite_pt_bin(report: SuiteReport, seed: int, n_vars: int, samples: int) -> N
     """
     rng = np.random.default_rng(seed)
     for s, _, table in _draws(random_spb, seed, samples, n_vars, 3):
-        names = sorted(table.universe.variables)
+        names = table.universe.sets.names
         e_var = names[int(rng.integers(len(names)))]
-        ground = [v for v in names if v != e_var]
-        blocks = _random_blocks(rng, ground)
+        blocks = _random_blocks(rng, table.universe.restricted_to(set(names) - {e_var}).sets)
         report.cases += 1
         oracle = CiOracle(table)
         by_blocks = check_pt_bin(oracle, blocks, e_var)

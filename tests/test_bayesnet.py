@@ -21,14 +21,13 @@ from graphoid import (
     random_gaussian,
     random_spb,
 )
-from graphoid import model_core
 from graphoid.bayesnet import _mask_ci, _screening_mask, connecting_trail, random_dag
 from graphoid.errors import InvalidOrder, InvalidSets, UnknownVariable
 from graphoid.model_core import subsets
 
 from disjoint_triples import iter_disjoint_triples
 from dsep_reference import burglary_network, d_separated_by_enumeration, descendants
-from test_model_core import subset_table_lex
+from test_model_core import lex_submask_sets
 
 Q = SeparationQuery.make
 
@@ -47,7 +46,7 @@ def audit_minimality(dag, oracle):
     out = []
     for node in dag.construction_order:
         pars = dag.parents[node]
-        for sub in subset_table_lex(pars):
+        for sub in lex_submask_sets(pars):
             if sub and oracle.ci({node}, sub, pars - sub):
                 out.append(MinimalityViolation(node, sub))
     return out
@@ -125,12 +124,15 @@ class TestMinimalParents:
 
         names = [f"v{i:02d}" for i in range(21)]
         oracle = ChainOracle(names)
-        tables_before = model_core._subset_table.cache_info().currsize
+        sets = oracle.universe.sets
+        decoded_before = len(sets._sets), len(sets._tuples)
         # bit i is names[i]: v20 against the mask of v00..v19
         assert _screening_mask(_mask_ci(oracle), 1 << 20, (1 << 20) - 1) == 1 << 19
         # The empty set, then the singletons up to {v19}: 21 of 2^20 candidates.
         assert oracle.asked == 21
-        assert model_core._subset_table.cache_info().currsize == tables_before
+        # Only the sets of the 21 asks are decoded, at most three per ask.
+        decoded = len(sets._sets) - decoded_before[0], len(sets._tuples) - decoded_before[1]
+        assert all(count <= 3 * 21 for count in decoded)
 
 
 def reference_screening_set(oracle, node, preceding):

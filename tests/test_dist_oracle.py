@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphoid
 import graphoid.dist_oracle as dist_oracle
 import graphoid.model_core as model_core
 from graphoid import (
@@ -36,6 +37,7 @@ from graphoid import (
     unrelated,
     xor_table,
 )
+from graphoid.bayesnet import connecting_trail
 from graphoid.dist_oracle import (
     CONDITION_LIMIT,
     DISCRETE_TOL,
@@ -425,16 +427,10 @@ def test_model_oracle_keeps_no_memo(xor):
     assert list(wide_oracle._memo) == [(0b1, 0b10, 0)]
 
 
-def test_model_oracle_past_the_bound_raises_at_every_query(monkeypatch):
-    tables = []
-    real_table = model_core.subset_table
-
-    def counting_table(names):
-        tables.append(1)
-        return real_table(names)
-
-    monkeypatch.setattr(model_core, "subset_table", counting_table)
+def test_model_oracle_past_the_bound_raises_at_every_query():
     big = DependencyModel.of(Universe.binary(*(f"u{i}" for i in range(9))))
+    sets = big.universe.sets
+    decoded = dict(sets._sets), dict(sets._tuples)
     oracle = CiOracle(big)
     for _ in range(2):
         with pytest.raises(UniverseTooLarge):
@@ -444,7 +440,8 @@ def test_model_oracle_past_the_bound_raises_at_every_query(monkeypatch):
             oracle.ci("u0", "nope")
         with pytest.raises(InvalidSets, match="^overlapping sets"):
             oracle.ci("u0", "u0")
-    assert tables == []  # the bound is checked before any 2^n subset table
+    # the bound is checked before any mask is decoded, let alone 2^n of them
+    assert (sets._sets, sets._tuples) == decoded
 
 
 def test_oracle_is_freed_without_the_cycle_collector(xor):
@@ -908,9 +905,9 @@ def _assert_oracle_answers_as_the_public_kernels(oracle):
             return ci_discrepancy_discrete(backend, *query, tol=tol)
 
         if oracle._memo is None:
-            subsets = model_core.subset_table(backend.universe.variables)
-            queries = dist_oracle._table_queries(len(subsets.names))[1]
-            found = dist_oracle._table_gaps(backend, subsets.names, tol).tolist()
+            sets = backend.universe.sets
+            queries = dist_oracle._table_queries(len(sets.names))[1]
+            found = dist_oracle._table_gaps(backend, sets.names, tol).tolist()
             rows = dict(zip(queries, found))
     else:
 
@@ -928,7 +925,7 @@ def _assert_oracle_answers_as_the_public_kernels(oracle):
             assert oracle.discrepancy(a, b, z) == want
             assert verdict == (want <= tol)
             if rows is not None and a and b:
-                masks = tuple(subsets.mask_of[frozenset(s)] for s in query)
+                masks = tuple(sum(sets.bit[v] for v in s) for s in query)
                 assert math.isclose(rows[masks], want, rel_tol=0.0, abs_tol=1e-12)
 
 
@@ -1046,11 +1043,11 @@ def test_a_warmed_oracle_rejects_every_bad_query(kind):
         oracle.ci(x, y, z)
     memo = None if oracle._memo is None else dict(oracle._memo)
     assert (memo is None) == (kind in ("table", "model"))
-    known = dict(oracle._masks)
-    # each valid set's mask, and each mask's sorted tuple
-    sets = [s for s in known if isinstance(s, frozenset)]
-    assert {"u1"} in sets and {"u2", "u3"} in sets
-    assert all(known[known[s]] == tuple(sorted(s)) for s in sets)
+    sets = backend.universe.sets
+    known = dict(sets.masks)
+    # each valid set's mask, whose sorted tuple is the set's
+    assert frozenset({"u1"}) in known and frozenset({"u2", "u3"}) in known
+    assert all(sets.tuple_of(known[s]) == tuple(sorted(s)) for s in known)
     held = None if memo is not None else set(oracle._verdicts())
     bad = [
         ({"u9"}, {"u2"}, ()),  # unknown in x
@@ -1073,7 +1070,7 @@ def test_a_warmed_oracle_rejects_every_bad_query(kind):
                 with pytest.raises(InvalidSets) as info:
                     ask(x, y, z)
                 assert (type(info.value), str(info.value)) == want
-    assert oracle._masks == known
+    assert sets.masks == known
     assert oracle._memo == memo
     if held is not None:
         assert oracle._verdicts() == held
@@ -1103,6 +1100,42 @@ def test_a_set_with_an_unhashable_member_raises_invalid_sets(bad):
             for args in ((bad, "u2"), ("u2", bad), ("u2", "u3", bad)):
                 with pytest.raises(InvalidSets, match=want):
                     ask(*args)
+
+
+def _pt_bin_blocks():
+    """Eight blocks over u1..u3 whose first blocks are non-empty."""
+    empty = frozenset()
+    return PtBinBlocks({"u1"}, {"u2"}, empty, empty, {"u3"}, empty, empty, empty)
+
+
+# One call per entry point that takes a single variable name, each given a list.
+UNHASHABLE_NAME_CALLS = {
+    "mutually_irrelevant": lambda t: graphoid.mutually_irrelevant(CiOracle(t), ["u1"], "u2"),
+    "uncoupled": lambda t: graphoid.uncoupled(CiOracle(t), "u1", ["u2"]),
+    "unrelated": lambda t: unrelated(CiOracle(t), ["u1"], "u2"),
+    "build_network": lambda t: build_network(CiOracle(t), ["u1", "u2", ["u3"], "u4"]),
+    "condition_on": lambda t: condition_on(t, ["u1"], 0),
+    "ci_given_value": lambda t: CiOracle(t).ci_given_value("u1", "u2", ["u3"], 0),
+    "check_pt_bin": lambda t: check_pt_bin(t, _pt_bin_blocks(), ["u4"]),
+    "PartitionTriple": lambda t: PartitionTriple(
+        {"u1"}, {"u2"}, {"u1"}, {"u2"}, {"u1"}, {"u2"}, ["u4"]
+    ),
+    "connecting_trail": lambda t: connecting_trail(build_network(CiOracle(t)), ["u1"], "u2"),
+    "restrict_to_hypotheses": lambda t: restrict_to_hypotheses(t, ["u1"], (0, 1)),
+    "build_local": lambda t: graphoid.build_local(t, ["u1"], (0, 1), 1),
+    "build_similarity": lambda t: graphoid.build_similarity(
+        t, graphoid.HypothesisCover(["u1"], ((0, 1),)), 1
+    ),
+    "types_equivalent": lambda t: graphoid.types_equivalent(
+        t, graphoid.HypothesisCover(["u1"], ((0, 1),))
+    ),
+}
+
+
+@pytest.mark.parametrize("call", UNHASHABLE_NAME_CALLS.values(), ids=UNHASHABLE_NAME_CALLS.keys())
+def test_an_unhashable_variable_name_raises_invalid_sets(call):
+    with pytest.raises(InvalidSets, match="^a variable name must be hashable, not list$"):
+        call(random_spb(4, 0))
 
 
 @pytest.mark.parametrize(
@@ -1198,12 +1231,16 @@ def test_the_mask_ask_answers_as_ci_on_every_disjoint_triple(backend):
         tuple(sum(1 << i for i, c in enumerate(codes) if c == side) for side in (1, 2, 3))
         for codes in itertools.product(range(4), repeat=len(names))
     ]
-    dist_oracle._mask_map.cache_clear()  # no set over these names is named yet
+    # A universe over these names with a VariableSets no query has used yet.
+    model_core._variable_sets.cache_clear()
+    universe = Universe(backend.universe.variables, backend.universe.domains)
+    backend = dataclasses.replace(backend, universe=universe)
     by_masks = CiOracle(backend)
     verdicts = [by_masks._holds(x, y, z) for x, y, z in triples]
     # The mask path names no set.  A verdict set reads no name tuple; a
-    # Gaussian or kernel oracle stores the tuple of each mask it reads.
-    known = dist_oracle._mask_map(names)
+    # Gaussian or kernel oracle decodes the tuple of each mask it reads.
+    assert universe.sets.masks == {}
+    known = universe.sets._tuples
     if by_masks._memo is None:
         assert known == {}
     else:

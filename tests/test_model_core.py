@@ -30,11 +30,10 @@ from graphoid.model_core import (
     _lex_submasks,
     _size_lex_submasks,
     label_blocks,
-    subset_table,
     subsets,
 )
 
-from disjoint_triples import iter_disjoint_triples
+from disjoint_triples import by_mask, iter_disjoint_triples, variable_sets
 
 
 def t(x, y, z=()):
@@ -358,8 +357,8 @@ def fixpoint_closure(model):
     A work stack of derived triplets applies symmetry, decomposition and weak
     union, and finds each contraction partner in an index.
     """
-    table = subset_table(model.universe.variables)
-    sets, mask_of = table.by_mask, table.mask_of
+    sets = by_mask(model.universe.variables)
+    mask_of = {s: mask for mask, s in enumerate(sets)}
     full = len(sets) - 1
     closed = {(x, 0, z) for z in range(full + 1) for x in range(full + 1) if not x & z}
     closed |= {(0, x, z) for x, _, z in closed}
@@ -632,15 +631,15 @@ def reference_subsets_lex(names):
 def size_lex_submask_sets(names):
     """Every subset of ``names`` in the order the package's mask scans visit
     them (``_size_lex_submasks``)."""
-    table = subset_table(names)
-    return [table.by_mask[mask] for mask in _size_lex_submasks((1 << len(table.names)) - 1)]
+    sets = by_mask(names)
+    return [sets[mask] for mask in _size_lex_submasks(len(sets) - 1)]
 
 
-def subset_table_lex(names):
+def lex_submask_sets(names):
     """Every subset of ``names`` in lexicographic order of its sorted tuple,
     as the package's mask sweeps visit them (``_lex_submasks``)."""
-    table = subset_table(names)
-    return [table.by_mask[mask] for mask in _lex_submasks((1 << len(table.names)) - 1)]
+    sets = by_mask(names)
+    return [sets[mask] for mask in _lex_submasks(len(sets) - 1)]
 
 
 def reference_disjoint_triples(names):
@@ -664,7 +663,7 @@ def shuffled_names(n):
     [
         (subsets, reference_subsets),
         (size_lex_submask_sets, reference_subsets),
-        (subset_table_lex, reference_subsets_lex),
+        (lex_submask_sets, reference_subsets_lex),
         (iter_disjoint_triples, reference_disjoint_triples),
     ],
 )
@@ -673,12 +672,22 @@ def test_subset_orders_match_the_reference_generators(n, fast, reference):
     assert list(fast(names)) == list(reference(names))
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(7))
 def test_label_blocks_group_names_by_code(n):
     pool = sorted(shuffled_names(n))
-    table = subset_table(reversed(pool))
-    assert table.names == tuple(pool)
-    assert [table.mask_of[s] for s in table.by_mask] == list(range(1 << n))
+    sets = Universe.binary(*reversed(pool)).sets
+    assert sets.names == tuple(pool)
+    # one shared VariableSets per sorted name tuple, whatever the listing order
+    assert sets is Universe.binary(*pool).sets is variable_sets(shuffled_names(n))
+    assert sets.bit == {v: 1 << i for i, v in enumerate(pool)}
+    for mask in range(1 << n):
+        names = sets.tuple_of(mask)
+        assert names == tuple(v for v in pool if mask & sets.bit[v])
+        assert sets.set_of(mask) == frozenset(names)
+        assert sum(sets.bit[v] for v in sets.set_of(mask)) == mask
+        # each set and tuple is built once
+        assert sets.set_of(mask) is sets.set_of(mask)
+        assert sets.tuple_of(mask) is names
     for codes in itertools.product(range(3), repeat=n):
         expected = [frozenset(v for v, c in zip(pool, codes) if c == k) for k in range(3)]
-        assert label_blocks(table, codes, 3) == expected
+        assert label_blocks(sets, codes, 3) == expected

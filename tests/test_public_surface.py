@@ -7,6 +7,9 @@ attribute or an imported alias, or as a function the benchmark's tracer
 lists in ``TARGETS``.  Tests alone do not keep a name alive, and neither does
 an entry in ``graphoid.__all__``: a name only tests use belongs in the tests,
 unless ``ALLOWED`` gives the reason it stays.
+
+Every variable set in the package is a mask of ``model_core.VariableSets``;
+no other module may build its own name -> bit map or bit decoder.
 """
 
 import ast
@@ -74,3 +77,38 @@ def test_the_scan_sees_definitions_and_uses():
     assert {"bayesnet.random_dag", "dist_oracle.CiOracle", "dist_oracle.CiOracle.ci"} <= found
     assert {"CiOracle", "ci", "run_suite", "ci_residual_gaussian"} <= used_names()
     assert len(graphoid.__all__) == 45
+
+
+def _is_one(node):
+    return isinstance(node, ast.Constant) and node.value == 1
+
+
+def _is_op(node, op):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, op)
+
+
+def name_bit_codecs(tree):
+    """Where ``tree`` builds a name -> bit dict (``{v: 1 << i ...}``) or reads
+    a bit of a mask with ``mask >> i & 1``, as ``(line, what)`` pairs."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.DictComp) and _is_op(node.value, ast.LShift):
+            if _is_one(node.value.left):
+                yield node.lineno, "name -> bit dict"
+        if _is_op(node, ast.BitAnd):
+            sides = (node.left, node.right)
+            if any(map(_is_one, sides)) and any(_is_op(side, ast.RShift) for side in sides):
+                yield node.lineno, "mask >> i & 1"
+
+
+def test_only_model_core_maps_names_to_bits():
+    # Every variable set is a mask of a universe's ``sets`` (a VariableSets);
+    # a second encoder or decoder could disagree with it on bit order.
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "model_core.py"
+        for line, what in name_bit_codecs(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    core = ast.parse((PACKAGE / "model_core.py").read_text())
+    assert {what for _, what in name_bit_codecs(core)} == {"name -> bit dict", "mask >> i & 1"}

@@ -17,8 +17,9 @@ closure or axiom check that leaves the model's masks, builds ``Triplet``
 objects, and a closure kept per oracle, not per model, is computed more
 than once; an axiom check that stops certifying a closure by closing its
 elementary triplets calls ``_closed_masks`` other than once; an oracle that
-stops reading its query sets from the mask map shared by every oracle over
-the same names validates again.  Every ask, through ``CiOracle.ci`` or in
+stops reading its query sets from the ``VariableSets`` shared by every
+universe over the same names validates again, and a witness decoder that
+stops building each set once decodes more masks.  Every ask, through ``CiOracle.ci`` or in
 masks by network construction, the relation sweeps and the suites, is one
 ``CiOracle._holds`` call.
 """
@@ -101,21 +102,21 @@ def test_each_query_set_is_validated_once_per_name_tuple(monkeypatch):
         return real_validate(*args)
 
     monkeypatch.setattr(dist_oracle, "_validate_sets", counting_validate)
-    dist_oracle._mask_map.cache_clear()  # forget the sets earlier tests asked
+    model_core._variable_sets.cache_clear()  # forget the sets earlier tests asked
     report = run_suite("components", seed=0, samples=3)
     assert report.ok and report.cases == 3
     # Network construction asks its 324 queries in masks, so no set is named
     # and none is validated or stored (12 validations stored the 15 sets
     # when it asked through ``ci``, 36 when each oracle validated its own
     # sets, 252 when every kernel call validated its query).  The three
-    # tables over u1..u4 share one mask map.
+    # tables over u1..u4 share one VariableSets.
     assert len(validated) == 0
-    assert dist_oracle._mask_map.cache_info().currsize == 1
-    assert dist_oracle._mask_map(("u1", "u2", "u3", "u4")) == {}
+    assert model_core._variable_sets.cache_info().currsize == 1
+    assert Universe.binary("u1", "u2", "u3", "u4").sets.masks == {}
     # Over every triple each set is validated at most once, by whichever
     # oracle over those names asks it first; a later oracle over the same
     # names, of any backend, and a second pass validate nothing.
-    dist_oracle._mask_map.cache_clear()
+    model_core._variable_sets.cache_clear()
     validated.clear()
     oracle = CiOracle(random_gaussian(4, 0))
     triples = list(iter_disjoint_triples(oracle.universe.variables))
@@ -301,7 +302,7 @@ def test_the_axiom_check_certifies_a_closure_before_enumerating(monkeypatch):
     expected = reference_check(thinned)
     built, closures, enumerations = [], [], []
     real_post_init, real_masks = Triplet.__post_init__, model_core._closed_masks
-    real_decoder = model_core._set_decoder
+    real_set_of = model_core.VariableSets.set_of
 
     def counting_post_init(self):
         built.append(1)
@@ -311,19 +312,43 @@ def test_the_axiom_check_certifies_a_closure_before_enumerating(monkeypatch):
         closures.append(1)
         return real_masks(m)
 
-    def counting_decoder(names):  # the enumeration's first step
+    def counting_set_of(self, mask):  # each set of a reported violation
         enumerations.append(1)
-        return real_decoder(names)
+        return real_set_of(self, mask)
 
     monkeypatch.setattr(Triplet, "__post_init__", counting_post_init)
     monkeypatch.setattr(model_core, "_closed_masks", counting_masks)
-    monkeypatch.setattr(model_core, "_set_decoder", counting_decoder)
+    monkeypatch.setattr(model_core.VariableSets, "set_of", counting_set_of)
     # A closure is certified by one closure of its elementary triplets,
     # with no axiom instance enumerated and no Triplet built.
     assert check_graphoid_axioms(closed) == []
     assert closures == [1] and enumerations == [] and built == []
-    # A thinned closure fails the certificate, so the enumeration runs and
-    # reports every violation the reference finds.
+    # A thinned closure fails the certificate, so the enumeration runs,
+    # reports every violation the reference finds
     assert expected
     assert check_graphoid_axioms(thinned) == expected
-    assert closures == [1, 1] and enumerations == [1] and built
+    # and decodes the three sets of each Triplet it builds for them.
+    assert closures == [1, 1] and built and len(enumerations) == 3 * len(built)
+
+
+def test_a_transitivity_run_decodes_each_witness_mask_once(monkeypatch):
+    decoded = []
+    real_tuple_of = model_core.VariableSets.tuple_of
+
+    def counting_tuple_of(self, mask):
+        if mask not in self._tuples:
+            decoded.append((self.names, mask))
+        return real_tuple_of(self, mask)
+
+    monkeypatch.setattr(model_core.VariableSets, "tuple_of", counting_tuple_of)
+    model_core._variable_sets.cache_clear()  # no mask over the suite's names is decoded yet
+    report = run_suite("transitivity", seed=0)
+    assert report.ok
+    # ``is_transitive`` reads only ``.holds``, but each failing irrelevance
+    # sweep still builds its witness set.  Every pair of a random table or
+    # Gaussian is dependent with Z empty, so over the five name tuples (the
+    # paired coins' and u1..un for n = 2..5) only the empty mask is decoded;
+    # the Gaussians' dependency rows read the same tuple.  Each witness
+    # decoded afresh made 1,502 decodes.
+    tuples = [("x", "y", "z"), *(tuple(f"u{i}" for i in range(1, n + 1)) for n in range(2, 6))]
+    assert sorted(decoded) == sorted((names, 0) for names in tuples)

@@ -32,13 +32,15 @@ from graphoid import (
 )
 import graphoid.dist_oracle as dist_oracle
 from graphoid.errors import InvalidPartition, UniverseTooLarge
-from graphoid.model_core import label_blocks, subset_table
+from graphoid.model_core import label_blocks
 from graphoid.relevance import (
     ANTECEDENT_FAILS,
     CONSEQUENT_HOLDS,
     VIOLATION,
     GaussianPropertyViolation,
 )
+
+from disjoint_triples import variable_sets
 
 
 def pivot_block_table():
@@ -482,7 +484,7 @@ def _reference_gaussian_axioms_check(g):
     names = sorted(g.universe.variables)
     out = []
     ci = CiOracle(g).ci
-    table = subset_table(names)
+    table = variable_sets(names)
     for codes in itertools.product(range(5), repeat=len(names)):
         if 1 not in codes or 2 not in codes or 3 not in codes:
             continue
@@ -515,18 +517,20 @@ def _reference_gaussian_axioms_check(g):
 
 
 def _with_oracle_queries(monkeypatch, check, g):
-    """``check(g)`` and the list of queries it asked ``CiOracle.ci``, each as
-    frozensets with the side of the smaller sorted tuple first."""
+    """``check(g)`` and the list of queries it asked ``CiOracle._holds``, the
+    path of every ask, in masks or through ``ci``; each as frozensets with
+    the side of the smaller sorted tuple first."""
     asked = []
-    real_ci = CiOracle.ci
+    real_holds = CiOracle._holds
 
-    def recording_ci(self, x_set, y_set, z_set=()):
-        x, y = sorted((tuple(sorted(x_set)), tuple(sorted(y_set))))
-        asked.append((frozenset(x), frozenset(y), frozenset(z_set)))
-        return real_ci(self, x_set, y_set, z_set)
+    def recording_holds(self, x, y, z):
+        sets = self.universe.sets
+        x_names, y_names = sorted((sets.tuple_of(x), sets.tuple_of(y)))
+        asked.append((frozenset(x_names), frozenset(y_names), sets.set_of(z)))
+        return real_holds(self, x, y, z)
 
     with monkeypatch.context() as patch:
-        patch.setattr(CiOracle, "ci", recording_ci)
+        patch.setattr(CiOracle, "_holds", recording_holds)
         return check(g), asked
 
 
@@ -566,32 +570,31 @@ class TestGaussianAxioms:
         assert live > 0  # some marginal independence premise held
 
     def test_a_failing_merged_verdict_is_reported_by_both(self, monkeypatch):
-        real_ci = CiOracle.ci
+        real_holds = CiOracle._holds
 
-        def merged_sets_fail(self, x_set, y_set, z_set=()):
-            # The second argument holds two or more names exactly when it
-            # can be the merged set Y+W of composition.
-            return len(y_set) < 2 and real_ci(self, x_set, y_set, z_set)
+        def merged_sets_fail(self, x, y, z):
+            # The second mask has two or more bits exactly when it can be
+            # the merged set Y+W of composition.
+            return not y & (y - 1) and real_holds(self, x, y, z)
 
-        monkeypatch.setattr(CiOracle, "ci", merged_sets_fail)
+        monkeypatch.setattr(CiOracle, "_holds", merged_sets_fail)
         for g in _planted_gaussians():
             got = gaussian_axioms_check(g)
             assert got == _reference_gaussian_axioms_check(g)
         assert got and {v.prop for v in got} == {"composition"}
 
     def test_a_weak_transitivity_violation_is_listed_once(self, monkeypatch):
-        real_ci = CiOracle.ci
+        real_holds = CiOracle._holds
 
-        def last_name_marginally_dependent(self, x_set, y_set, z_set=()):
+        def last_name_marginally_dependent(self, x, y, z):
             # Every marginal statement with the last name alone on one side
             # fails, so the conclusion fails wherever e is that name.
-            last = max(self.universe.variables)
-            alone = {frozenset(x_set), frozenset(y_set)}
-            if not z_set and frozenset({last}) in alone:
+            last = 1 << (len(self.universe.variables) - 1)  # the last sorted name
+            if not z and last in (x, y):
                 return False
-            return real_ci(self, x_set, y_set, z_set)
+            return real_holds(self, x, y, z)
 
-        monkeypatch.setattr(CiOracle, "ci", last_name_marginally_dependent)
+        monkeypatch.setattr(CiOracle, "_holds", last_name_marginally_dependent)
         listed = 0
         for g in _planted_gaussians():
             got = gaussian_axioms_check(g)

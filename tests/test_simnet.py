@@ -20,7 +20,6 @@ from graphoid import (
     types_equivalent,
 )
 from graphoid.errors import InvalidPartition, UnknownVariable, ZeroProbabilityEvidence
-from graphoid.model_core import subset_table
 from graphoid.suites import xor_hypothesis_table
 
 from dsep_reference import burglary_network
@@ -276,5 +275,3 @@ def test_value_types_hash_as_they_compare():
     assert first is not second and len({first, second}) == 1
     cover = HypothesisCover("u1", ((0, 1),))
     assert len({build_similarity(table, cover, 2), build_similarity(table, cover, 2)}) == 1
-    # one shared table per sorted name tuple, so identity is equality
-    assert hash(subset_table("ab")) == hash(subset_table("ba"))

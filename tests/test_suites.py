@@ -6,7 +6,7 @@ import pytest
 
 from graphoid import relevance, suites
 from graphoid.dist_oracle import JointTable, marginalize, product_table, random_spb
-from graphoid.model_core import Universe, subset_table
+from graphoid.model_core import Universe
 from graphoid.relevance import (
     ANTECEDENT_FAILS,
     CONSEQUENT_HOLDS,
@@ -14,6 +14,8 @@ from graphoid.relevance import (
     CheckResult,
     PartitionTriple,
 )
+
+from disjoint_triples import by_mask
 
 OUTCOME_KEYS = ("i1", "i2", "i3", CONSEQUENT_HOLDS, VIOLATION)
 
@@ -98,7 +100,7 @@ def sweep_both(dist, label="case"):
 def test_live_triples_are_exactly_those_with_both_cells_non_empty(ground_size):
     ground = frozenset("abcd"[:ground_size])
     splits = reference_ordered_bipartitions(ground)
-    sets = subset_table(ground).by_mask
+    sets = by_mask(ground)
     full = len(sets) - 1
     # Split i of the reference has first-side mask i + 1.
     assert [(sets[m], sets[full ^ m]) for m in range(1, full)] == splits
