@@ -19,9 +19,9 @@ than once; an axiom check that stops certifying a closure by closing its
 elementary triplets calls ``_closed_masks`` other than once; an oracle that
 stops reading its query sets from the ``VariableSets`` shared by every
 universe over the same names validates again, and a witness decoder that
-stops building each set once decodes more masks.  Every ask, through ``CiOracle.ci`` or in
-masks by network construction, the relation sweeps and the suites, is one
-``CiOracle._holds`` call.
+stops building each set once decodes more masks.  Every ask, through
+``CiOracle.ci`` or in masks by network construction, the relation sweeps
+and the suites, is one ``CiOracle._holds`` call.
 """
 
 import itertools
@@ -348,7 +348,7 @@ def test_a_transitivity_run_decodes_each_witness_mask_once(monkeypatch):
     # sweep still builds its witness set.  Every pair of a random table or
     # Gaussian is dependent with Z empty, so over the five name tuples (the
     # paired coins' and u1..un for n = 2..5) only the empty mask is decoded;
-    # the Gaussians' dependency rows read the same tuple.  Each witness
-    # decoded afresh made 1,502 decodes.
+    # the Gaussians' dependency rows read the same tuple.  Decoding each
+    # witness afresh, as the unmemoized decoder did, made 1,502 decodes.
     tuples = [("x", "y", "z"), *(tuple(f"u{i}" for i in range(1, n + 1)) for n in range(2, 6))]
     assert sorted(decoded) == sorted((names, 0) for names in tuples)
