@@ -3,10 +3,10 @@
 A network is built from a conditional-independence oracle under a
 construction order: each node's parents are the smallest predecessor subset
 that screens it off from the remaining predecessors, found by asking the
-oracle in variable masks.  Separation queries run on one linear-time
-reachability scan (Bayes-ball); the definitional enumeration of active
-trails it is tested against, and the alarm-story network of the goldens,
-live in ``tests/dsep_reference.py``.
+oracle in variable masks.  Every walk reads the parent and child masks a
+``Dag`` keeps (``_links``): the Bayes-ball scan ``_separated`` and the
+breadth-first ``_reach``.  The trail-enumeration reference of the scan, and
+the alarm-story network of the goldens, live in ``tests/dsep_reference.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidOrder, InvalidSets
-from .model_core import Triplet, Universe, _size_lex_submasks, names_from_json
+from .model_core import Triplet, Universe, _bits_of, _size_lex_submasks, names_from_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,15 +54,16 @@ class Dag:
         return hash((self.universe, frozenset(self.parents.items()), self.construction_order))
 
     @functools.cached_property
-    def children(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {v: set() for v in self.construction_order}
-        for child, pars in self.parents.items():
+    def _links(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Each node's parent mask and child mask, keyed by the node's bit
+        over the universe's sorted names."""
+        bit, mask_of = self.universe.sets.bit, self.universe.sets.mask_of
+        parents = {bit[v]: mask_of(pars) for v, pars in self.parents.items()}
+        children = dict.fromkeys(parents, 0)
+        for v, pars in self.parents.items():
             for p in pars:
-                out[p].add(child)
-        return {v: frozenset(c) for v, c in out.items()}
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        return self.parents[v] | self.children[v]
+                children[bit[p]] |= bit[v]
+        return parents, children
 
     def to_json_dict(self) -> dict:
         return {
@@ -166,62 +167,58 @@ def _validated_order(universe: Universe, order: Sequence[str] | None) -> tuple[s
     return order
 
 
-def _validate_query(dag: Dag, q: Triplet) -> None:
-    """A ``Triplet``'s sets are disjoint by construction, so only membership
-    and non-empty sides are checked."""
-    dag.universe.require(q.x_set | q.y_set | q.z_set)
-    if not q.x_set or not q.y_set:
-        raise InvalidSets("x_set and y_set must be non-empty")
+def _separated(dag: Dag, x: int, y: int, z: int) -> bool:
+    """Whether no active trail joins the non-empty masks ``x`` and ``y``
+    with respect to ``z``, the three disjoint, over the sorted names.
 
-
-def d_separated(dag: Dag, q: Triplet) -> bool:
-    """Whether no active trail joins x_set and y_set with respect to z_set.
-
-    An edge between the two sides is an active trail under every z_set
-    (the sets are disjoint, so neither endpoint is conditioned on), and such
-    a query is answered without a scan.  Otherwise a Bayes-ball scan
-    (Shachter, UAI 1998) runs over (node, arrival-direction) states: a node
-    not in z_set passes the walk to its children, and also to its parents
-    when it was entered from a child; a node in z_set entered from a parent
+    A Bayes-ball scan (Shachter, UAI 1998) over (node, arrival-direction)
+    states, a frontier of each direction at a time: a node not in z passes
+    the walk to its children, and also to its parents when it was entered
+    from a child (as x's nodes count); a node in z entered from a parent
     sends the walk back to its parents.  That bounce is how a conditioned
-    descendant opens a collider, so no ancestor set is needed.
+    descendant opens a collider, so no ancestor set is needed.  The walk
+    stops at the first node of y it reaches, so its first step answers a
+    query with an edge between the two sides.
     """
-    _validate_query(dag, q)
-    children = dag.children
-    for x in q.x_set:
-        if not (q.y_set.isdisjoint(dag.parents[x]) and q.y_set.isdisjoint(children[x])):
+    parents, children = dag._links
+    up = up_seen = x  # entered from a child
+    down = down_seen = 0  # entered from a parent
+    while up or down:
+        to_children = to_parents = 0
+        for node in _bits_of((up | down) & ~z):
+            to_children |= children[node]
+        for node in _bits_of((up & ~z) | (down & z)):
+            to_parents |= parents[node]
+        if (to_children | to_parents) & y:
             return False
-    conditioned = q.z_set
-    seen: set[tuple[str, bool]] = set()
-    # True means the node was entered from a child (or is a source).
-    stack: list[tuple[str, bool]] = [(x, True) for x in sorted(q.x_set)]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        node, from_child = state
-        if node in q.y_set:
-            return False
-        if node not in conditioned:
-            stack.extend((c, False) for c in children[node])
-            if from_child:
-                stack.extend((p, True) for p in dag.parents[node])
-        elif not from_child:
-            stack.extend((p, True) for p in dag.parents[node])
+        up, down = to_parents & ~up_seen, to_children & ~down_seen
+        up_seen |= up
+        down_seen |= down
     return True
 
 
-def _reach(dag: Dag, start: str) -> dict[str, str]:
-    """Every node trail-connected to ``start``, mapped to its predecessor on
-    a shortest trail from ``start`` (``start`` maps to itself).
+def d_separated(dag: Dag, q: Triplet) -> bool:
+    """Whether no active trail joins x_set and y_set with respect to z_set:
+    ``_separated`` on the masks of the query, whose names are checked once."""
+    dag.universe.require(q.x_set | q.y_set | q.z_set)
+    if not q.x_set or not q.y_set:
+        raise InvalidSets("x_set and y_set must be non-empty")
+    return _separated(dag, *map(dag.universe.sets.mask_of, (q.x_set, q.y_set, q.z_set)))
 
-    The walk is breadth-first and visits each node's neighbours in name order.
+
+def _reach(dag: Dag, start: int) -> dict[int, int]:
+    """Every node trail-connected to the ``start`` bit, mapped to its
+    predecessor on a shortest trail from ``start`` (``start`` maps to
+    itself), all as bits over the sorted names.
+
+    The walk is breadth-first and visits each node's neighbours lowest bit,
+    that is least name, first.
     """
+    parents, children = dag._links
     back = {start: start}
     queue = [start]
     for v in queue:
-        for u in sorted(dag.neighbors(v)):
+        for u in _bits_of(parents[v] | children[v]):
             if u not in back:
                 back[u] = v
                 queue.append(u)
@@ -233,13 +230,15 @@ def connecting_trail(dag: Dag, start: str, end: str) -> Trail | None:
     dag.universe.index(start), dag.universe.index(end)  # a stranger or unhashable name raises
     if start == end:
         return None
-    back = _reach(dag, start)
-    if end not in back:
+    sets = dag.universe.sets
+    first, last = sets.bit[start], sets.bit[end]
+    back = _reach(dag, first)
+    if last not in back:
         return None
-    nodes = [end]
-    while nodes[-1] != start:
+    nodes = [last]
+    while nodes[-1] != first:
         nodes.append(back[nodes[-1]])
-    return Trail(tuple(reversed(nodes)))
+    return Trail(tuple(sets.tuple_of(node)[0] for node in reversed(nodes)))
 
 
 def connected_components(dag: Dag) -> tuple[tuple[str, ...], ...]:
@@ -248,12 +247,13 @@ def connected_components(dag: Dag) -> tuple[tuple[str, ...], ...]:
     Members are sorted by name and components by their least member: each
     walk starts from the least name not yet placed.
     """
-    remaining = set(dag.universe.variables)
+    sets = dag.universe.sets
+    remaining = (1 << len(sets.names)) - 1
     comps: list[tuple[str, ...]] = []
     while remaining:
-        comp = _reach(dag, min(remaining))
-        remaining.difference_update(comp)
-        comps.append(tuple(sorted(comp)))
+        comp = sum(_reach(dag, remaining & -remaining))
+        remaining ^= comp
+        comps.append(sets.tuple_of(comp))
     return tuple(comps)
 
 

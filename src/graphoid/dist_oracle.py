@@ -563,8 +563,7 @@ class CiOracle:
         mx, my, mz = known.get(x), known.get(y), known.get(z)
         if mx is None or my is None or mz is None or mx & my or mx & mz or my & mz:
             _validate_sets(self.universe, x, y, z)  # raises the query's own error
-            bit = sets.bit
-            mx, my, mz = (sum(bit[v] for v in s) for s in (x, y, z))
+            mx, my, mz = map(sets.mask_of, (x, y, z))
             known.update(((x, mx), (y, my), (z, mz)))
         return mx, my, mz
 

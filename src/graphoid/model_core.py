@@ -107,6 +107,10 @@ class VariableSets:
         self._sets: dict[int, frozenset[str]] = {}
         self._tuples: dict[int, tuple[str, ...]] = {}
 
+    def mask_of(self, names: Iterable[str]) -> int:
+        """The mask of ``names``; KeyError for a name not in ``self.names``."""
+        return sum(map(self.bit.__getitem__, names))
+
     def set_of(self, mask: int) -> frozenset[str]:
         """The names at the set bits of ``mask``."""
         found = self._sets.get(mask)
@@ -144,6 +148,10 @@ class Universe:
     sets: VariableSets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # First, so that sorting or hashing a name cannot raise a bare TypeError.
+        for name in self.variables:
+            if not isinstance(name, str):
+                raise ValueError(f"variable names must be strings, not {type(name).__name__}")
         names = frozenset(self.variables)
         if len(names) != len(self.variables):
             raise ValueError("duplicate variable names")
@@ -251,15 +259,14 @@ class Triplet:
         )
 
 
-def _triplet_masks(bit: dict[str, int], t: object) -> tuple[int, int, int] | None:
-    """The ``(x, y, z)`` masks of ``t`` under ``bit``, or None when ``t`` is
-    not a Triplet or names a variable that ``bit`` lacks."""
+def _triplet_masks(sets: VariableSets, t: object) -> tuple[int, int, int] | None:
+    """The ``(x, y, z)`` masks of ``t`` over ``sets``, or None when ``t`` is
+    not a Triplet or names a variable that ``sets`` lacks."""
     if not isinstance(t, Triplet):
         return None
-    get = bit.get
     try:
-        return sum(map(get, t.x_set)), sum(map(get, t.y_set)), sum(map(get, t.z_set))
-    except TypeError:  # a stranger's bit is None
+        return sets.mask_of(t.x_set), sets.mask_of(t.y_set), sets.mask_of(t.z_set)
+    except KeyError:  # a stranger has no bit
         return None
 
 
@@ -298,7 +305,7 @@ class TripletSet(Set):
         return frozenset(it)
 
     def __contains__(self, t: object) -> bool:
-        return _triplet_masks(self.sets.bit, t) in self.masks
+        return _triplet_masks(self.sets, t) in self.masks
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -313,8 +320,8 @@ class TripletSet(Set):
             return self.masks <= other.masks
         if not isinstance(other, Set):
             return NotImplemented
-        bit = self.sets.bit
-        return len(self) <= len(other) and self.masks <= {_triplet_masks(bit, t) for t in other}
+        sets = self.sets
+        return len(self) <= len(other) and self.masks <= {_triplet_masks(sets, t) for t in other}
 
     def __ge__(self, other: object) -> bool:
         if isinstance(other, TripletSet) and other.sets is self.sets:
@@ -353,7 +360,7 @@ class DependencyModel:
         given = self.triplets
         if isinstance(given, TripletSet) and given.sets is sets:
             return
-        masks = frozenset(_triplet_masks(sets.bit, t) for t in given)
+        masks = frozenset(_triplet_masks(sets, t) for t in given)
         if None in masks:
             # every name of the model, so the message does not hang on set order
             self.universe.require(set().union(*(t.x_set | t.y_set | t.z_set for t in given)))
@@ -415,11 +422,19 @@ def subsets(names: Iterable[str]) -> Iterator[frozenset[str]]:
         yield from map(frozenset, itertools.combinations(pool, size))
 
 
+def _bits_of(mask: int) -> Iterator[int]:
+    """Each set bit of ``mask`` as a one-bit mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def _size_lex_submasks(mask: int) -> Iterator[int]:
     """Every submask of ``mask``, fewest bits first, and within a size in
     lexicographic order of its sorted names (bit i is the i-th sorted name).
     Generated lazily, one at a time."""
-    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    bits = list(_bits_of(mask))
     for size in range(len(bits) + 1):
         yield from map(sum, itertools.combinations(bits, size))
 
@@ -449,11 +464,10 @@ def _lex_submasks(mask: int) -> tuple[int, ...]:
     bit i being the i-th sorted name: 0 first, and each submask followed by
     its extensions by higher bits.  Built once per mask."""
     order = [0]
-    for i in reversed(range(mask.bit_length())):
-        if mask >> i & 1:
-            # Over bit i and the higher bits: the empty set, then the sets
-            # holding bit i, then the non-empty sets without it.
-            order = [0, *((1 << i) | sub for sub in order), *order[1:]]
+    for low in reversed(list(_bits_of(mask))):
+        # Over ``low`` and the higher bits: the empty set, then the sets
+        # holding ``low``, then the non-empty sets without it.
+        order = [0, *(low | sub for sub in order), *order[1:]]
     return tuple(order)
 
 
@@ -495,12 +509,10 @@ def _closed_masks(model: DependencyModel) -> frozenset[tuple[int, int, int]]:
 
     # Sorted, so that the derivation order does not depend on string hashing.
     for x, y, z in sorted(model.triplets.masks):
-        for a in bits:
-            if a & x:
-                for b in bits:
-                    if b & y:
-                        for sub in _submasks((x | y) ^ a ^ b):
-                            add(a, b, z | sub)
+        for a in _bits_of(x):
+            for b in _bits_of(y):
+                for sub in _submasks((x | y) ^ a ^ b):
+                    add(a, b, z | sub)
 
     # A new (a, u | k) is tried, in each orientation, as (a,b|Kc) with
     # partner (a,c|K) and as (a,c|K) with partner (a,b|Kc).

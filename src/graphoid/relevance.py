@@ -8,8 +8,9 @@ can be cross-validated rather than assumed:
   separating x from y (found by brute-force partition scan);
 * unrelated -- x and y land in different components of a minimal network.
 
-The subset sweep and the partition scan ask the oracle in variable masks
-over the sorted names, as network construction does.
+The subset sweep, the partition scan and the partition-triple implication
+ask the oracle in variable masks over the sorted names, as network
+construction does.
 
 The module also checks the partition-triple implication that makes a
 distribution family transitive, its eight-block reformulation for binary
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from .bayesnet import _mask_ci, build_network, connecting_trail
 from .dist_oracle import CiOracle, GaussianModel, JointTable, _check_value_index
 from .errors import InvalidPartition
-from .model_core import _check_bound, _lex_submasks, _submasks, _unhashable
+from .model_core import _bits_of, _check_bound, _lex_submasks, _submasks, _unhashable
 
 MAX_PAIR_SWEEP_VARS = 12
 MAX_TRANSITIVITY_VARS = 8
@@ -37,10 +38,6 @@ UNRELATED = "unrelated"
 ANTECEDENT_FAILS = "antecedent_fails"
 CONSEQUENT_HOLDS = "consequent_holds"
 VIOLATION = "violation"
-
-# One two-way partition of a variable set, as its (first, second) sides.
-Split = tuple[frozenset[str], frozenset[str]]
-
 
 @dataclass(frozen=True)
 class RelationVerdict:
@@ -199,14 +196,6 @@ class PartitionTriple:
             raise InvalidPartition("the two pivot values must differ")
         object.__setattr__(self, "ground", ground)
 
-    @property
-    def r1(self) -> frozenset[str]:
-        return self.x1 & self.y1 & self.z1
-
-    @property
-    def r2(self) -> frozenset[str]:
-        return self.x2 & self.y2 & self.z2
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -242,35 +231,40 @@ def _pivot_ground(oracle: CiOracle, e_var: str) -> frozenset[str]:
     return oracle.universe.names - {e_var}
 
 
-def _conclusion(
-    oracle: CiOracle, first: frozenset[str], second: frozenset[str], e_var: str,
-    ground: frozenset[str],
-) -> CheckResult:
-    """Whether ``first`` or ``second`` is independent of everything else and the pivot."""
-    c1 = oracle.ci(first, {e_var} | (ground - first))
-    c2 = oracle.ci(second, {e_var} | (ground - second))
+def _conclusion(oracle: CiOracle, first: int, second: int) -> CheckResult:
+    """Whether the mask ``first`` or ``second`` is independent of all other names."""
+    full = (1 << len(oracle.universe.sets.names)) - 1
+    c1 = oracle._holds(first, full ^ first, 0)
+    c2 = oracle._holds(second, full ^ second, 0)
     if c1 or c2:
         return CheckResult(CONSEQUENT_HOLDS, c1, c2)
     return CheckResult(VIOLATION, False, False)
 
 
 def _implication(
-    oracle: CiOracle, x: Split, y: Split, z: Split, first: frozenset[str],
-    second: frozenset[str], e_var: str, e_values: tuple[int, int], ground: frozenset[str],
+    oracle: CiOracle, pivot: int, x1: int, y1: int, z1: int, first: int, second: int,
+    e_values: tuple[int, int] = (0, 1),
 ) -> CheckResult:
     """The implication core of both forms: premises i1, i2, i3, then the conclusion.
 
-    i1 asks the first partition with the pivot summed out, i2 the second given
-    the first pivot value, i3 the third given the other; the first unmet
-    premise is reported, and when all hold ``_conclusion`` decides.
+    Every set is a mask over the sorted names: ``pivot`` is the pivot's bit,
+    ``x1``, ``y1`` and ``z1`` the first sides of the three partitions of the
+    other names, and ``first`` and ``second`` the two cells.  i1 asks the
+    first partition with the pivot summed out, i2 the second given the first
+    pivot value, i3 the third given the other; the first unmet premise is
+    reported, and when all hold ``_conclusion`` decides.  Only i2 and i3
+    name their sets, since a conditioned table has its own universe.
     """
-    if not oracle.ci(*x):
+    sets = oracle.universe.sets
+    ground = ((1 << len(sets.names)) - 1) ^ pivot
+    if not oracle._holds(x1, ground ^ x1, 0):
         return CheckResult(ANTECEDENT_FAILS, detail="i1")
-    if not oracle.ci_given_value(*y, e_var, e_values[0]):
+    set_of, (e_var,) = sets.set_of, sets.tuple_of(pivot)
+    if not oracle.ci_given_value(set_of(y1), set_of(ground ^ y1), e_var, e_values[0]):
         return CheckResult(ANTECEDENT_FAILS, detail="i2")
-    if not oracle.ci_given_value(*z, e_var, e_values[1]):
+    if not oracle.ci_given_value(set_of(z1), set_of(ground ^ z1), e_var, e_values[1]):
         return CheckResult(ANTECEDENT_FAILS, detail="i3")
-    return _conclusion(oracle, first, second, e_var, ground)
+    return _conclusion(oracle, first, second)
 
 
 def check_clean(
@@ -297,13 +291,12 @@ def check_clean(
         for v in pt.e_values:
             _check_value_index(v, n_values, pt.e_var, InvalidPartition)
 
-    r1, r2 = pt.r1, pt.r2
-    if not (r1 and r2):
-        return CheckResult(ANTECEDENT_FAILS, detail="empty_r2" if r1 else "empty_r1")
-    return _implication(
-        oracle, (pt.x1, pt.x2), (pt.y1, pt.y2), (pt.z1, pt.z2), r1, r2,
-        pt.e_var, pt.e_values, ground,
-    )
+    mask_of = oracle.universe.sets.mask_of
+    x1, y1, z1 = map(mask_of, (pt.x1, pt.y1, pt.z1))
+    first, second = x1 & y1 & z1, mask_of(ground) ^ (x1 | y1 | z1)
+    if not (first and second):
+        return CheckResult(ANTECEDENT_FAILS, detail="empty_r2" if first else "empty_r1")
+    return _implication(oracle, mask_of((pt.e_var,)), x1, y1, z1, first, second, pt.e_values)
 
 
 @dataclass(frozen=True)
@@ -330,7 +323,7 @@ class PtBinBlocks:
     def union(self) -> frozenset[str]:
         return frozenset().union(*self.as_tuple())
 
-    def sides(self) -> tuple[Split, Split, Split]:
+    def sides(self) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
         """The three two-way partitions (x, y, z) the blocks regroup into."""
         a1, a2, a3, a4, b1, b2, b3, b4 = self.as_tuple()
         return (
@@ -363,7 +356,9 @@ def check_pt_bin(
         raise InvalidPartition("the pivot variable must be binary")
     if blocks.union != ground:
         raise InvalidPartition("blocks must cover the universe minus the pivot")
-    return _implication(oracle, *blocks.sides(), blocks.a1, blocks.b1, e_var, (0, 1), ground)
+    mask_of = oracle.universe.sets.mask_of
+    sides = (mask_of(side) for side, _ in blocks.sides())
+    return _implication(oracle, mask_of((e_var,)), *sides, mask_of(blocks.a1), mask_of(blocks.b1))
 
 
 @dataclass(frozen=True)
@@ -419,9 +414,7 @@ def gaussian_axioms_check(g: GaussianModel) -> list[GaussianPropertyViolation]:
             rest = full ^ x ^ y
             if y & -y < x_low or not rest or not holds(x, y, 0):
                 continue
-            while rest:  # each variable e of the rest, lowest first
-                e = rest & -rest
-                rest ^= e
+            for e in _bits_of(rest):  # each variable e of the rest, lowest first
                 if holds(x, y, e) and not (holds(x, e, 0) or holds(e, y, 0)):
                     sets = tuple(map(tuple_of, (x, y, e)))
                     out.append(GaussianPropertyViolation("marginal_weak_transitivity", sets))

@@ -105,10 +105,11 @@ def restrict_to_hypotheses(table: JointTable, h: str, hypotheses) -> JointTable:
 
 def _included_variables(oracle: CiOracle, h: str, net_type: int) -> frozenset[str]:
     """Variables of the oracle's universe that type ``net_type`` keeps beside ``h``."""
-    others = [v for v in oracle.universe.variables if v != h]
+    sets = oracle.universe.sets
     if net_type == 1:
-        return frozenset(_reach(build_network(oracle), h)) - {h}
+        return sets.set_of(sum(_reach(build_network(oracle), sets.bit[h])) ^ sets.bit[h])
     if net_type == 2:
+        others = [v for v in oracle.universe.variables if v != h]
         return frozenset(v for v in others if not mutually_irrelevant(oracle, v, h).holds)
     raise ValueError(f"net_type must be 1 or 2, got {net_type}")
 

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bayesnet import build_network, connected_components, d_separated, factorization_max_error
+from .bayesnet import _separated, build_network, connected_components, factorization_max_error
 from .dist_oracle import (
     CiOracle,
     JointTable,
@@ -32,7 +32,6 @@ from .dist_oracle import (
     xor_table,
 )
 from .model_core import (
-    Triplet,
     Universe,
     VariableSets,
     _size_lex_submasks,
@@ -43,8 +42,8 @@ from .relevance import (
     ANTECEDENT_FAILS,
     CONSEQUENT_HOLDS,
     VIOLATION,
-    PartitionTriple,
     PtBinBlocks,
+    _implication,
     check_clean,
     check_pt_bin,
     gaussian_axioms_check,
@@ -145,26 +144,20 @@ def suite_dsep_soundness(report: SuiteReport, seed: int, n_vars: int, samples: i
         sets = table.universe.sets
         full = (1 << len(names)) - 1
         # Each singleton pair (a, b), by sorted names, under every z in
-        # size-then-lex order, as masks and as the Triplet the walk reads.
+        # size-then-lex order, as the masks both the walk and the oracle read.
         queries = [
-            (a, b, z, Triplet(sets.set_of(a), sets.set_of(b), sets.set_of(z)))
+            (a, b, z)
             for a, b in itertools.combinations(sets.bit.values(), 2)
             for z in _size_lex_submasks(full ^ a ^ b)
         ]
         for _ in range(3):
             order = tuple(names[k] for k in rng.permutation(len(names)))
             dag = build_network(oracle, order)
-            for a, b, z, q in queries:
-                report.cases += 1
-                if d_separated(dag, q) and not oracle._holds(a, b, z):
-                    _fail(
-                        report,
-                        case=s - seed,
-                        order=list(order),
-                        pair=[*q.x_set, *q.y_set],
-                        table_seed=s,
-                        z=sorted(q.z_set),
-                    )
+            report.cases += len(queries)
+            for a, b, z in queries:
+                if _separated(dag, a, b, z) and not oracle._holds(a, b, z):
+                    _fail(report, case=s - seed, order=list(order), table_seed=s,
+                          pair=[*sets.tuple_of(a | b)], z=list(sets.tuple_of(z)))
 
 
 def suite_components(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:
@@ -245,13 +238,14 @@ def _clean_sweep(report: SuiteReport, dist, label: str) -> None:
     """Run the partition-triple check on every live triple of one distribution.
 
     A triple with an empty cell x1 & y1 & z1 or x2 & y2 & z2 fails the
-    antecedent by structure alone, so it is neither counted nor built.
-    The split masks are over the names but the pivot, so each is lifted past
-    the pivot's bit into a mask over all the names.  Premise i1 depends only
-    on the pivot and the x-split: it is asked once per (pivot, x-split), in
-    those masks, and where it fails every live triple sharing that x-split is
-    counted as failing i1 without being built.  ``check_clean`` judges every
-    other triple.
+    antecedent by structure alone, so it is not counted.  The split masks
+    are over the names but the pivot, so each is lifted past the pivot's bit
+    into a mask over all the names.  Premise i1 depends only on the pivot
+    and the x-split: it is asked once per (pivot, x-split), in those masks,
+    and where it fails every live triple sharing that x-split is counted as
+    failing i1.  The implication core ``_implication`` judges every other
+    triple on its lifted masks; names are decoded only for a violation's
+    record.
     """
     sets = dist.universe.sets
     names = sets.names
@@ -259,27 +253,27 @@ def _clean_sweep(report: SuiteReport, dist, label: str) -> None:
     groups = _live_by_x_split(len(names) - 1)
     outcomes = report.outcomes
     everything = (1 << len(names)) - 1
-    for k, e_var in enumerate(names):
-        below, ground = (1 << k) - 1, everything ^ 1 << k
-        # each split's first side lifted, and the split's two sides as sets
+    for e_var, pivot in sets.bit.items():
+        below, ground = pivot - 1, everything ^ pivot
+        # each split's first side, lifted
         lifted = [(m & below) | (m & ~below) << 1 for m in range(1 << (len(names) - 1))]
-        split = [(sets.set_of(m), sets.set_of(ground ^ m)) for m in lifted]
         for a, live in groups:
             report.cases += len(live)
             x1 = lifted[a]
             if not oracle._holds(x1, ground ^ x1, 0):
                 outcomes["i1"] += len(live)
                 continue
-            x = split[a]
             for b, c in live:
-                y, z = split[b], split[c]
-                result = check_clean(oracle, PartitionTriple(*x, *y, *z, e_var))
+                y1, z1 = lifted[b], lifted[c]
+                cells = x1 & y1 & z1, ground ^ (x1 | y1 | z1)
+                result = _implication(oracle, pivot, x1, y1, z1, *cells)
                 # Live cells leave a failed premise as the only antecedent failure.
                 failed = result.status == ANTECEDENT_FAILS
                 outcomes[result.detail if failed else result.status] += 1
                 if result.status == VIOLATION:
-                    _fail(report, source=label, e=e_var,
-                          x1=sorted(x[0]), y1=sorted(y[0]), z1=sorted(z[0]))
+                    tuple_of = sets.tuple_of
+                    _fail(report, source=label, e=e_var, x1=list(tuple_of(x1)),
+                          y1=list(tuple_of(y1)), z1=list(tuple_of(z1)))
 
 
 def suite_clean(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:

@@ -1,9 +1,11 @@
 """Definitional d-separation by trail enumeration, and the alarm-story network.
 
 This is the reference ``graphoid.bayesnet.d_separated`` is tested against.
-It shares no helper with the scan: a trail is active when every
+It shares no helper with the scan, and reads a network only through its
+public ``parents``, never the scan's masks: a trail is active when every
 head-to-head node on it is in z_set or has a descendant there, and every
-other interior node avoids z_set; descendants are computed here.
+other interior node avoids z_set; children and descendants are computed
+here.
 """
 
 from graphoid import Dag, Trail, Universe
@@ -24,28 +26,44 @@ def burglary_network():
     return Dag(Universe.binary(*order), {v: frozenset(p) for v, p in parents.items()}, order)
 
 
+def children(dag):
+    """Each node's children, read off ``dag.parents``."""
+    out = {v: set() for v in dag.construction_order}
+    for child, pars in dag.parents.items():
+        for p in pars:
+            out[p].add(child)
+    return {v: frozenset(c) for v, c in out.items()}
+
+
+def neighbors(dag, v):
+    """The parents and children of ``v``."""
+    return dag.parents[v] | children(dag)[v]
+
+
 def descendants(dag, v):
     """Nodes reachable from ``v`` by a directed path of positive length."""
+    kids = children(dag)
     out = set()
-    stack = list(dag.children[v])
+    stack = list(kids[v])
     while stack:
         u = stack.pop()
         if u not in out:
             out.add(u)
-            stack.extend(dag.children[u])
+            stack.extend(kids[u])
     return frozenset(out)
 
 
 def all_trails(dag, start, end):
     """Every simple path between two nodes in the underlying graph."""
     out = []
+    kids = children(dag)
 
     def walk(path):
         v = path[-1]
         if v == end:
             out.append(Trail(tuple(path)))
             return
-        for nxt in sorted(dag.parents[v] | dag.children[v]):
+        for nxt in sorted(dag.parents[v] | kids[v]):
             if nxt not in path:
                 walk(path + [nxt])
 

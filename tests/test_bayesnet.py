@@ -26,7 +26,7 @@ from graphoid.errors import InvalidOrder, InvalidSets, UnknownVariable
 from graphoid.model_core import subsets
 
 from disjoint_triples import iter_disjoint_triples
-from dsep_reference import burglary_network, d_separated_by_enumeration, descendants
+from dsep_reference import burglary_network, d_separated_by_enumeration, descendants, neighbors
 from test_model_core import lex_submask_sets
 
 Q = SeparationQuery.make
@@ -311,7 +311,7 @@ class TestDSeparation:
                 separated += got
                 # an edge across whose endpoints' other neighbours are all in z
                 shielded += any(
-                    y & dag.neighbors(a) and dag.neighbors(a) - y <= z for a in x
+                    y & neighbors(dag, a) and neighbors(dag, a) - y <= z for a in x
                 )
         assert shielded > 0 and separated > 0
 
@@ -343,7 +343,7 @@ def reference_connected_components(dag):
         frontier = [seed]
         while frontier:
             v = frontier.pop()
-            for u in dag.neighbors(v):
+            for u in neighbors(dag, v):
                 if u not in comp:
                     comp.add(u)
                     frontier.append(u)
@@ -363,7 +363,7 @@ def reference_connecting_trail(dag, start, end):
     while frontier:
         nxt = []
         for v in frontier:
-            for u in sorted(dag.neighbors(v)):
+            for u in sorted(neighbors(dag, v)):
                 if u not in back:
                     back[u] = v
                     if u == end:

@@ -27,7 +27,7 @@ from graphoid import (
 )
 
 from disjoint_triples import iter_disjoint_triples
-from dsep_reference import d_separated_by_enumeration
+from dsep_reference import children, d_separated_by_enumeration
 
 # Labeled DAGs on n nodes (OEIS A003024).
 DAG_COUNTS = {2: 3, 3: 25, 4: 543}
@@ -193,6 +193,7 @@ def test_every_dag_model_is_transitive(dags):
 def scan_without_bounce(dag, q):
     """A broken scan: a conditioned node stops the walk instead of sending it
     back to its parents, so a conditioned descendant never opens a collider."""
+    kids = children(dag)
     seen = set()
     stack = [(x, True) for x in q.x_set]
     while stack:
@@ -204,7 +205,7 @@ def scan_without_bounce(dag, q):
         if node in q.y_set:
             return False
         if node not in q.z_set:
-            stack.extend((c, False) for c in dag.children[node])
+            stack.extend((c, False) for c in kids[node])
             if from_child:
                 stack.extend((p, True) for p in dag.parents[node])
     return True

@@ -77,6 +77,18 @@ def test_universe_index_is_the_position_in_variables(n):
         assert u == Universe.binary(*names) and hash(u) == hash(Universe.binary(*names))
 
 
+@pytest.mark.parametrize("name", [1, None, ("b",), ["b"]], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda name: Universe(("a", name), (("0", "1"), ("0", "1"))),
+    lambda name: Universe.binary("a", name),
+    lambda name: Universe.reals("a", name),
+], ids=["Universe", "binary", "reals"])
+def test_a_non_string_universe_name_is_a_value_error(build, name):
+    # Checked before the names are hashed or sorted, which would raise a bare TypeError.
+    with pytest.raises(ValueError, match=f"^variable names must be strings, not {type(name).__name__}$"):
+        build(name)
+
+
 class TestTriplet:
     def test_overlap_rejected(self):
         with pytest.raises(InvalidSets):

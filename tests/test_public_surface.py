@@ -9,11 +9,14 @@ an entry in ``graphoid.__all__``: a name only tests use belongs in the tests,
 unless ``ALLOWED`` gives the reason it stays.
 
 Every variable set in the package is a mask of ``model_core.VariableSets``;
-no other module may build its own name -> bit map or bit decoder.
+no other module may build its own name -> bit map, bit decoder or set
+encoder.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import graphoid
 
@@ -87,10 +90,35 @@ def _is_op(node, op):
     return isinstance(node, ast.BinOp) and isinstance(node.op, op)
 
 
+def _is_bit_table(node):
+    """Whether ``node`` is a name -> bit table: ``bit`` or ``<any>.bit``."""
+    return (isinstance(node, ast.Name) and node.id == "bit") or (
+        isinstance(node, ast.Attribute) and node.attr == "bit"
+    )
+
+
+def _sums_bit_lookups(node):
+    """Whether ``node`` is a ``sum`` over bit lookups of names, as in
+    ``sum(bit[v] for v in s)`` or ``sum(map(bit.get, s))``; a ``sum`` that
+    only passes a lookup on, as ``sum(f(bit[v]))``, is not one."""
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "sum" and node.args):
+        return False
+    arg = node.args[0]
+    if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+        return isinstance(arg.elt, ast.Subscript) and _is_bit_table(arg.elt.value)
+    if isinstance(arg, ast.Call) and ast.unparse(arg.func) == "map" and arg.args:
+        lookup = arg.args[0]
+        return isinstance(lookup, ast.Attribute) and _is_bit_table(lookup.value)
+    return False
+
+
 def name_bit_codecs(tree):
-    """Where ``tree`` builds a name -> bit dict (``{v: 1 << i ...}``) or reads
-    a bit of a mask with ``mask >> i & 1``, as ``(line, what)`` pairs."""
+    """Where ``tree`` builds a name -> bit dict (``{v: 1 << i ...}``), reads
+    a bit of a mask with ``mask >> i & 1`` or sums bit lookups into a mask,
+    as ``(line, what)`` pairs."""
     for node in ast.walk(tree):
+        if _sums_bit_lookups(node):
+            yield node.lineno, "sum of bit lookups"
         if isinstance(node, ast.DictComp) and _is_op(node.value, ast.LShift):
             if _is_one(node.value.left):
                 yield node.lineno, "name -> bit dict"
@@ -111,4 +139,20 @@ def test_only_model_core_maps_names_to_bits():
     ]
     assert found == []
     core = ast.parse((PACKAGE / "model_core.py").read_text())
-    assert {what for _, what in name_bit_codecs(core)} == {"name -> bit dict", "mask >> i & 1"}
+    assert {what for _, what in name_bit_codecs(core)} == {
+        "name -> bit dict", "mask >> i & 1", "sum of bit lookups"
+    }
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("sum(bit[v] for v in s)", True),
+    ("sum(sets.bit[v] for v in s)", True),
+    ("sum([bit[v] for v in s])", True),
+    ("sum(map(bit.get, s))", True),
+    ("sum(map(self.bit.__getitem__, s))", True),
+    ("sum(_reach(dag, sets.bit[h]))", False),
+    ("sum(map(len, s))", False),
+    ("sum(1 << j for j in s)", False),
+])
+def test_the_encoder_check_tells_a_bit_sum_from_a_bit_argument(source, flagged):
+    assert any(what == "sum of bit lookups" for _, what in name_bit_codecs(ast.parse(source))) == flagged

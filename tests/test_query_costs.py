@@ -21,7 +21,10 @@ stops reading its query sets from the ``VariableSets`` shared by every
 universe over the same names validates again, and a witness decoder that
 stops building each set once decodes more masks.  Every ask, through
 ``CiOracle.ci`` or in masks by network construction, the relation sweeps
-and the suites, is one ``CiOracle._holds`` call.
+and the suites, is one ``CiOracle._holds`` call.  The dsep-soundness suite
+and the clean sweep hold masks already, so a separation or implication
+that goes back through names builds ``Triplet`` or ``PartitionTriple``
+objects.
 """
 
 import itertools
@@ -30,12 +33,15 @@ import sys
 import numpy as np
 import pytest
 from test_model_core import dense_model, reference_check, seeded_sparse_models, thinned_closures
+from test_suites import _product_spb, reference_suite_clean
 
 import graphoid.dist_oracle as dist_oracle
 import graphoid.model_core as model_core
+import graphoid.suites as suites
 from graphoid.dist_oracle import CiOracle, extract_model, random_gaussian, random_spb, xor_table
 from graphoid.errors import SingularConditioning
 from graphoid.model_core import Triplet, Universe, check_graphoid_axioms, subsets
+from graphoid.relevance import CONSEQUENT_HOLDS, PartitionTriple
 from graphoid.simnet import HypothesisCover, types_equivalent
 from graphoid.suites import run_suite
 
@@ -352,3 +358,39 @@ def test_a_transitivity_run_decodes_each_witness_mask_once(monkeypatch):
     # witness afresh, as the unmemoized decoder did, made 1,502 decodes.
     tuples = [("x", "y", "z"), *(tuple(f"u{i}" for i in range(1, n + 1)) for n in range(2, 6))]
     assert sorted(decoded) == sorted((names, 0) for names in tuples)
+
+
+def _count_builds(monkeypatch, cls):
+    """A list that grows by one per ``cls`` object built."""
+    built = []
+    real_post_init = cls.__post_init__
+
+    def counting_post_init(self):
+        built.append(1)
+        real_post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+    return built
+
+
+def test_dsep_soundness_asks_the_walk_in_masks(monkeypatch):
+    built = _count_builds(monkeypatch, Triplet)
+    report = run_suite("dsep-soundness", seed=0, samples=3)
+    # Tables at n = 2, 3, 4, three orders each: 3 x (1 + 6 + 24) separations,
+    # each asked of the walk and the oracle in masks (one Triplet each when
+    # the suite asked ``d_separated``).
+    assert report.ok and report.cases == 93
+    assert built == []
+
+
+def test_a_clean_run_past_i1_builds_no_partition_triple(monkeypatch):
+    monkeypatch.setattr(suites, "random_spb", _product_spb)
+    reference = reference_suite_clean(monkeypatch, seed=0, n_vars=5, samples=3)
+    built = _count_builds(monkeypatch, PartitionTriple)
+    report = run_suite("clean", seed=0, n_vars=5, samples=3)
+    # Product tables meet i1 for some x-splits, so cases reach i2, i3 and
+    # the conclusion; each is judged on masks (one PartitionTriple each when
+    # the sweep asked ``check_clean``), with the brute force's outcomes.
+    assert report.outcomes[CONSEQUENT_HOLDS] > 0
+    assert report.to_json() == reference.to_json()
+    assert built == []

@@ -43,6 +43,11 @@ from graphoid.relevance import (
 from disjoint_triples import variable_sets
 
 
+def cells(pt):
+    """The two triple-intersection cells of a partition triple."""
+    return pt.x1 & pt.y1 & pt.z1, pt.x2 & pt.y2 & pt.z2
+
+
 def pivot_block_table():
     """Dependent pair (a1, a2), free coin b, pivot e leaning on a1 alone.
 
@@ -248,8 +253,7 @@ class TestPartitionTriple:
             frozenset({"a", "c"}), frozenset({"b"}),
             "e",
         )
-        assert pt.r1 == {"a"}
-        assert pt.r2 == {"b"}
+        assert cells(pt) == ({"a"}, {"b"})
         assert pt.ground == {"a", "b", "c"}
 
     def test_ground_stored_without_changing_equality(self):
@@ -693,9 +697,10 @@ def reference_check_clean_discrete(table, pt, tol=1e-9):
     for v in pt.e_values:
         if not 0 <= v < n_values:
             raise InvalidPartition(f"pivot value index {v} out of range")
-    if not pt.r1:
+    r1, r2 = cells(pt)
+    if not r1:
         return CheckResult(ANTECEDENT_FAILS, detail="empty_r1")
-    if not pt.r2:
+    if not r2:
         return CheckResult(ANTECEDENT_FAILS, detail="empty_r2")
     base = marginalize(table, ground)
     if not ci_holds_discrete(base, pt.x1, pt.x2, (), tol):
@@ -704,8 +709,8 @@ def reference_check_clean_discrete(table, pt, tol=1e-9):
         return CheckResult(ANTECEDENT_FAILS, detail="i2")
     if not _reference_ci_given_value(table, pt.z1, pt.z2, pt.e_var, pt.e_values[1], tol):
         return CheckResult(ANTECEDENT_FAILS, detail="i3")
-    c1 = ci_holds_discrete(table, pt.r1, {pt.e_var} | (ground - pt.r1), (), tol)
-    c2 = ci_holds_discrete(table, pt.r2, {pt.e_var} | (ground - pt.r2), (), tol)
+    c1 = ci_holds_discrete(table, r1, {pt.e_var} | (ground - r1), (), tol)
+    c2 = ci_holds_discrete(table, r2, {pt.e_var} | (ground - r2), (), tol)
     if c1 or c2:
         return CheckResult(CONSEQUENT_HOLDS, c1, c2)
     return CheckResult(VIOLATION, False, False)
@@ -719,9 +724,10 @@ def ci_holds_gaussian(g, x, y, z, tol):
 def reference_check_clean_gaussian(g, pt, tol=1e-7):
     """The Gaussian core: value-specific premises condition on the pivot variable."""
     ground = _reference_validate_ground(g, pt)
-    if not pt.r1:
+    r1, r2 = cells(pt)
+    if not r1:
         return CheckResult(ANTECEDENT_FAILS, detail="empty_r1")
-    if not pt.r2:
+    if not r2:
         return CheckResult(ANTECEDENT_FAILS, detail="empty_r2")
     if not ci_holds_gaussian(g, pt.x1, pt.x2, (), tol):
         return CheckResult(ANTECEDENT_FAILS, detail="i1")
@@ -729,8 +735,8 @@ def reference_check_clean_gaussian(g, pt, tol=1e-7):
         return CheckResult(ANTECEDENT_FAILS, detail="i2")
     if not ci_holds_gaussian(g, pt.z1, pt.z2, {pt.e_var}, tol):
         return CheckResult(ANTECEDENT_FAILS, detail="i3")
-    c1 = ci_holds_gaussian(g, pt.r1, {pt.e_var} | (ground - pt.r1), (), tol)
-    c2 = ci_holds_gaussian(g, pt.r2, {pt.e_var} | (ground - pt.r2), (), tol)
+    c1 = ci_holds_gaussian(g, r1, {pt.e_var} | (ground - r1), (), tol)
+    c2 = ci_holds_gaussian(g, r2, {pt.e_var} | (ground - r2), (), tol)
     if c1 or c2:
         return CheckResult(CONSEQUENT_HOLDS, c1, c2)
     return CheckResult(VIOLATION, False, False)

@@ -13,9 +13,11 @@ from graphoid.relevance import (
     VIOLATION,
     CheckResult,
     PartitionTriple,
+    _implication,
 )
 
 from disjoint_triples import by_mask
+from test_relevance import cells
 
 OUTCOME_KEYS = ("i1", "i2", "i3", CONSEQUENT_HOLDS, VIOLATION)
 
@@ -33,8 +35,9 @@ def brute_force_clean_sweep(report, dist, label):
     """Build every live partition triple in product order and let
     ``check_clean`` judge each one, i1 included.
 
-    It looks ``suites.check_clean`` up at call time, so patching it patches
-    both sweeps alike.
+    ``check_clean`` runs the implication core ``relevance._implication``,
+    which the i1-first sweep calls as ``suites._implication``; a probe that
+    patches the core in both modules patches both sweeps alike.
     """
     names = sorted(dist.universe.variables)
     oracle = suites.CiOracle(dist)
@@ -42,7 +45,7 @@ def brute_force_clean_sweep(report, dist, label):
         splits = reference_ordered_bipartitions(frozenset(names) - {e_var})
         for (x1, x2), (y1, y2), (z1, z2) in itertools.product(splits, repeat=3):
             pt = PartitionTriple(x1, x2, y1, y2, z1, z2, e_var)
-            if not (pt.r1 and pt.r2):
+            if not all(cells(pt)):
                 continue
             report.cases += 1
             result = suites.check_clean(oracle, pt)
@@ -107,7 +110,7 @@ def test_live_triples_are_exactly_those_with_both_cells_non_empty(ground_size):
     expected = [
         (i + 1, j + 1, k + 1)
         for i, j, k in itertools.product(range(len(splits)), repeat=3)
-        if (pt := PartitionTriple(*splits[i], *splits[j], *splits[k], "e")).r1 and pt.r2
+        if all(cells(PartitionTriple(*splits[i], *splits[j], *splits[k], "e")))
     ]
     grouped = [(a, b, c) for a, live in suites._live_by_x_split(ground_size) for b, c in live]
     assert grouped == expected
@@ -134,16 +137,16 @@ def test_product_tables_reach_the_consequent_as_in_the_reference(n_vars):
         assert got.outcomes[CONSEQUENT_HOLDS] > 0
 
 
-def _consequent_as_violation(oracle, pt):
-    result = relevance.check_clean(oracle, pt)
+def _consequent_as_violation(*masks):
+    result = _implication(*masks)
     if result.status == CONSEQUENT_HOLDS:
         return CheckResult(VIOLATION, False, False)
     return result
 
 
-def _past_i1_as_violation(oracle, pt):
+def _past_i1_as_violation(*masks):
     """Several records per x-split, so their order within one shows."""
-    result = relevance.check_clean(oracle, pt)
+    result = _implication(*masks)
     if result.detail in (None, "i2", "i3"):
         return CheckResult(VIOLATION, False, False)
     return result
@@ -152,7 +155,9 @@ def _past_i1_as_violation(oracle, pt):
 @pytest.mark.parametrize("n_vars", [3, 4, 5])
 def test_failure_records_match_the_reference_in_order(monkeypatch, n_vars):
     for wrapped in (_consequent_as_violation, _past_i1_as_violation):
-        monkeypatch.setattr(suites, "check_clean", wrapped)
+        # ``check_clean`` reads the core from ``relevance``, the sweep from ``suites``
+        monkeypatch.setattr(relevance, "_implication", wrapped)
+        monkeypatch.setattr(suites, "_implication", wrapped)
         for seed, (left, right) in enumerate(PRODUCT_SHAPES[n_vars]):
             got, want = sweep_both(two_block_product(left, right, seed), f"product:{seed}")
             assert got.failures, "every case reaching the consequent should be recorded"
@@ -162,7 +167,7 @@ def test_failure_records_match_the_reference_in_order(monkeypatch, n_vars):
             assert got.outcomes == want.outcomes
 
 
-def _forced_violation(oracle, first, second, e_var, ground):
+def _forced_violation(oracle, first, second):
     return CheckResult(VIOLATION, False, False)
 
 
