@@ -5,8 +5,10 @@ construction order: each node's parents are the smallest predecessor subset
 that screens it off from the remaining predecessors, found by asking the
 oracle in variable masks.  Every walk reads the parent and child masks a
 ``Dag`` keeps (``_links``): the Bayes-ball scan ``_separated`` and the
-breadth-first ``_reach``.  The trail-enumeration reference of the scan, and
-the alarm-story network of the goldens, live in ``tests/dsep_reference.py``.
+breadth-first ``_reach``.  A built network gets these masks as
+construction found them, and an oracle keeps each network it was asked for.
+The trail-enumeration reference of the scan, and the alarm-story network of
+the goldens, live in ``tests/dsep_reference.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidOrder, InvalidSets
-from .model_core import Triplet, Universe, _bits_of, _size_lex_submasks, names_from_json
+from .model_core import Triplet, Universe, _size_lex_submasks, names_from_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,7 +58,8 @@ class Dag:
     @functools.cached_property
     def _links(self) -> tuple[dict[int, int], dict[int, int]]:
         """Each node's parent mask and child mask, keyed by the node's bit
-        over the universe's sorted names."""
+        over the universe's sorted names.  ``build_network`` hands its own
+        masks over instead."""
         bit, mask_of = self.universe.sets.bit, self.universe.sets.mask_of
         parents = {bit[v]: mask_of(pars) for v, pars in self.parents.items()}
         children = dict.fromkeys(parents, 0)
@@ -121,9 +124,10 @@ def _screening_mask(holds: Callable[[int, int, int], bool], node: int, preceding
     """The first submask of ``preceding`` that screens the ``node`` bit off
     from the rest of ``preceding``.
 
-    Candidates are scanned lazily in ascending cardinality, lexicographically
-    over the sorted names within a cardinality, so the first hit has no
-    qualifying proper subset and ties break deterministically.
+    Candidates are scanned in ascending cardinality, lexicographically over
+    the sorted names within a cardinality (``_size_lex_submasks``), so the
+    first hit has no qualifying proper subset and ties break
+    deterministically.
     """
     for candidate in _size_lex_submasks(preceding):
         if holds(node, preceding ^ candidate, candidate):
@@ -134,27 +138,45 @@ def _screening_mask(holds: Callable[[int, int, int], bool], node: int, preceding
 def build_network(oracle: CiOracle, order: Sequence[str] | None = None) -> Dag:
     """Minimal Bayesian network of the oracle's model under ``order``.
 
-    Omitting the order uses the universe listing order.  Each node's parents
-    are ``_screening_mask`` of its predecessors, asked in masks.  The parent
-    set depends only on the node and the set of its predecessors, so it is
-    kept on the oracle (``_screening``) and every later build reuses it; an
-    oracle without the memo gets a throwaway dict.
+    Omitting the order uses the universe listing order.  Each node's parent
+    mask is ``_screening_mask`` of its predecessors, asked in masks.  It
+    depends only on the node and the set of its predecessors, so it is kept
+    on the oracle (``_screening``) and every later build reuses it.  The
+    network gets these parent masks, and the child masks OR-ed from them, as
+    its ``_links``.  The oracle keeps the network per order (``_networks``),
+    and a later build under that order returns the same ``Dag``: it is
+    shared, so it must not be mutated.  An object without these memos gets
+    throwaway ones, so a fresh build each time.
     """
     order = _validated_order(oracle.universe, order)
-    sets = oracle.universe.sets
+    networks = getattr(oracle, "_networks", None)
+    if networks is None:
+        networks = {}
+    dag = networks.get(order)
+    if dag is not None:
+        return dag
+    bit, set_of = oracle.universe.sets.bit, oracle.universe.sets.set_of
     memo = getattr(oracle, "_screening", None)
     if memo is None:
         memo = {}
-    parents, preceding = {}, 0
-    for node in order:
-        key = (sets.bit[node], preceding)
-        found = memo.get(key)
-        if found is None:
-            screening = _screening_mask(_mask_ci(oracle), *key)
-            found = memo[key] = sets.set_of(screening)
-        parents[node] = found
-        preceding |= key[0]
-    return Dag(oracle.universe, parents, order)
+    holds = _mask_ci(oracle)
+    parents, children, preceding = {}, {}, 0
+    for name in order:
+        node = bit[name]
+        pars = memo.get((node, preceding))
+        if pars is None:
+            pars = memo[node, preceding] = _screening_mask(holds, node, preceding)
+        parents[node], children[node] = pars, 0
+        while pars:
+            low = pars & -pars
+            children[low] |= node
+            pars ^= low
+        preceding |= node
+    dag = networks[order] = Dag(
+        oracle.universe, {v: set_of(parents[bit[v]]) for v in order}, order
+    )
+    object.__setattr__(dag, "_links", (parents, children))
+    return dag
 
 
 def _validated_order(universe: Universe, order: Sequence[str] | None) -> tuple[str, ...]:
@@ -185,10 +207,16 @@ def _separated(dag: Dag, x: int, y: int, z: int) -> bool:
     down = down_seen = 0  # entered from a parent
     while up or down:
         to_children = to_parents = 0
-        for node in _bits_of((up | down) & ~z):
+        passing = (up | down) & ~z
+        while passing:
+            node = passing & -passing
             to_children |= children[node]
-        for node in _bits_of((up & ~z) | (down & z)):
+            passing ^= node
+        passing = (up & ~z) | (down & z)
+        while passing:
+            node = passing & -passing
             to_parents |= parents[node]
+            passing ^= node
         if (to_children | to_parents) & y:
             return False
         up, down = to_parents & ~up_seen, to_children & ~down_seen
@@ -216,12 +244,15 @@ def _reach(dag: Dag, start: int) -> dict[int, int]:
     """
     parents, children = dag._links
     back = {start: start}
-    queue = [start]
+    queue, seen = [start], start
     for v in queue:
-        for u in _bits_of(parents[v] | children[v]):
-            if u not in back:
-                back[u] = v
-                queue.append(u)
+        fresh = (parents[v] | children[v]) & ~seen
+        seen |= fresh
+        while fresh:
+            u = fresh & -fresh
+            back[u] = v
+            queue.append(u)
+            fresh ^= u
     return back
 
 

@@ -462,9 +462,11 @@ class CiOracle:
     immutable, which keeps the verdicts valid for the oracle's lifetime.
     An oracle also keeps ``_given``, the conditioned oracles through which
     ``ci_given_value`` answers value-specific statements about a table, and
-    ``_screening``, the minimal screening set found by network construction
-    for each node and predecessor mask, so a network rebuilt on the same
-    oracle asks nothing.
+    ``_screening``, the mask of the minimal screening set found by network
+    construction for each node and predecessor mask, so a network built
+    again under another order asks only what is new, and ``_networks``, the
+    network built under each order, returned again by a later build under
+    that order.  A kept ``Dag`` is shared, so it must not be mutated.
     The tolerance must be a finite, non-negative number, never a bool; None
     picks the backend's default.  It is the only tolerance the checks in
     ``relevance`` use.  A model oracle takes none: its verdicts are exact.
@@ -541,9 +543,11 @@ class CiOracle:
         # (pivot, value index) -> oracle over the table conditioned on that
         # value, or None when the value has no usable mass; tables only.
         object.__setattr__(self, "_given", {})
-        # (node bit, mask of its predecessors) -> minimal screening set;
-        # read and written by ``bayesnet.build_network`` only.
+        # (node bit, mask of its predecessors) -> mask of its minimal
+        # screening set, and construction order -> the network built under
+        # it; read and written by ``bayesnet.build_network`` only.
         object.__setattr__(self, "_screening", {})
+        object.__setattr__(self, "_networks", {})
 
     @property
     def universe(self) -> Universe:

@@ -148,6 +148,9 @@ class Universe:
     sets: VariableSets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Both as tuples (the domains below), so a universe given lists
+        # equals and hashes like one given tuples.
+        object.__setattr__(self, "variables", tuple(self.variables))
         # First, so that sorting or hashing a name cannot raise a bare TypeError.
         for name in self.variables:
             if not isinstance(name, str):
@@ -159,6 +162,7 @@ class Universe:
         object.__setattr__(self, "_positions", {v: i for i, v in enumerate(self.variables)})
         if any(not name for name in self.variables):
             raise ValueError("variable names must be non-empty")
+        object.__setattr__(self, "domains", tuple(map(tuple, self.domains)))
         if len(self.domains) != len(self.variables):
             raise ValueError("one domain per variable required")
         if any(len(dom) == 0 for dom in self.domains):
@@ -430,10 +434,28 @@ def _bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _size_lex_submasks(mask: int) -> Iterator[int]:
+# Widest mask whose size-then-lex submasks are kept: 2^12 per mask at most.
+_CACHED_SUBMASK_BITS = 12
+
+
+def _size_lex_submasks(mask: int) -> Iterable[int]:
     """Every submask of ``mask``, fewest bits first, and within a size in
     lexicographic order of its sorted names (bit i is the i-th sorted name).
-    Generated lazily, one at a time."""
+
+    A mask of at most ``_CACHED_SUBMASK_BITS`` bits gets one tuple, built
+    once per mask.  A wider one is generated lazily: a scan that stops early
+    then never holds its 2^k submasks."""
+    if mask.bit_count() <= _CACHED_SUBMASK_BITS:
+        return _size_lex_tuple(mask)
+    return _size_lex_order(mask)
+
+
+@functools.cache
+def _size_lex_tuple(mask: int) -> tuple[int, ...]:
+    return tuple(_size_lex_order(mask))
+
+
+def _size_lex_order(mask: int) -> Iterator[int]:
     bits = list(_bits_of(mask))
     for size in range(len(bits) + 1):
         yield from map(sum, itertools.combinations(bits, size))

@@ -153,6 +153,15 @@ def reference_network(oracle, order):
     return Dag(oracle.universe, parents, tuple(order))
 
 
+def four_variable_backends(blocks_table):
+    """A random table, a two-block table and a sparse model, on four variables each."""
+    model = DependencyModel.of(
+        Universe.binary("u1", "u2", "u3", "u4"),
+        [Triplet.make("u1", "u2"), Triplet.make("u3", {"u1", "u2"}, "u4")],
+    )
+    return random_spb(4, 11), blocks_table, model
+
+
 def copied_coin_table():
     """A fair coin a, its copy b, c a noisy reading of a and d of c.
 
@@ -213,16 +222,34 @@ class TestBuildNetwork:
             Dag(u, {v: frozenset() for v in u.variables}, ("x", "y", "y"))
 
     def test_rebuilds_on_one_oracle_equal_fresh_builds(self, blocks_table):
-        model = DependencyModel.of(
-            Universe.binary("u1", "u2", "u3", "u4"),
-            [Triplet.make("u1", "u2"), Triplet.make("u3", {"u1", "u2"}, "u4")],
-        )
-        for backend in (random_spb(4, 11), blocks_table, model):
+        for backend in four_variable_backends(blocks_table):
             shared = CiOracle(backend)
             for order in itertools.permutations(backend.universe.variables):
                 assert build_network(shared, order) == build_network(CiOracle(backend), order)
             # one screening set per node and predecessor set: 4 nodes x 2^3 sets
             assert len(shared._screening) == 32
+
+    def test_a_build_hands_over_the_links_its_parents_give(self, blocks_table):
+        for backend in four_variable_backends(blocks_table):
+            oracle = CiOracle(backend)
+            for order in itertools.permutations(backend.universe.variables):
+                dag = build_network(oracle, order)
+                assert "_links" in vars(dag)  # handed over, not computed from the names
+                assert dag._links == Dag(dag.universe, dag.parents, order)._links
+
+    def test_an_object_with_only_universe_and_ci_gets_a_fresh_build(self, blocks_table):
+        class NamesOnly:
+            def __init__(self, oracle):
+                self.universe, self.ci = oracle.universe, oracle.ci
+
+        for backend in four_variable_backends(blocks_table):
+            oracle = CiOracle(backend)
+            stand_in = NamesOnly(CiOracle(backend))
+            for order in itertools.permutations(backend.universe.variables):
+                dag = build_network(stand_in, order)
+                assert dag == build_network(oracle, order)
+                assert dag._links == build_network(oracle, order)._links
+                assert build_network(stand_in, order) is not dag
 
     def test_a_rebuild_asks_the_kernel_nothing(self, monkeypatch):
         import graphoid.dist_oracle as dist_oracle
@@ -251,7 +278,11 @@ class TestBuildNetwork:
         first = build_network(oracle, order)
         assert calls
         calls.clear()
-        assert build_network(oracle, order) == first
+        # the oracle keeps the network built under each order and returns it
+        assert build_network(oracle, order) is first
+        assert build_network(oracle) is build_network(oracle, oracle.universe.variables)
+        calls.clear()
+        assert build_network(oracle, list(order)) is first
         assert calls == []
         # swapping the first two nodes leaves the predecessor set of the rest
         # as it was, so their screening sets come from the memo

@@ -13,6 +13,7 @@ import itertools
 
 import pytest
 
+import graphoid.model_core as model_core
 from graphoid import (
     Dag,
     Triplet,
@@ -173,6 +174,51 @@ def test_components_are_the_dags_under_every_order(dags):
     for group in dags.values():
         assert component_failures(group) == []
     assert sum(len(connected_components(dag)) > 1 for dag in dags[4]) == 97
+
+
+def union_find_components(dag):
+    """The components of ``dag`` by union-find over its parent sets, members
+    sorted by name and components by their least member."""
+    root = {v: v for v in dag.universe.variables}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for v, pars in dag.parents.items():
+        for p in pars:
+            root[find(p)] = find(v)
+    groups = {}
+    for v in sorted(root):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(sorted(map(tuple, groups.values())))
+
+
+def test_components_match_a_union_find_on_every_dag(dags):
+    for group in dags.values():
+        misses = [dag for dag in group if connected_components(dag) != union_find_components(dag)]
+        assert misses == []
+
+
+def size_lex_reference(mask):
+    """The submasks of ``mask``, fewest bits first, each size in the order
+    ``itertools.combinations`` gives the mask's bits."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    return [
+        sum(combo) for size in range(len(bits) + 1) for combo in itertools.combinations(bits, size)
+    ]
+
+
+def test_size_lex_submasks_match_the_combinations_order():
+    for mask in range(1 << 7):
+        assert list(model_core._size_lex_submasks(mask)) == size_lex_reference(mask)
+    # A mask past the cached width is generated lazily and never kept: its
+    # first 21 submasks, the empty set and the singletons, cost 21 sums.
+    kept = model_core._size_lex_tuple.cache_info().currsize
+    first = itertools.islice(model_core._size_lex_submasks((1 << 20) - 1), 21)
+    assert list(first) == [0, *(1 << i for i in range(20))]
+    assert model_core._size_lex_tuple.cache_info().currsize == kept
 
 
 def test_relations_all_mean_different_components(dags):

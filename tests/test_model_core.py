@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import graphoid.model_core as model_core
 from graphoid import (
     CiOracle,
+    Dag,
     DependencyModel,
     Triplet,
     Universe,
@@ -75,6 +76,21 @@ def test_universe_index_is_the_position_in_variables(n):
         u = Universe.binary(*names)
         assert [u.index(v) for v in names] == [u.variables.index(v) for v in names]
         assert u == Universe.binary(*names) and hash(u) == hash(Universe.binary(*names))
+
+
+@pytest.mark.parametrize("variables, domains", [
+    (["b", "a"], (("0", "1"), ("0", "1"))),
+    (("b", "a"), [("0", "1"), ("0", "1")]),
+    (("b", "a"), (["0", "1"], ["0", "1"])),
+    (["b", "a"], [["0", "1"], ["0", "1"]]),
+], ids=["variables", "domains", "each domain", "all"])
+def test_a_universe_given_lists_equals_and_hashes_like_one_given_tuples(variables, domains):
+    given, tupled = Universe(variables, domains), Universe.binary("b", "a")
+    assert given.variables == ("b", "a") and given.domains == (("0", "1"), ("0", "1"))
+    assert given == tupled and hash(given) == hash(tupled)
+    parents = {"b": frozenset(), "a": frozenset({"b"})}
+    dag, tupled_dag = Dag(given, parents, ("b", "a")), Dag(tupled, parents, ("b", "a"))
+    assert dag == tupled_dag and hash(dag) == hash(tupled_dag)
 
 
 @pytest.mark.parametrize("name", [1, None, ("b",), ["b"]], ids=repr)

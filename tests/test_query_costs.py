@@ -24,7 +24,8 @@ stops building each set once decodes more masks.  Every ask, through
 and the suites, is one ``CiOracle._holds`` call.  The dsep-soundness suite
 and the clean sweep hold masks already, so a separation or implication
 that goes back through names builds ``Triplet`` or ``PartitionTriple``
-objects.
+objects.  An oracle that stops keeping the network built under each order
+builds more ``Dag`` objects.
 """
 
 import itertools
@@ -41,7 +42,8 @@ import graphoid.suites as suites
 from graphoid.dist_oracle import CiOracle, extract_model, random_gaussian, random_spb, xor_table
 from graphoid.errors import SingularConditioning
 from graphoid.model_core import Triplet, Universe, check_graphoid_axioms, subsets
-from graphoid.relevance import CONSEQUENT_HOLDS, PartitionTriple
+from graphoid.bayesnet import Dag
+from graphoid.relevance import CONSEQUENT_HOLDS, PartitionTriple, unrelated
 from graphoid.simnet import HypothesisCover, types_equivalent
 from graphoid.suites import run_suite
 
@@ -394,3 +396,21 @@ def test_a_clean_run_past_i1_builds_no_partition_triple(monkeypatch):
     assert report.outcomes[CONSEQUENT_HOLDS] > 0
     assert report.to_json() == reference.to_json()
     assert built == []
+
+
+def test_a_relations_run_builds_each_network_once(monkeypatch):
+    built = _count_builds(monkeypatch, Dag)
+    report = run_suite("relations", seed=0)
+    # Each oracle keeps the network ``unrelated`` builds under its listing
+    # order: 126 distinct networks, built once each (751 when every call
+    # built its network again).
+    assert report.ok and report.cases == 751
+    assert len(built) == 126
+
+
+def test_unrelated_over_every_pair_builds_one_network(monkeypatch):
+    built = _count_builds(monkeypatch, Dag)
+    oracle = CiOracle(random_spb(5, 3))
+    pairs = list(itertools.combinations(oracle.universe.variables, 2))
+    verdicts = [unrelated(oracle, a, b).holds for a, b in pairs]
+    assert len(verdicts) == 10 and len(built) == 1
