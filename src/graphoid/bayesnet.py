@@ -149,16 +149,12 @@ def build_network(oracle: CiOracle, order: Sequence[str] | None = None) -> Dag:
     throwaway ones, so a fresh build each time.
     """
     order = _validated_order(oracle.universe, order)
-    networks = getattr(oracle, "_networks", None)
-    if networks is None:
-        networks = {}
+    networks = getattr(oracle, "_networks", {})
     dag = networks.get(order)
     if dag is not None:
         return dag
     bit, set_of = oracle.universe.sets.bit, oracle.universe.sets.set_of
-    memo = getattr(oracle, "_screening", None)
-    if memo is None:
-        memo = {}
+    memo = getattr(oracle, "_screening", {})
     holds = _mask_ci(oracle)
     parents, children, preceding = {}, {}, 0
     for name in order:
