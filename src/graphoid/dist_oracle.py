@@ -5,8 +5,9 @@ Cartesian product of finite domains) and regular Gaussian models (mean vector
 plus positive-definite covariance).  An explicit dependency model can also
 back the oracle, answering from the variable masks of its graphoid closure;
 a small table answers from the same kind of mask set, built from all its
-verdicts at once, and a Gaussian from one row of conditional-covariance
-dependencies per conditioning set.
+two-sided verdicts at once, and a Gaussian from one row of
+conditional-covariance dependencies per conditioning set, built for every
+set of one size at once.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .model_core import (
     DependencyModel,
     Universe,
     _as_name_set,
+    _bits_of,
     _check_bound,
     _model_of_masks,
     _submasks,
@@ -44,6 +47,10 @@ MAX_EXTRACT_VARS = 5
 # per query.  It keeps the pass's arrays within a few megabytes whatever
 # the domain sizes.
 VERDICT_GRID_LIMIT = 1 << 13
+# Most conditioning sets of one size whose dependency rows a Gaussian
+# oracle builds together, at the first query on any of them; past it, a
+# query's rows are built for its own conditioning set alone.
+ROW_BATCH_LIMIT = 1 << 10
 
 
 def _numbers_from_json(value: object, what: str) -> object:
@@ -317,14 +324,20 @@ def _table_queries(n: int) -> tuple[np.ndarray, list, list, tuple]:
     return rows.reshape(-1, 4).T, queries, swapped, tuple(trivial)
 
 
-def _held_masks(n: int, holds: list[bool]) -> set[tuple[int, int, int]]:
-    """The held ``(x, y, z)`` masks over ``n`` variables, given the verdict of
-    each query of ``_table_queries(n)`` in its order: both orientations and
-    every trivial triple included."""
-    _, queries, swapped, trivial = _table_queries(n)
-    held = set(trivial)
-    held.update(itertools.compress(queries, holds))
+def _two_sided_held(n: int, holds: list[bool]) -> set[tuple[int, int, int]]:
+    """The held ``(x, y, z)`` masks with two non-empty sides over ``n``
+    variables, given the verdict of each query of ``_table_queries(n)`` in
+    its order, in both orientations."""
+    _, queries, swapped, _ = _table_queries(n)
+    held = set(itertools.compress(queries, holds))
     held.update(itertools.compress(swapped, holds))
+    return held
+
+
+def _held_masks(n: int, holds: list[bool]) -> set[tuple[int, int, int]]:
+    """``_two_sided_held`` plus every trivial triple."""
+    held = _two_sided_held(n, holds)
+    held.update(_table_queries(n)[3])
     return held
 
 
@@ -353,10 +366,10 @@ def _table_gaps(table: JointTable, names: tuple[str, ...], tol: float) -> np.nda
 
 
 def _table_verdicts(table: JointTable, tol: float) -> set[tuple[int, int, int]]:
-    """Every verdict of ``table`` at ``tol``, as the held ``(x, y, z)`` masks
-    of ``_held_masks``."""
+    """Every two-sided verdict of ``table`` at ``tol``, as the held
+    ``(x, y, z)`` masks of ``_two_sided_held``."""
     names = table.universe.sets.names
-    return _held_masks(len(names), (_table_gaps(table, names, tol) <= tol).tolist())
+    return _two_sided_held(len(names), (_table_gaps(table, names, tol) <= tol).tolist())
 
 
 def ci_residual_gaussian(
@@ -397,30 +410,78 @@ def _gaussian_residual(
     return float(np.abs(block).max())
 
 
-def _dependency_row(g: GaussianModel, zs: tuple[str, ...], tol: float) -> list[int]:
-    """For each variable, bit i being the i-th sorted name, the mask of the
-    variables j outside ``zs`` with |Σ_ij·zs| > ``tol``; 0 for a variable in ``zs``.
+class _Layout(NamedTuple):
+    """Conditioning masks of one size over ``n`` variables, laid out for
+    ``_dependency_rows``: the bit positions inside and outside each mask,
+    lowest first, one row per mask; the bit of each outside position; and
+    where each outside position falls in the masks' rows, flattened."""
 
-    ``(X, Y | zs)`` holds exactly when no member of X has a bit in Y, the
-    kernel's "largest |entry| of the X-Y block at most tol".  With ``zs``
-    empty the entries are the model's |covariance| rows, the kernel's own
-    floats; otherwise one solve against the kept factor covers every free
-    column, and a singular block raises as the kernel does.
+    masks: tuple[int, ...]
+    inside: np.ndarray
+    free: np.ndarray
+    weight: np.ndarray
+    scatter: np.ndarray
+
+
+def _layout(n: int, masks: tuple[int, ...]) -> _Layout:
+    """The ``_Layout`` of ``masks``, all of one size, over ``n`` variables."""
+    full, size = (1 << n) - 1, masks[0].bit_count()
+
+    def positions(of: Iterable[int], width: int) -> np.ndarray:
+        bits = [[b.bit_length() - 1 for b in _bits_of(m)] for m in of]
+        return np.array(bits, dtype=np.intp).reshape(len(masks), width)
+
+    inside, free = positions(masks, size), positions((full ^ z for z in masks), n - size)
+    bit = np.array([1 << i for i in range(n)], dtype=np.int64 if n < 63 else object)
+    scatter = (np.arange(len(masks))[:, None] * n + free).ravel()
+    return _Layout(masks, inside, free, bit[free], scatter)
+
+
+@functools.cache
+def _size_layout(n: int, size: int) -> _Layout:
+    """The ``_Layout`` of every mask of ``size`` bits over ``n`` variables."""
+    combos = itertools.combinations(range(n), size)
+    return _layout(n, tuple(sum(1 << i for i in bits) for bits in combos))
+
+
+def _dependency_rows(g: GaussianModel, layout: _Layout, tol: float) -> dict[int, list[int] | None]:
+    """The dependency row of each conditioning mask of ``layout``, or None
+    for a mask whose block is numerically singular.
+
+    A row holds, for each variable (bit i being the i-th sorted name), the
+    mask of the variables j outside z with |Σ_ij·z| > ``tol``; 0 for a
+    variable in z.  ``(X, Y | z)`` holds exactly when no member of X has a
+    bit in Y, the kernel's "largest |entry| of the X-Y block at most tol".
+    Every block is gathered in sorted-name order, all of them at once: with
+    z empty the entries are |covariance| itself; otherwise one stacked
+    ``eigvalsh`` applies ``GaussianModel._factor``'s singular rule, and one
+    stacked ``cholesky`` and one stacked ``solve`` cover every free column of
+    every regular block.  Each block gets the floats its own unstacked calls
+    would give.
     """
     names = g.universe.sets.names
-    free = [i for i, v in enumerate(names) if v not in zs]
-    cols = [g.universe.index(names[i]) for i in free]
-    if zs:
-        chol, z_rows = g._factor(zs)
-        w = np.linalg.solve(chol, z_rows[:, cols])
-        entries = np.abs(g.covariance[cols][:, cols] - w.T @ w).tolist()
-    else:
-        abs_rows = g._abs_rows
-        entries = [[abs_rows[i][j] for j in cols] for i in cols]
-    row = [0] * len(names)
-    for i, dependent in zip(free, entries):
-        row[i] = sum(1 << j for j, entry in zip(free, dependent) if entry > tol)
-    return row
+    axis = np.array([g.universe.index(v) for v in names], dtype=np.intp)
+    zi, fi = axis[layout.inside], axis[layout.free]
+    cov = g.covariance
+    block = cov[fi[:, :, None], fi[:, None, :]]
+    found: dict[int, list[int] | None] = {}
+    if layout.inside.shape[1]:
+        s_zz = cov[zi[:, :, None], zi[:, None, :]]
+        ends = np.linalg.eigvalsh(s_zz)[:, [0, -1]].tolist()
+        regular = []
+        for k, (low, high) in enumerate(ends):
+            if low <= 0.0 or high / low > CONDITION_LIMIT:
+                found[layout.masks[k]] = None
+            else:
+                regular.append(k)
+        chol = np.linalg.cholesky(s_zz[regular])
+        w = np.linalg.solve(chol, cov[zi[regular][:, :, None], fi[regular][:, None, :]])
+        block[regular] -= w.swapaxes(1, 2) @ w
+    bits = np.where(np.abs(block) > tol, layout.weight[:, None, :], 0).sum(axis=2)
+    flat = np.zeros(len(layout.masks) * len(names), dtype=bits.dtype)
+    flat[layout.scatter] = bits.ravel()
+    rows = flat.reshape(len(layout.masks), len(names)).tolist()
+    return {z: found.get(z, row) for z, row in zip(layout.masks, rows)}
 
 
 @dataclass(frozen=True)
@@ -437,27 +498,31 @@ class CiOracle:
     It then answers ``_holds`` on those masks, the one decision path; the
     package's network construction, relation sweeps and suites, which hold
     masks already, ask ``_holds`` directly with disjoint masks.  ``_holds``
+    answers True when x or y is empty, by trivial independence, before any
+    backend is asked; every backend is asked two-sided queries only.  It
     puts the masks in one canonical orientation, the side with the lower
-    lowest bit (or the empty side) first, which is the smaller sorted tuple
-    first; so ``ci(x, y, z) == ci(y, x, z)`` whichever was asked first.
+    lowest bit first, which is the smaller sorted tuple first; so
+    ``ci(x, y, z) == ci(y, x, z)`` whichever was asked first.
     Tables of at most MAX_EXTRACT_VARS variables (and a grid within
     VERDICT_GRID_LIMIT) and models answer by one membership test in
-    ``_verdicts()``, the set of held ``(x, y, z)`` masks, both orientations
-    and the trivial triples included.  A model's set is its graphoid
-    closure, computed once per model and kept on it (a model past the
-    closure bound raises UniverseTooLarge at every valid query).  A table
-    oracle builds its set on its first query, in one vectorized pass over
-    every query at its tolerance (``_table_verdicts``), and keeps it.  Every
-    other oracle answers through ``_decide``, given the canonical masks, and
-    keeps what it learns in ``_memo`` (None on the membership path); it
-    reads a mask's sorted tuple with the universe's ``sets.tuple_of``.  A
-    Gaussian holds trivially when a side is empty; otherwise its memo keeps
-    one ``_dependency_row`` per conditioning mask, built at the first such
-    query on it, and the query holds when no member of x has a dependency
-    bit in y.  A singular conditioning block stores nothing and raises
-    SingularConditioning at every such query.  A table past those bounds
-    asks its kernel (``_gap``, given the sets' sorted tuples) and memoizes
-    the verdict, gap at most the tolerance, on the canonical masks.
+    ``_verdicts()``, a set of held ``(x, y, z)`` masks holding both
+    orientations.  A model's set is its graphoid closure, computed once per
+    model and kept on it (a model past the closure bound raises
+    UniverseTooLarge at every valid two-sided query).  A table oracle builds
+    its set on its first two-sided query, in one vectorized pass over every
+    query at its tolerance (``_table_verdicts``), and keeps only the held
+    two-sided queries.  Every other oracle answers through ``_decide``,
+    given the canonical masks, and keeps what it learns in ``_memo`` (None
+    on the membership path).  A Gaussian's memo keeps one dependency row per
+    conditioning mask, and the query holds when no member of x has a
+    dependency bit in y.  At the first query on a conditioning mask the rows
+    of every mask of its size are built together, in one stacked pass
+    (``_dependency_rows``), while there are at most ROW_BATCH_LIMIT of them;
+    otherwise the mask's row alone.  A singular conditioning block is kept
+    as None and raises SingularConditioning at every query on it.  A table
+    past those bounds asks its kernel (``_gap``, given the sets' sorted
+    tuples, read with the universe's ``sets.tuple_of``) and memoizes the
+    verdict, gap at most the tolerance, on the canonical masks.
     ``discrepancy`` always runs ``_gap``.  The oracle and its backends are
     immutable, which keeps the verdicts valid for the oracle's lifetime.
     An oracle also keeps ``_given``, the conditioned oracles through which
@@ -506,18 +571,26 @@ class CiOracle:
 
         elif isinstance(backend, GaussianModel):
             tol = GAUSSIAN_TOL if tol is None else tol
-            memo = {}  # z mask -> its ``_dependency_row``
+            memo = {}  # z mask -> its dependency row, None when singular
+            n = len(backend.universe.variables)
 
             def gap(xs, ys, zs) -> float:
                 return _gaussian_residual(backend, xs, ys, zs)
 
             def decide(query: tuple[int, int, int]) -> bool:
                 x, y, z = query
-                if not x or not y:
-                    return True
-                row = memo.get(z)
+                if z not in memo:
+                    size = z.bit_count()
+                    batch = (
+                        _size_layout(n, size) if math.comb(n, size) <= ROW_BATCH_LIMIT
+                        else _layout(n, (z,))
+                    )
+                    memo.update(_dependency_rows(backend, batch, tol))
+                row = memo[z]
                 if row is None:
-                    row = memo[z] = _dependency_row(backend, tuple_of(z), tol)
+                    raise SingularConditioning(
+                        f"conditioning block over {tuple_of(z)} is numerically singular"
+                    )
                 while x:
                     low = x & -x
                     if row[low.bit_length() - 1] & y:
@@ -572,8 +645,10 @@ class CiOracle:
         return mx, my, mz
 
     def _holds(self, x: int, y: int, z: int) -> bool:
-        """The verdict on disjoint masks over the sorted names, asked in the
-        canonical orientation."""
+        """The verdict on disjoint masks over the sorted names: True when a
+        side is empty, else the backend's, asked in the canonical orientation."""
+        if not x or not y:
+            return True
         query = (y, x, z) if y & -y < x & -x else (x, y, z)
         verdicts = self._verdicts
         return self._decide(query) if verdicts is None else query in verdicts()
@@ -652,6 +727,13 @@ def extract_model(oracle: CiOracle) -> DependencyModel:
     return _model_of_masks(oracle.universe, _held_masks(n, holds))
 
 
+@functools.cache
+def _drawn_universe(n: int, kind: str) -> Universe:
+    """The one universe over u1..un of the seeded generators, ``kind`` being
+    the ``Universe`` constructor: "binary" or "reals"."""
+    return getattr(Universe, kind)(*(f"u{i + 1}" for i in range(n)))
+
+
 def random_spb(n: int, seed: int) -> JointTable:
     """Strictly positive binary distribution over ``n`` variables, seeded.
 
@@ -662,8 +744,7 @@ def random_spb(n: int, seed: int) -> JointTable:
         raise ValueError("random_spb supports 2..6 variables")
     rng = np.random.default_rng(seed)
     raw = rng.uniform(SPB_ENTRY_FLOOR, 1.0, size=2**n)
-    universe = Universe.binary(*(f"u{i + 1}" for i in range(n)))
-    return JointTable(universe, raw / raw.sum())
+    return JointTable(_drawn_universe(n, "binary"), raw / raw.sum())
 
 
 def random_gaussian(n: int, seed: int) -> GaussianModel:
@@ -674,8 +755,7 @@ def random_gaussian(n: int, seed: int) -> GaussianModel:
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     mean = rng.uniform(-1.0, 1.0, size=n)
     cov = a @ a.T + GAUSSIAN_RIDGE * np.eye(n)
-    universe = Universe.reals(*(f"u{i + 1}" for i in range(n)))
-    return GaussianModel(universe, mean, cov)
+    return GaussianModel(_drawn_universe(n, "reals"), mean, cov)
 
 
 def xor_table() -> JointTable:

@@ -292,14 +292,31 @@ def suite_clean(report: SuiteReport, seed: int, n_vars: int, samples: int) -> No
         _clean_sweep(report, g, f"gaussian:{s}")
 
 
+# Attempts drawn at once by ``_random_blocks``.
+BLOCK_ATTEMPTS = 64
+
+
 def _random_blocks(rng: np.random.Generator, ground: VariableSets) -> PtBinBlocks:
     """Random eight-way block assignment of the names of ``ground`` with both
-    first blocks non-empty; one code is drawn per name in sorted order."""
+    first blocks non-empty; one code is drawn per name in sorted order.
+
+    Rejection sampling: an attempt draws ``len(ground.names)`` codes and is
+    kept when both block 0 and block 4 get a name.  ``BLOCK_ATTEMPTS``
+    attempts are drawn in one call; the generator is then rewound and draws,
+    in one more call, exactly the codes up to the first kept attempt.  A
+    range of eight takes one 32-bit output per code, so the codes and the
+    generator's final state are those of drawing one attempt per call.
+    """
+    k = len(ground.names)
     while True:
-        codes = rng.integers(8, size=len(ground.names))
-        groups = label_blocks(ground, codes, 8)
-        if groups[0] and groups[4]:
-            return PtBinBlocks(*groups)
+        state = rng.bit_generator.state
+        codes = rng.integers(8, size=(BLOCK_ATTEMPTS, k))
+        kept = np.flatnonzero((codes == 0).any(axis=1) & (codes == 4).any(axis=1))
+        if kept.size:
+            j = int(kept[0])
+            rng.bit_generator.state = state
+            codes = rng.integers(8, size=(j + 1) * k)[j * k:]
+            return PtBinBlocks(*label_blocks(ground, codes.tolist(), 8))
 
 
 def suite_pt_bin(report: SuiteReport, seed: int, n_vars: int, samples: int) -> None:

@@ -54,7 +54,7 @@ from graphoid.errors import (
 )
 from graphoid.model_core import DependencyModel, graphoid_closure
 
-from disjoint_triples import iter_disjoint_triples
+from disjoint_triples import forget_variable_sets, iter_disjoint_triples
 
 
 def ci_holds_gaussian(g, x, y, z=(), tol=GAUSSIAN_TOL):
@@ -413,14 +413,16 @@ def test_model_oracle_keeps_no_memo(xor):
     assert oracle._memo is None
     # a table of at most five variables answers from its verdict table as
     # the model answers from its closure; a Gaussian keeps one dependency
-    # row per conditioning mask, and a wider table memoizes each verdict
+    # row per conditioning mask, built for every mask of the asked mask's
+    # size at once, and a wider table memoizes each verdict
     table_oracle = CiOracle(xor)
     table_oracle.ci("x", "y")
     assert table_oracle._memo is None
     gaussian_oracle = CiOracle(random_gaussian(3, 0))
     gaussian_oracle.ci("u1", "u2")
+    assert list(gaussian_oracle._memo) == [0]
     gaussian_oracle.ci("u1", "u2", "u3")
-    assert list(gaussian_oracle._memo) == [0, 0b100]
+    assert sorted(gaussian_oracle._memo) == [0, 0b1, 0b10, 0b100]
     assert all(len(row) == 3 for row in gaussian_oracle._memo.values())
     wide_oracle = CiOracle(random_spb(6, 0))
     wide_oracle.ci("u1", "u2")
@@ -741,6 +743,87 @@ def test_the_dependency_rows_answer_as_the_gaussian_kernel():
                 assert got == want
                 held += got is True and bool(x and y and z)
     assert held > 0  # conditional independences with two non-empty sides held
+
+
+def _reference_dependency_row(g, zs, tol):
+    """The dependency row of one sorted conditioning tuple ``zs``, built on
+    its own as the oracle built it before the rows were stacked by size:
+    one solve against the model's kept factor, |covariance| itself for an
+    empty ``zs``."""
+    names = g.universe.sets.names
+    free = [i for i, v in enumerate(names) if v not in zs]
+    cols = [g.universe.index(names[i]) for i in free]
+    if zs:
+        chol, z_rows = g._factor(zs)
+        w = np.linalg.solve(chol, z_rows[:, cols])
+        entries = np.abs(g.covariance[cols][:, cols] - w.T @ w).tolist()
+    else:
+        entries = np.abs(g.covariance[cols][:, cols]).tolist()
+    row = [0] * len(names)
+    for i, dependent in zip(free, entries):
+        row[i] = sum(1 << j for j, entry in zip(free, dependent) if entry > tol)
+    return row
+
+
+def _copied_column_gaussian(eps):
+    """u2 = u1 + eps * noise beside two independent variables: the (u1, u2)
+    block has condition number about 4 / eps^2, so eps = 1e-6 is past the
+    regularity limit and eps = 3e-6 just inside it."""
+    cov = np.eye(4)
+    cov[0, 1] = cov[1, 0] = 1.0
+    cov[1, 1] = 1.0 + eps**2
+    cov[2, 3] = cov[3, 2] = 0.3
+    return GaussianModel(Universe.reals("u1", "u2", "u3", "u4"), np.zeros(4), cov)
+
+
+def test_the_stacked_rows_equal_the_single_set_rows():
+    models = [random_gaussian(n, seed) for n in range(2, 8) for seed in (0, 1009)]
+    models += [_linear_sem_gaussian(n, seed) for n in range(3, 7) for seed in range(2)]
+    models += [_almost_singular_gaussian(), _copied_column_gaussian(1e-6),
+               _copied_column_gaussian(3e-6)]
+    singular = 0
+    for tol in (GAUSSIAN_TOL, 0.05):
+        for g in models:
+            n, tuple_of = len(g.universe.variables), g.universe.sets.tuple_of
+            oracle = CiOracle(g, tol)
+            for size in range(n - 1):
+                layout = dist_oracle._size_layout(n, size)
+                masks = layout[0]
+                assert len(set(masks)) == math.comb(n, size)
+                assert all(z.bit_count() == size for z in masks)
+                rows = dist_oracle._dependency_rows(g, layout, tol)
+                assert list(rows) == list(masks)
+                for z in masks:
+                    try:
+                        want = _reference_dependency_row(g, tuple_of(z), tol)
+                    except SingularConditioning as exc:
+                        want = f"singular: {exc}"
+                    if rows[z] is not None:
+                        assert rows[z] == want
+                        continue
+                    # a singular block: the oracle raises the kernel's
+                    # message, at every query on it
+                    singular += 1
+                    free = ((1 << n) - 1) ^ z
+                    x = free & -free
+                    for _ in range(2):
+                        with pytest.raises(SingularConditioning) as caught:
+                            oracle._holds(x, free ^ x, z)
+                        assert f"singular: {caught.value}" == want
+    assert singular == 2 * 2  # {a, b} of one model and {u1, u2} of another, at both tolerances
+
+
+def test_a_size_with_too_many_sets_builds_the_asked_row_alone():
+    g = _linear_sem_gaussian(13, 5)
+    names = g.universe.sets.names
+    oracle = CiOracle(g)
+    assert math.comb(13, 1) <= dist_oracle.ROW_BATCH_LIMIT < math.comb(13, 6)
+    z = 0b1111110000000  # six of the thirteen names
+    want = _reference_dependency_row(g, names[7:], GAUSSIAN_TOL)
+    assert oracle._holds(0b1, 0b10, z) == (not want[0] & 0b10)
+    assert oracle._memo == {z: want}
+    oracle._holds(0b1, 0b10, 0b100)  # all thirteen 1-sets at once
+    assert sorted(oracle._memo) == sorted([z, *(1 << i for i in range(13))])
 
 
 @settings(max_examples=25, deadline=None)
@@ -1189,8 +1272,10 @@ def test_the_kernel_gets_the_validated_tuples_smaller_first(monkeypatch, backend
         received.clear()
         oracle.ci(x, y, z)
         # a Gaussian answers from its dependency rows and asks the kernel
-        # nothing; a wide table's memo hit asks nothing
-        assert received == ([] if gaussian or want in asked else [want])
+        # nothing; an empty side holds before any backend is asked, and a
+        # wide table's memo hit asks nothing
+        two_sided = bool(xs and ys)
+        assert received == ([] if gaussian or not two_sided or want in asked else [want])
         asked.add(want)
         received.clear()
         oracle.discrepancy(x, y, z)
@@ -1232,16 +1317,17 @@ def test_the_mask_ask_answers_as_ci_on_every_disjoint_triple(backend):
         for codes in itertools.product(range(4), repeat=len(names))
     ]
     # A universe over these names with a VariableSets no query has used yet.
-    model_core._variable_sets.cache_clear()
+    forget_variable_sets()
     universe = Universe(backend.universe.variables, backend.universe.domains)
     backend = dataclasses.replace(backend, universe=universe)
     by_masks = CiOracle(backend)
     verdicts = [by_masks._holds(x, y, z) for x, y, z in triples]
-    # The mask path names no set.  A verdict set reads no name tuple; a
-    # Gaussian or kernel oracle decodes the tuple of each mask it reads.
+    # The mask path names no set.  A verdict set reads no name tuple, nor do
+    # a Gaussian's rows, gathered from masks; a kernel oracle decodes the
+    # tuple of each mask it reads.
     assert universe.sets.masks == {}
     known = universe.sets._tuples
-    if by_masks._memo is None:
+    if by_masks._memo is None or isinstance(backend, GaussianModel):
         assert known == {}
     else:
         assert known and all(value == tuple(sorted(named(mask))) for mask, value in known.items())

@@ -47,7 +47,7 @@ from graphoid.relevance import CONSEQUENT_HOLDS, PartitionTriple, unrelated
 from graphoid.simnet import HypothesisCover, types_equivalent
 from graphoid.suites import run_suite
 
-from disjoint_triples import iter_disjoint_triples
+from disjoint_triples import forget_variable_sets, iter_disjoint_triples
 
 
 def _count_kernel_calls(monkeypatch):
@@ -110,7 +110,7 @@ def test_each_query_set_is_validated_once_per_name_tuple(monkeypatch):
         return real_validate(*args)
 
     monkeypatch.setattr(dist_oracle, "_validate_sets", counting_validate)
-    model_core._variable_sets.cache_clear()  # forget the sets earlier tests asked
+    forget_variable_sets()  # forget the sets earlier tests asked
     report = run_suite("components", seed=0, samples=3)
     assert report.ok and report.cases == 3
     # Network construction asks its 324 queries in masks, so no set is named
@@ -124,7 +124,7 @@ def test_each_query_set_is_validated_once_per_name_tuple(monkeypatch):
     # Over every triple each set is validated at most once, by whichever
     # oracle over those names asks it first; a later oracle over the same
     # names, of any backend, and a second pass validate nothing.
-    model_core._variable_sets.cache_clear()
+    forget_variable_sets()
     validated.clear()
     oracle = CiOracle(random_gaussian(4, 0))
     triples = list(iter_disjoint_triples(oracle.universe.variables))
@@ -193,18 +193,28 @@ def _count_gaussian_linear_algebra(monkeypatch):
 
 def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):
     kernel_calls, cholesky_calls, solve_calls = _count_gaussian_linear_algebra(monkeypatch)
+    eigvalsh_calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        eigvalsh_calls.append(1)
+        return real_eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     report = run_suite("gaussian-props", seed=0, samples=6)
     assert report.ok and report.cases == 6
     # Six models at n = 3..5.  Every query is answered from one dependency
     # row per conditioning set, so none reaches the kernel (388 distinct
-    # queries did when each ran it).  Each model is factorized once when
-    # built and once per non-empty conditioning set its queries use (202
-    # when every conditioned query factorized its own block), and each of
-    # those 38 sets costs one solve (392 when each query solved its x and y
-    # columns apart).
+    # queries did when each ran it).  The queries use the 38 sets of sizes
+    # 1 (n = 4, 5) and 2 (n = 5), and the rows of all the sets of one size
+    # are built together: each model is factorized once when built, and each
+    # of its 6 non-empty sizes costs one stacked eigvalsh, one stacked
+    # Cholesky and one stacked solve (44 Cholesky and 38 solves with one of
+    # each per set; 202 Cholesky when every conditioned query factorized its
+    # own block, 392 solves when each query solved its x and y columns apart).
     assert kernel_calls == []
-    assert len(cholesky_calls) == 44
-    assert len(solve_calls) == 38
+    assert len(cholesky_calls) == 6 + 6
+    assert len(solve_calls) == len(eigvalsh_calls) == 6
 
 
 def test_a_gaussian_oracle_solves_once_per_conditioning_set(monkeypatch):
@@ -224,14 +234,17 @@ def test_a_gaussian_oracle_solves_once_per_conditioning_set(monkeypatch):
     for _ in range(2):  # the second pass reads the rows the first one kept
         for x, y, z in triples:
             oracle.ci(x, y, z)
-    # one factor and one solve per non-empty z with two non-empty sides
-    # left: a z of at most three of the five names; none for the empty z
+    # The 25 non-empty z with two non-empty sides left, those of at most
+    # three of the five names, fall in three sizes: one stacked Cholesky and
+    # one stacked solve per size (25 of each, one per z, before the rows were
+    # stacked), none for the empty z, and no kept factor is read.
     asked = {tuple(sorted(z)) for x, y, z in triples if x and y and z}
     assert len(asked) == 25
-    assert sorted(factors) == sorted(asked)
-    assert len(cholesky_calls) == len(solve_calls) == 25
+    assert factors == []
+    assert len(cholesky_calls) == len(solve_calls) == 3
     assert kernel_calls == []
     assert set(oracle._memo) == {0} | {sum(1 << names.index(v) for v in z) for z in asked}
+    assert None not in oracle._memo.values()
 
 
 def test_an_empty_side_builds_no_row(monkeypatch):
@@ -249,15 +262,20 @@ def test_a_singular_conditioning_set_stores_no_row(monkeypatch):
     g = dist_oracle.GaussianModel(Universe.reals("a", "b", "c", "d"), np.zeros(4), cov)
     oracle = CiOracle(g)
     kernel_calls, cholesky_calls, solve_calls = _count_gaussian_linear_algebra(monkeypatch)
+    pairs = [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]  # the six 2-sets
     for x, y in (({"c"}, {"d"}), ({"d"}, {"c"}), ({"c"}, {"d"})):
         with pytest.raises(SingularConditioning, match=r"^conditioning block over \('a', 'b'\)"):
             oracle.ci(x, y, {"a", "b"})
-        assert oracle._memo == {}
-    # the factor cache keeps the outcome: the block is checked, never factorized
-    assert kernel_calls == cholesky_calls == solve_calls == []
+        # the first query builds the rows of all six 2-sets; {a, b} keeps None
+        assert sorted(oracle._memo) == pairs and oracle._memo[0b0011] is None
+    # The singular block is checked, never factorized: one stacked Cholesky
+    # and one stacked solve cover the five regular blocks, and the kept None
+    # answers the later queries with no more linear algebra.
+    assert kernel_calls == []
+    assert len(cholesky_calls) == len(solve_calls) == 1
     assert oracle.ci({"c"}, (), {"a", "b"})  # an empty side still holds
     assert not oracle.ci({"a"}, {"b"})
-    assert set(oracle._memo) == {0}
+    assert set(oracle._memo) == {0, *pairs}
 
 
 def test_model_oracle_answers_from_one_mask_closure(monkeypatch):
@@ -349,14 +367,15 @@ def test_a_transitivity_run_decodes_each_witness_mask_once(monkeypatch):
         return real_tuple_of(self, mask)
 
     monkeypatch.setattr(model_core.VariableSets, "tuple_of", counting_tuple_of)
-    model_core._variable_sets.cache_clear()  # no mask over the suite's names is decoded yet
+    forget_variable_sets()  # no mask over the suite's names is decoded yet
     report = run_suite("transitivity", seed=0)
     assert report.ok
     # ``is_transitive`` reads only ``.holds``, but each failing irrelevance
     # sweep still builds its witness set.  Every pair of a random table or
     # Gaussian is dependent with Z empty, so over the five name tuples (the
     # paired coins' and u1..un for n = 2..5) only the empty mask is decoded;
-    # the Gaussians' dependency rows read the same tuple.  Decoding each
+    # the Gaussians' dependency rows are gathered from masks and decode
+    # nothing (they decoded the same empty tuple before).  Decoding each
     # witness afresh, as the unmemoized decoder did, made 1,502 decodes.
     tuples = [("x", "y", "z"), *(tuple(f"u{i}" for i in range(1, n + 1)) for n in range(2, 6))]
     assert sorted(decoded) == sorted((names, 0) for names in tuples)

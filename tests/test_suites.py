@@ -1,12 +1,14 @@
-"""The exhaustive, i1-first clean sweep against a per-case brute force."""
+"""The exhaustive, i1-first clean sweep against a per-case brute force, and
+pt-bin's replayed block draws against the per-attempt sampler."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from graphoid import relevance, suites
 from graphoid.dist_oracle import JointTable, marginalize, product_table, random_spb
-from graphoid.model_core import Universe
+from graphoid.model_core import Universe, label_blocks
 from graphoid.relevance import (
     ANTECEDENT_FAILS,
     CONSEQUENT_HOLDS,
@@ -16,7 +18,7 @@ from graphoid.relevance import (
     _implication,
 )
 
-from disjoint_triples import by_mask
+from disjoint_triples import by_mask, variable_sets
 from test_relevance import cells
 
 OUTCOME_KEYS = ("i1", "i2", "i3", CONSEQUENT_HOLDS, VIOLATION)
@@ -196,3 +198,59 @@ def test_pt_bin_suite_fails_when_the_conclusion_fails(monkeypatch):
     report = suites.run_suite("pt-bin", seed=0, samples=5)
     assert not report.ok
     assert {f["kind"] for f in report.failures} == {"violation"}
+
+
+def reference_random_blocks(rng, ground, attempts=None):
+    """pt-bin's block sampler as it was, one attempt per call: draw a code
+    per sorted name until both block 0 and block 4 get a name.  The number
+    of attempts is appended to ``attempts`` when one is given."""
+    for attempt in itertools.count(1):
+        groups = label_blocks(ground, rng.integers(8, size=len(ground.names)), 8)
+        if groups[0] and groups[4]:
+            if attempts is not None:
+                attempts.append(attempt)
+            return relevance.PtBinBlocks(*groups)
+
+
+@pytest.mark.parametrize("ground_size", [2, 3, 4, 5])
+def test_replayed_block_draws_equal_the_per_attempt_sampler(ground_size):
+    ground = variable_sets([f"g{i}" for i in range(ground_size)])
+    attempts = []
+    for seed in range(40):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(6):
+            # an odd range between draws, as pt-bin's pivot draw is
+            assert fast.integers(5) == slow.integers(5)
+            want = reference_random_blocks(slow, ground, attempts)
+            assert suites._random_blocks(fast, ground) == want
+            assert fast.bit_generator.state == slow.bit_generator.state
+    # Over two names an attempt is kept one time in 32, so some draws need
+    # more than one batch of attempts.
+    if ground_size == 2:
+        assert max(attempts) > suites.BLOCK_ATTEMPTS
+
+
+def _pt_bin_draws(monkeypatch, sampler, seed):
+    """The report of a default pt-bin run at ``seed`` with ``sampler``
+    drawing its blocks, and each call's ground names, blocks and generator
+    state after the call."""
+    draws = []
+
+    def recording(rng, ground):
+        blocks = sampler(rng, ground)
+        draws.append((ground.names, blocks, rng.bit_generator.state))
+        return blocks
+
+    monkeypatch.setattr(suites, "_random_blocks", recording)
+    return suites.run_suite("pt-bin", seed=seed).to_json(), draws
+
+
+@pytest.mark.parametrize("seed", [0, 1009, 7_000_000])
+def test_pt_bin_draws_the_same_cases_as_the_per_attempt_sampler(monkeypatch, seed):
+    # A report shows no blocks, so only the draws themselves show that they
+    # did not move: the same names and blocks in every case, and the same
+    # generator state after each, so every later pivot draw is the same too.
+    fast = _pt_bin_draws(monkeypatch, suites._random_blocks, seed)
+    slow = _pt_bin_draws(monkeypatch, reference_random_blocks, seed)
+    assert len(fast[1]) == 200
+    assert fast == slow
