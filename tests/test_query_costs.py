@@ -7,7 +7,7 @@ query that leaves it reaches the discrete kernel, whose count is 0 for
 every suite table.  A defeated screening-set memo raises the
 ``CiOracle._holds`` count, since every rebuilt network asks its queries
 again;
-a defeated per-conditioning-set factor cache raises the Cholesky count;
+rows built per conditioning set rather than per set size raise the Cholesky count;
 a Gaussian oracle that stops answering from one dependency row per
 conditioning set reaches the Gaussian kernel or raises the solve count;
 a discrete kernel or verdict table that stops taking its mask-free path on
