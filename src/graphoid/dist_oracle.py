@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,10 +47,13 @@ MAX_EXTRACT_VARS = 5
 # per query.  It keeps the pass's arrays within a few megabytes whatever
 # the domain sizes.
 VERDICT_GRID_LIMIT = 1 << 13
-# Most conditioning sets of one size whose dependency rows a Gaussian
-# oracle builds together, at the first query on any of them; past it, a
-# query's rows are built for its own conditioning set alone.
-ROW_BATCH_LIMIT = 1 << 10
+# Most covariance entries, C(n, size) * n^2, that a Gaussian oracle over n
+# variables stacks to build the dependency rows of every conditioning set
+# of one size together, at the first query on any of them; past it, the
+# asked set's row is built alone.  It keeps each stacked array within
+# 64 KiB and a stacked pass within the time of about ten single-set
+# builds, so an oracle that asks ten of a size's sets already gains.
+ROW_BATCH_LIMIT = 1 << 13
 
 
 def _numbers_from_json(value: object, what: str) -> object:
@@ -334,13 +337,6 @@ def _two_sided_held(n: int, holds: list[bool]) -> set[tuple[int, int, int]]:
     return held
 
 
-def _held_masks(n: int, holds: list[bool]) -> set[tuple[int, int, int]]:
-    """``_two_sided_held`` plus every trivial triple."""
-    held = _two_sided_held(n, holds)
-    held.update(_table_queries(n)[3])
-    return held
-
-
 def _table_gaps(table: JointTable, names: tuple[str, ...], tol: float) -> np.ndarray:
     """``_discrete_gap`` of every query of ``_table_queries`` over ``names``, in one pass.
 
@@ -423,9 +419,11 @@ class _Layout(NamedTuple):
     scatter: np.ndarray
 
 
-def _layout(n: int, masks: tuple[int, ...]) -> _Layout:
-    """The ``_Layout`` of ``masks``, all of one size, over ``n`` variables."""
-    full, size = (1 << n) - 1, masks[0].bit_count()
+@functools.cache
+def _size_layout(n: int, size: int) -> _Layout:
+    """The ``_Layout`` of every mask of ``size`` bits over ``n`` variables."""
+    full = (1 << n) - 1
+    masks = tuple(sum(1 << i for i in bits) for bits in itertools.combinations(range(n), size))
 
     def positions(of: Iterable[int], width: int) -> np.ndarray:
         bits = [[b.bit_length() - 1 for b in _bits_of(m)] for m in of]
@@ -437,11 +435,28 @@ def _layout(n: int, masks: tuple[int, ...]) -> _Layout:
     return _Layout(masks, inside, free, bit[free], scatter)
 
 
-@functools.cache
-def _size_layout(n: int, size: int) -> _Layout:
-    """The ``_Layout`` of every mask of ``size`` bits over ``n`` variables."""
-    combos = itertools.combinations(range(n), size)
-    return _layout(n, tuple(sum(1 << i for i in bits) for bits in combos))
+def _dependency_row(g: GaussianModel, zs: tuple[str, ...], tol: float) -> list[int]:
+    """The dependency row of the one conditioning set ``zs``, a sorted name
+    tuple, as ``_dependency_rows`` defines it.
+
+    With ``zs`` empty the entries are the model's |covariance| rows, the
+    kernel's own floats; otherwise one solve against the kept factor covers
+    every free column, and a singular block raises as the kernel does.
+    """
+    names = g.universe.sets.names
+    free = [i for i, v in enumerate(names) if v not in zs]
+    cols = [g.universe.index(names[i]) for i in free]
+    if zs:
+        chol, z_rows = g._factor(zs)
+        w = np.linalg.solve(chol, z_rows[:, cols])
+        entries = np.abs(g.covariance[cols][:, cols] - w.T @ w).tolist()
+    else:
+        abs_rows = g._abs_rows
+        entries = [[abs_rows[i][j] for j in cols] for i in cols]
+    row = [0] * len(names)
+    for i, dependent in zip(free, entries):
+        row[i] = sum(1 << j for j, entry in zip(free, dependent) if entry > tol)
+    return row
 
 
 def _dependency_rows(g: GaussianModel, layout: _Layout, tol: float) -> dict[int, list[int] | None]:
@@ -517,9 +532,11 @@ class CiOracle:
     conditioning mask, and the query holds when no member of x has a
     dependency bit in y.  At the first query on a conditioning mask the rows
     of every mask of its size are built together, in one stacked pass
-    (``_dependency_rows``), while there are at most ROW_BATCH_LIMIT of them;
-    otherwise the mask's row alone.  A singular conditioning block is kept
-    as None and raises SingularConditioning at every query on it.  A table
+    (``_dependency_rows``), while that stacks at most ROW_BATCH_LIMIT
+    covariance entries; otherwise the mask's row alone
+    (``_dependency_row``).  A singular conditioning block raises
+    SingularConditioning at every query on it: the stacked pass keeps it as
+    None, and the model keeps the single-set verdict.  A table
     past those bounds asks its kernel (``_gap``, given the sets' sorted
     tuples, read with the universe's ``sets.tuple_of``) and memoizes the
     verdict, gap at most the tolerance, on the canonical masks.
@@ -581,11 +598,10 @@ class CiOracle:
                 x, y, z = query
                 if z not in memo:
                     size = z.bit_count()
-                    batch = (
-                        _size_layout(n, size) if math.comb(n, size) <= ROW_BATCH_LIMIT
-                        else _layout(n, (z,))
-                    )
-                    memo.update(_dependency_rows(backend, batch, tol))
+                    if math.comb(n, size) * n * n <= ROW_BATCH_LIMIT:
+                        memo.update(_dependency_rows(backend, _size_layout(n, size), tol))
+                    else:  # a singular block raises from ``_factor``, storing nothing
+                        memo[z] = _dependency_row(backend, tuple_of(z), tol)
                 row = memo[z]
                 if row is None:
                     raise SingularConditioning(
@@ -723,15 +739,17 @@ def extract_model(oracle: CiOracle) -> DependencyModel:
     """
     _check_bound(oracle.universe, MAX_EXTRACT_VARS, "extraction bound")
     n = len(oracle.universe.variables)
-    holds = list(itertools.starmap(oracle._holds, _table_queries(n)[1]))
-    return _model_of_masks(oracle.universe, _held_masks(n, holds))
+    _, queries, _, trivial = _table_queries(n)
+    held = _two_sided_held(n, list(itertools.starmap(oracle._holds, queries)))
+    held.update(trivial)
+    return _model_of_masks(oracle.universe, held)
 
 
 @functools.cache
-def _drawn_universe(n: int, kind: str) -> Universe:
-    """The one universe over u1..un of the seeded generators, ``kind`` being
-    the ``Universe`` constructor: "binary" or "reals"."""
-    return getattr(Universe, kind)(*(f"u{i + 1}" for i in range(n)))
+def _drawn_universe(n: int, make: Callable[..., Universe]) -> Universe:
+    """The one universe over u1..un that the seeded generators build with
+    the ``Universe`` constructor ``make``."""
+    return make(*(f"u{i + 1}" for i in range(n)))
 
 
 def random_spb(n: int, seed: int) -> JointTable:
@@ -744,7 +762,7 @@ def random_spb(n: int, seed: int) -> JointTable:
         raise ValueError("random_spb supports 2..6 variables")
     rng = np.random.default_rng(seed)
     raw = rng.uniform(SPB_ENTRY_FLOOR, 1.0, size=2**n)
-    return JointTable(_drawn_universe(n, "binary"), raw / raw.sum())
+    return JointTable(_drawn_universe(n, Universe.binary), raw / raw.sum())
 
 
 def random_gaussian(n: int, seed: int) -> GaussianModel:
@@ -755,7 +773,7 @@ def random_gaussian(n: int, seed: int) -> GaussianModel:
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     mean = rng.uniform(-1.0, 1.0, size=n)
     cov = a @ a.T + GAUSSIAN_RIDGE * np.eye(n)
-    return GaussianModel(_drawn_universe(n, "reals"), mean, cov)
+    return GaussianModel(_drawn_universe(n, Universe.reals), mean, cov)
 
 
 def xor_table() -> JointTable:

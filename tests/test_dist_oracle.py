@@ -437,6 +437,9 @@ def test_model_oracle_past_the_bound_raises_at_every_query():
     for _ in range(2):
         with pytest.raises(UniverseTooLarge):
             oracle.ci("u0", "u1")
+        # a query with an empty side holds before the closure is asked for
+        assert oracle.ci("u0", [], "u1") is True
+        assert oracle.ci([], "u1") is True
         # a bad query is reported as itself, not as the bound
         with pytest.raises(UnknownVariable, match="^unknown variable: nope$"):
             oracle.ci("u0", "nope")
@@ -725,7 +728,7 @@ def _linear_sem_gaussian(n, seed):
     return GaussianModel(Universe.reals(*(f"v{i}" for i in range(n))), np.zeros(n), inv @ inv.T)
 
 
-def test_the_dependency_rows_answer_as_the_gaussian_kernel():
+def _assert_rows_answer_as_the_gaussian_kernel():
     models = _gaussian_kernel_inputs() + [
         _linear_sem_gaussian(n, seed) for n in range(3, 7) for seed in range(4)
     ]
@@ -745,24 +748,13 @@ def test_the_dependency_rows_answer_as_the_gaussian_kernel():
     assert held > 0  # conditional independences with two non-empty sides held
 
 
-def _reference_dependency_row(g, zs, tol):
-    """The dependency row of one sorted conditioning tuple ``zs``, built on
-    its own as the oracle built it before the rows were stacked by size:
-    one solve against the model's kept factor, |covariance| itself for an
-    empty ``zs``."""
-    names = g.universe.sets.names
-    free = [i for i, v in enumerate(names) if v not in zs]
-    cols = [g.universe.index(names[i]) for i in free]
-    if zs:
-        chol, z_rows = g._factor(zs)
-        w = np.linalg.solve(chol, z_rows[:, cols])
-        entries = np.abs(g.covariance[cols][:, cols] - w.T @ w).tolist()
-    else:
-        entries = np.abs(g.covariance[cols][:, cols]).tolist()
-    row = [0] * len(names)
-    for i, dependent in zip(free, entries):
-        row[i] = sum(1 << j for j, entry in zip(free, dependent) if entry > tol)
-    return row
+def test_the_dependency_rows_answer_as_the_gaussian_kernel():
+    _assert_rows_answer_as_the_gaussian_kernel()
+
+
+def test_the_single_set_rows_answer_as_the_gaussian_kernel(monkeypatch):
+    monkeypatch.setattr(dist_oracle, "ROW_BATCH_LIMIT", 0)  # no size is stacked
+    _assert_rows_answer_as_the_gaussian_kernel()
 
 
 def _copied_column_gaussian(eps):
@@ -795,7 +787,7 @@ def test_the_stacked_rows_equal_the_single_set_rows():
                 assert list(rows) == list(masks)
                 for z in masks:
                     try:
-                        want = _reference_dependency_row(g, tuple_of(z), tol)
+                        want = dist_oracle._dependency_row(g, tuple_of(z), tol)
                     except SingularConditioning as exc:
                         want = f"singular: {exc}"
                     if rows[z] is not None:
@@ -813,17 +805,62 @@ def test_the_stacked_rows_equal_the_single_set_rows():
     assert singular == 2 * 2  # {a, b} of one model and {u1, u2} of another, at both tolerances
 
 
-def test_a_size_with_too_many_sets_builds_the_asked_row_alone():
+def test_a_size_past_the_batch_limit_builds_the_asked_row_alone():
     g = _linear_sem_gaussian(13, 5)
     names = g.universe.sets.names
     oracle = CiOracle(g)
-    assert math.comb(13, 1) <= dist_oracle.ROW_BATCH_LIMIT < math.comb(13, 6)
-    z = 0b1111110000000  # six of the thirteen names
-    want = _reference_dependency_row(g, names[7:], GAUSSIAN_TOL)
-    assert oracle._holds(0b1, 0b10, z) == (not want[0] & 0b10)
-    assert oracle._memo == {z: want}
+    entries = 13 * 13  # covariance entries stacked per conditioning set
+    assert math.comb(13, 1) * entries <= dist_oracle.ROW_BATCH_LIMIT < math.comb(13, 2) * entries
+    z, zs = 0b1111110000000, names[7:]  # six of the thirteen names
+    gap = oracle.discrepancy(names[0], names[1], zs)
+    assert oracle._holds(0b1, 0b10, z) == (gap <= GAUSSIAN_TOL)
+    assert list(oracle._memo) == [z]
+    row = oracle._memo[z]
+    assert row[7:] == [0] * 6
+    for i in range(7):
+        for j in range(7):
+            if j != i:
+                dependent = oracle.discrepancy(names[i], names[j], zs) > GAUSSIAN_TOL
+                assert bool(row[i] >> j & 1) == dependent
+    oracle._holds(0b1, 0b10, 0b1100)  # a 2-set: its row alone
+    assert list(oracle._memo) == [z, 0b1100]
     oracle._holds(0b1, 0b10, 0b100)  # all thirteen 1-sets at once
-    assert sorted(oracle._memo) == sorted([z, *(1 << i for i in range(13))])
+    assert sorted(oracle._memo) == sorted([z, 0b1100, *(1 << i for i in range(13))])
+    # v0..v12 sort unlike their axes, so a gather in axis order differs here
+    for i in range(13):
+        assert oracle._memo[1 << i] == dist_oracle._dependency_row(g, (names[i],), GAUSSIAN_TOL)
+
+
+def _identity_gaussian_from_json(n):
+    names = [f"u{i + 1}" for i in range(n)]
+    data = {"variables": names, "mean": [0.0] * n, "cov": np.eye(n).tolist()}
+    return GaussianModel.from_json_dict(data)
+
+
+def test_a_wide_gaussian_builds_only_the_asked_row(monkeypatch):
+    g = _identity_gaussian_from_json(300)
+    bit = g.universe.sets.bit
+    calls = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or real(a))
+    oracle = CiOracle(g)
+    assert oracle.ci("u1", "u2", "u3") is True
+    assert list(oracle._memo) == [bit["u3"]]
+    assert oracle._memo[bit["u3"]] == [1 << i if i != bit["u3"].bit_length() - 1 else 0
+                                       for i in range(300)]
+    assert calls == [(1, 1)]  # the one 1x1 block, no stack of 300
+    assert oracle.ci("u1", "u2") is True  # 300^2 entries: unconditioned, alone too
+    assert list(oracle._memo) == [bit["u3"], 0]
+    assert calls == [(1, 1)]
+
+
+def test_an_unconditioned_stack_past_63_variables_keeps_exact_bits():
+    g = _identity_gaussian_from_json(80)
+    assert 80 * 80 <= dist_oracle.ROW_BATCH_LIMIT  # the one empty set is stacked
+    oracle = CiOracle(g)
+    assert oracle.ci("u1", "u2") is True
+    assert oracle._memo == {0: [1 << i for i in range(80)]}
+    assert oracle._memo[0] == dist_oracle._dependency_row(g, (), GAUSSIAN_TOL)
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,10 +6,10 @@ first query: a defeated verdict table raises the build count, and a table
 query that leaves it reaches the discrete kernel, whose count is 0 for
 every suite table.  A defeated screening-set memo raises the
 ``CiOracle._holds`` count, since every rebuilt network asks its queries
-again;
-rows built per conditioning set rather than per set size raise the Cholesky count;
-a Gaussian oracle that stops answering from one dependency row per
-conditioning set reaches the Gaussian kernel or raises the solve count;
+again; rows built per conditioning set rather than per set size raise the
+Cholesky count; a Gaussian oracle that stops answering from one dependency
+row per conditioning set reaches the Gaussian kernel or raises the solve
+count;
 a discrete kernel or verdict table that stops taking its mask-free path on
 strictly positive tables raises the ``np.divide`` count, which only their
 masked body makes; a model oracle that leaves its closure's masks, or a
@@ -191,7 +191,7 @@ def _count_gaussian_linear_algebra(monkeypatch):
     return kernel_calls, cholesky_calls, solve_calls
 
 
-def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):
+def test_gaussian_props_suite_factorizes_once_per_conditioning_set_size(monkeypatch):
     kernel_calls, cholesky_calls, solve_calls = _count_gaussian_linear_algebra(monkeypatch)
     eigvalsh_calls = []
     real_eigvalsh = np.linalg.eigvalsh
@@ -217,7 +217,7 @@ def test_gaussian_props_suite_factorizes_once_per_conditioning_set(monkeypatch):
     assert len(solve_calls) == len(eigvalsh_calls) == 6
 
 
-def test_a_gaussian_oracle_solves_once_per_conditioning_set(monkeypatch):
+def test_a_gaussian_oracle_solves_once_per_conditioning_set_size(monkeypatch):
     g = random_gaussian(5, 4)
     factors = []
     real_factor = dist_oracle.GaussianModel._factor
@@ -256,7 +256,7 @@ def test_an_empty_side_builds_no_row(monkeypatch):
     assert kernel_calls == cholesky_calls == solve_calls == []
 
 
-def test_a_singular_conditioning_set_stores_no_row(monkeypatch):
+def test_a_singular_conditioning_set_is_kept_as_none(monkeypatch):
     cov = np.eye(4)
     cov[0, 1] = cov[1, 0] = 1.0 - 1e-12  # the (a, b) block is past the regularity limit
     g = dist_oracle.GaussianModel(Universe.reals("a", "b", "c", "d"), np.zeros(4), cov)
